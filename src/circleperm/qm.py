@@ -6,7 +6,12 @@ an exponent-set prefilter (the support of g scaled by d mod q^2-1 must equal
 the support of f) removes most candidates, after which v is pinned down by a
 coefficient-ratio root equation and u by a single coefficient, with every
 remaining coefficient verified.  A brute-force v enumeration is kept as an
-independent path and the prefilter can be switched off entirely.
+independent path and the prefilter can be switched off entirely.  This search
+produces witnesses and is the oracle the tests hold classification against.
+
+Catalogs are classified without comparing pairs: the maps form a group, so the
+least (support, coefficient-log) key over a polynomial's orbit is an exact
+class invariant, and grouping by it takes time linear in the catalog.
 
 Functional comparison happens on exponent-reduced polynomials: the
 fixpoint convention of reduce_exponents keeps positive exponents positive,
@@ -33,26 +38,31 @@ class QmResult:
     prefilter_rejected: int = 0
 
 
+def _exp_map(e: int, d: int, m: int) -> int:
+    """Reduced exponent of (X^d)^e; the constant term stays at exponent 0."""
+    return (e * d - 1) % m + 1 if e else 0
+
+
+def _check_inputs(ext: QuadExtension, cap: int, polys):
+    if ext.big.order > cap:
+        raise CapExceeded(f"field order {ext.big.order} above qm search cap {cap}")
+    if any(f.is_zero() for f in polys):
+        raise ZeroInput("qm comparison needs nonzero polynomials")
+
+
 def apply_qm(g: SparsePolynomial, u: FieldElement, v: FieldElement, d: int
              ) -> SparsePolynomial:
     """u * g(v * X^d), exponent-reduced."""
-    ctx = g.ctx
-    m = ctx.order - 1
-    pairs = []
-    for e, c in g.terms.items():
-        pairs.append(((e * d - 1) % m + 1 if e else 0, u * c * v**e))
-    return SparsePolynomial(ctx, pairs)
+    m = g.ctx.order - 1
+    return SparsePolynomial(g.ctx, [(_exp_map(e, d, m), u * c * v**e) for e, c in g.terms.items()])
 
 
 def qm_equivalent(f: SparsePolynomial, g: SparsePolynomial, ext: QuadExtension,
                   cap: int = QM_CAP, prefilter: bool = True,
                   v_bruteforce: bool = False) -> QmResult:
     """Decide f ~ g; any valid witness is acceptable, found in ascending-d order."""
+    _check_inputs(ext, cap, (f, g))
     big = ext.big
-    if big.order > cap:
-        raise CapExceeded(f"field order {big.order} above qm search cap {cap}")
-    if f.is_zero() or g.is_zero():
-        raise ZeroInput("qm comparison needs nonzero polynomials")
     f = f.reduce_exponents()
     g = g.reduce_exponents()
     m = big.order - 1
@@ -63,7 +73,7 @@ def qm_equivalent(f: SparsePolynomial, g: SparsePolynomial, ext: QuadExtension,
     for d in range(1, m):
         if math.gcd(d, m) != 1:
             continue
-        mapped = frozenset((e * d - 1) % m + 1 for e, _ in g_terms)
+        mapped = frozenset(_exp_map(e, d, m) for e, _ in g_terms)
         if prefilter and mapped != supp_f:
             rejected += 1
             continue
@@ -77,7 +87,7 @@ def qm_equivalent(f: SparsePolynomial, g: SparsePolynomial, ext: QuadExtension,
 def _complete_for_d(f, g_terms, d, m, big, v_bruteforce):
     """Search (u, v) with f = u*g(v X^d); None when no completion exists."""
     e1, c1 = g_terms[0]
-    t1 = f.terms.get((e1 * d - 1) % m + 1)
+    t1 = f.terms.get(_exp_map(e1, d, m))
     if t1 is None:
         return None
     if len(g_terms) == 1:
@@ -87,7 +97,7 @@ def _complete_for_d(f, g_terms, d, m, big, v_bruteforce):
             return (u, v, d)
         return None
     e2, c2 = g_terms[1]
-    t2 = f.terms.get((e2 * d - 1) % m + 1)
+    t2 = f.terms.get(_exp_map(e2, d, m))
     if t2 is None:
         return None
     if v_bruteforce:
@@ -114,7 +124,7 @@ def _verify_map(f, g_terms, u, v, d, m):
     if len(f.terms) != len(g_terms):
         return False
     for e, c in g_terms:
-        target = f.terms.get((e * d - 1) % m + 1)
+        target = f.terms.get(_exp_map(e, d, m))
         if target is None or u * c * v**e != target:
             return False
     return True
@@ -342,20 +352,36 @@ def instantiate_known(family_id: str, ext: QuadExtension):
 # catalog classification
 
 
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def qm_canonical_key(f: SparsePolynomial, ext: QuadExtension, cap: int = QM_CAP) -> tuple:
+    """Least (support, coefficient logs) over the QM orbit of f.
 
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    f ~ g iff their keys are equal.  For each unit d the mapped support is
+    sorted; u and v then add a + b*e (mod m, any a and b) to the log of the
+    term at mapped exponent e, so a sets the first log to 0 and b minimises
+    the second, leaving gcd(e2 - e1, m) choices of b compared in full.
+    """
+    _check_inputs(ext, cap, (f,))
+    big = ext.big
+    m = big.order - 1
+    terms = [(e, big.log_enc(c.enc)) for e, c in f.reduce_exponents().terms.items()]
+    best = None
+    for d in range(1, m):
+        if math.gcd(d, m) != 1:
+            continue
+        mapped = sorted([(_exp_map(e, d, m), log) for e, log in terms])
+        supp = tuple([e for e, _ in mapped])
+        if best is not None and supp > best[0]:
+            continue
+        # a monomial pairs its term with itself: t = m and every b is tried
+        (e1, l1), (e2, l2) = mapped[0], mapped[min(1, len(mapped) - 1)]
+        t = math.gcd(e2 - e1, m)
+        step = m // t
+        b0 = -((l2 - l1) // t) * pow((e2 - e1) // t, -1, step) % step
+        key = (supp, min(tuple((log - l1 + b * (e - e1)) % m for e, log in mapped)
+                         for b in range(b0, m, step)))
+        if best is None or key < best:
+            best = key
+    return best
 
 
 @dataclass
@@ -366,24 +392,13 @@ class QmPartition:
 
 def classify_catalog(polys: list[SparsePolynomial], ext: QuadExtension,
                      cap: int = QM_CAP) -> QmPartition:
-    """Partition under qm_equivalent; representatives minimal in degree-then-lex."""
-    uf = UnionFind(len(polys))
+    """Group by qm_canonical_key; representatives minimal in degree-then-lex."""
+    _check_inputs(ext, cap, polys)
     reduced = [p.reduce_exponents() for p in polys]
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            if uf.find(i) == uf.find(j):
-                continue
-            if qm_equivalent(reduced[i], reduced[j], ext, cap=cap).equivalent:
-                uf.union(i, j)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(polys)):
-        groups.setdefault(uf.find(i), []).append(i)
-    classes = []
-    reps = []
-    for members in groups.values():
-        members.sort()
-        rep = min(members, key=lambda i: reduced[i].canonical_key())
-        classes.append(members)
-        reps.append(rep)
+    groups: dict[tuple, list[int]] = {}
+    for i, f in enumerate(reduced):
+        groups.setdefault(qm_canonical_key(f, ext, cap), []).append(i)
+    classes = list(groups.values())
+    reps = [min(members, key=lambda i: reduced[i].canonical_key()) for members in classes]
     order = sorted(range(len(classes)), key=lambda c: reduced[reps[c]].canonical_key())
     return QmPartition([classes[i] for i in order], [reps[i] for i in order])

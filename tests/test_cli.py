@@ -201,6 +201,18 @@ class TestCommands:
         assert covered == list(range(12))
         assert len(part["representatives"]) == len(part["classes"])
 
+    def test_qm_classify_single_entry_errors(self, tmp_path, capsys):
+        # no pair is compared in a one-entry catalog; the cap and the zero
+        # polynomial are still reported
+        cat = tmp_path / "cat.jsonl"
+        field = ext_to_json(get_ext(2, 2))
+        cat.write_text(dumps_line({"field": field, "poly": {"terms": [[1, {"pow": 0}]]}}))
+        assert main(["qm-classify", "--catalog", str(cat)]) == 0
+        assert main(["qm-classify", "--catalog", str(cat), "--cap", "8"]) == 3
+        cat.write_text(dumps_line({"field": field, "poly": {"terms": []}}))
+        assert main(["qm-classify", "--catalog", str(cat)]) == 2
+        assert "ZeroInput" in capsys.readouterr().err
+
     def test_field_info(self, capsys):
         assert main(["field-info", "--p", "2", "--m", "2"]) == 0
         info = json.loads(capsys.readouterr().out)

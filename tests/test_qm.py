@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circleperm.errors import CapExceeded, NotInstantiable, ZeroInput
 from circleperm.families import ConstructionParams, GridLimits, build_family, param_grid
@@ -12,6 +14,7 @@ from circleperm.qm import (
     classify_catalog,
     h1_form_instances,
     instantiate_known,
+    qm_canonical_key,
     qm_equivalent,
     qm_verify_witness,
 )
@@ -139,6 +142,17 @@ class TestSearch:
         with pytest.raises(CapExceeded):
             qm_equivalent(f, f, ext, cap=1 << 11)
 
+    def test_constant_term_kept_fixed(self, ext16):
+        # 1 + g*X^3: the constant term must map to itself under every d
+        big = ext16.big
+        f = SparsePolynomial(big, [(0, big.one()), (3, big.generator)])
+        res = qm_equivalent(f, f, ext16)
+        assert res.equivalent and qm_verify_witness(f, f, res.witness, ext16)
+        tw = apply_qm(f, big.gen_pow(4), big.gen_pow(9), 7)
+        assert 0 in tw.terms
+        res = qm_equivalent(f, tw, ext16)
+        assert res.equivalent and qm_verify_witness(f, tw, res.witness, ext16)
+
     def test_zero_rejected(self, ext25):
         with pytest.raises(ZeroInput):
             qm_equivalent(SparsePolynomial.zero(ext25.big),
@@ -254,3 +268,77 @@ class TestClassify:
                     distinct[i], distinct[j], ext16, prefilter=False, v_bruteforce=True
                 ).equivalent
                 assert (class_of[i] == class_of[j]) == slow
+
+    def test_cap_checked_for_any_catalog_size(self):
+        from conftest import MOD_2_12
+
+        ext = get_ext(2, 6, tuple(MOD_2_12))
+        f = SparsePolynomial.x_power(ext.big, 1)
+        assert classify_catalog([f], ext).classes == [[0]]  # at the cap: fine
+        for catalog in ([], [f], [f, f]):
+            with pytest.raises(CapExceeded):
+                classify_catalog(catalog, ext, cap=1 << 11)
+
+    def test_zero_rejected_for_any_catalog_size(self, ext25):
+        zero = SparsePolynomial.zero(ext25.big)
+        f = q1_example_poly(ext25)
+        for catalog in ([zero], [f, zero], [zero, f, f]):
+            with pytest.raises(ZeroInput):
+                classify_catalog(catalog, ext25)
+
+
+# fields of the canonical-key checks: GF(2^4), GF(3^2), GF(5^2), GF(3^4)
+KEY_FIELDS = [(2, 2), (3, 1), (5, 1), (3, 2)]
+
+
+@st.composite
+def field_polys(draw, ext, logs_for=None):
+    """1-5 terms, exponents in 0..m (constant and X^m included); with
+    `logs_for`, the support of that polynomial with fresh coefficients."""
+    m = ext.big.order - 1
+    if logs_for is None:
+        n = draw(st.integers(1, 5))
+        exps = draw(st.lists(st.integers(0, m), min_size=n, max_size=n, unique=True))
+    else:
+        exps = sorted(logs_for.terms)
+    logs = draw(st.lists(st.integers(0, m - 1), min_size=len(exps), max_size=len(exps)))
+    return SparsePolynomial(ext.big, [(e, ext.big.gen_pow(k)) for e, k in zip(exps, logs)])
+
+
+@st.composite
+def qm_maps(draw, ext):
+    m = ext.big.order - 1
+    d = draw(st.sampled_from([d for d in range(1, m) if math.gcd(d, m) == 1]))
+    u, v = (ext.big.gen_pow(draw(st.integers(0, m - 1))) for _ in range(2))
+    return u, v, d
+
+
+class TestCanonicalKey:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), field=st.sampled_from(KEY_FIELDS))
+    def test_invariant_under_twists(self, data, field):
+        ext = get_ext(*field)
+        f = data.draw(field_polys(ext))
+        key = qm_canonical_key(f, ext)
+        for _ in range(3):
+            assert qm_canonical_key(apply_qm(f, *data.draw(qm_maps(ext))), ext) == key
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), field=st.sampled_from(KEY_FIELDS))
+    def test_partition_matches_pairwise_oracle(self, data, field):
+        # catalogs of a few bases, a base with the support of another but other
+        # coefficients, and twists of them all, shuffled
+        ext = get_ext(*field)
+        bases = data.draw(st.lists(field_polys(ext), min_size=1, max_size=3))
+        bases.append(data.draw(field_polys(ext, logs_for=bases[0])))
+        catalog = list(bases)
+        for f in bases:
+            n = data.draw(st.integers(0, 2))
+            catalog += [apply_qm(f, *data.draw(qm_maps(ext))) for _ in range(n)]
+        catalog = data.draw(st.permutations(catalog))
+        oracle = set()
+        for f in catalog:
+            oracle.add(tuple(j for j, g in enumerate(catalog) if qm_equivalent(
+                f, g, ext, prefilter=False, v_bruteforce=True).equivalent))
+        part = classify_catalog(catalog, ext)
+        assert sorted(map(tuple, part.classes)) == sorted(oracle)
