@@ -15,6 +15,7 @@ from .errors import (
     DivisionByZero,
     IndeterminateForm,
     InvalidParams,
+    InvariantViolation,
     LimitExceeded,
     NotInstantiable,
     NotIrreducible,
@@ -52,6 +53,7 @@ __all__ = [
     "DeltaInSubfield",
     "IndeterminateForm",
     "InvalidParams",
+    "InvariantViolation",
     "LimitExceeded",
     "NotInstantiable",
 ]

@@ -2,7 +2,7 @@
 
 Subcommands: construct, verify, qm-test, qm-classify, repro, field-info.
 Exit codes: 0 success / true verdict, 1 false verdict, 2 input error,
-3 cap exceeded.
+3 cap exceeded, 4 internal error (an invariant failed; never a verdict).
 
 Field elements on the command line: "g^k" (generator power), plain integers
 (prime-subfield embedding, negatives allowed), or coordinate vectors
@@ -15,10 +15,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import repro as repro_mod
-from .errors import CapExceeded, CirclepermError, InvalidParams, LimitExceeded
+from .errors import (
+    CapExceeded,
+    CirclepermError,
+    InvalidParams,
+    InvariantViolation,
+    LimitExceeded,
+)
 from .families import (
     FAMILIES,
     ConstructionParams,
@@ -28,7 +33,7 @@ from .families import (
     param_grid,
 )
 from .fields import FieldElement, QuadExtension, field_create, quad_extension
-from .qm import classify_catalog, qm_equivalent
+from .qm import QM_CAP, classify_catalog, qm_equivalent
 from .serialize import (
     CSV_HEADER,
     CatalogEntry,
@@ -106,7 +111,7 @@ def cmd_construct(args) -> int:
                 delta_stride=args.delta_stride,
                 delta_t_stride=args.delta_t_stride,
             )
-            for entry in construct_grid_entries(ext, args.family, limits, args.workers):
+            for entry in construct_grid_entries(ext, args.family, limits):
                 line = entry_to_json(entry)
                 _emit(out, entry_to_csv_row(line) if args.format == "csv" else dumps_line(line))
             return 0
@@ -135,20 +140,12 @@ def cmd_construct(args) -> int:
             out.close()
 
 
-def construct_grid_entries(ext, family, limits: GridLimits, workers: int = 1):
-    """CatalogEntry stream in grid order, independent of worker scheduling."""
-
-    def build_one(params):
+def construct_grid_entries(ext, family, limits: GridLimits):
+    """CatalogEntry stream in grid order."""
+    for params in param_grid(family, ext, limits):
         built = build_family(family, params, ext)
         report = verify_both(built.r, built.h, built.poly, ext, cap=limits.cap_order)
-        return CatalogEntry(ext, built, report, "grid")
-
-    if workers <= 1:
-        for params in param_grid(family, ext, limits):
-            yield build_one(params)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(build_one, param_grid(family, ext, limits))
+        yield CatalogEntry(ext, built, report, "grid")
 
 
 def cmd_verify(args) -> int:
@@ -246,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta-t-stride", type=int, default=1)
     sp.add_argument("--out")
     sp.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
-    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--cap", type=int, default=EXHAUSTIVE_CAP)
     sp.set_defaults(func=cmd_construct)
 
@@ -260,12 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(sp)
     sp.add_argument("--f", required=True)
     sp.add_argument("--g", required=True)
-    sp.add_argument("--cap", type=int, default=1 << 12)
+    sp.add_argument("--cap", type=int, default=QM_CAP)
     sp.set_defaults(func=cmd_qm_test)
 
     sp = sub.add_parser("qm-classify", help="partition a catalog into QM classes")
     sp.add_argument("--catalog", required=True, help="JSONL catalog path")
-    sp.add_argument("--cap", type=int, default=1 << 12)
+    sp.add_argument("--cap", type=int, default=QM_CAP)
     sp.set_defaults(func=cmd_qm_classify)
 
     sp = sub.add_parser("repro", help="rebuild the embedded worked examples")
@@ -288,6 +284,9 @@ def main(argv=None) -> int:
     except (CapExceeded, LimitExceeded) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 3
+    except InvariantViolation as exc:
+        print(json.dumps({"error": f"internal error: {exc}"}), file=sys.stderr)
+        return 4
     except (CirclepermError, OSError, ValueError, KeyError) as exc:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return 2

@@ -37,6 +37,10 @@ class DivisionByZero(CirclepermError, ZeroDivisionError):
     pass
 
 
+class InvariantViolation(CirclepermError, AssertionError):
+    """An internal invariant failed: a defect in the package, never a verdict."""
+
+
 class ZeroInput(CirclepermError):
     pass
 

@@ -12,21 +12,24 @@ circle through a pair of degree-one bijections:
 The numerator/denominator coefficients of the conjugated map are closed
 forms in (beta, beta_t, delta, delta_t, aux); build_family materializes the
 chosen h_i, the exponent r and the expanded sparse polynomial with
-exponents reduced into [1, q^2-1].
+exponents reduced into [1, q^2-1] (expand_decomposition).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CtxMismatch, InvalidParams, LimitExceeded
+from .errors import CtxMismatch, InvalidParams, InvariantViolation, LimitExceeded
 from .fields import FieldElement, QuadExtension
-from .polynomials import RationalFunction, SparsePolynomial
+from .polynomials import RationalFunction, SparsePolynomial, cubic_image, reduce_exponent
 
 KIND_CUBIC = "cubic"
 KIND_CUBIC_SHIFT = "cubic_shift"
 KIND_QUARTIC_TRI = "quartic_trinomial"
 KIND_QUARTIC_BIN = "quartic_binomial"
+
+# congruence name -> (modulus, residue, wording in violations)
+_CONGRUENCES = {"2mod3": (3, 2, "2 mod 3"), "0mod3": (3, 0, "0 mod 3"), "even": (2, 0, "even")}
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,11 @@ class FamilySpec:
 
     def r(self, q: int) -> int:
         return self.r_q * q + self.r_c
+
+    def admits(self, q: int) -> bool:
+        """q meets the family's congruence condition."""
+        mod, res, _ = _CONGRUENCES[self.congruence]
+        return q % mod == res
 
 
 FAMILIES: dict[str, FamilySpec] = {
@@ -104,10 +112,6 @@ def derive_beta_t(family: str, beta: FieldElement) -> FieldElement:
     return beta**-4
 
 
-def kind_of(family: str) -> str:
-    return FAMILIES[family].kind
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -117,12 +121,8 @@ def validate_params(family: str, params: ConstructionParams, ext: QuadExtension)
     spec = FAMILIES[family]
     q = ext.q
     v = []
-    if spec.congruence == "2mod3" and q % 3 != 2:
-        v.append(f"q = {q} is not 2 mod 3")
-    elif spec.congruence == "0mod3" and q % 3 != 0:
-        v.append(f"q = {q} is not 0 mod 3")
-    elif spec.congruence == "even" and q % 2 != 0:
-        v.append(f"q = {q} is not even")
+    if not spec.admits(q):
+        v.append(f"q = {q} is not {_CONGRUENCES[spec.congruence][2]}")
     beta, beta_t = params.beta, params.beta_t
     delta, delta_t = params.delta, params.delta_t
     if not ext.on_circle(beta):
@@ -166,7 +166,7 @@ def validate_params(family: str, params: ConstructionParams, ext: QuadExtension)
     elif spec.aux == "cubic_alpha" and aux is not None:
         if not ext.in_subfield(aux):
             v.append("aux is not in the subfield")
-        elif not _cubic_has_no_subfield_root(aux, ext):
+        elif aux.enc in cubic_image(ext.subfield_members()):
             v.append("X^3 + X + aux has a root in the subfield")
     elif spec.aux == "noncube" and aux is not None:
         if not ext.in_subfield(aux):
@@ -196,16 +196,9 @@ def exclusion_set(kind: str, delta: FieldElement, aux: FieldElement, ext: QuadEx
     raise ValueError(f"unknown kind {kind}")
 
 
-def _cubic_has_no_subfield_root(alpha: FieldElement, ext: QuadExtension) -> bool:
-    for x in ext.subfield_members():
-        if (x**3 + x + alpha).enc == 0:
-            return False
-    return True
-
-
 def irreducible_cubic_alphas_sub(ext: QuadExtension) -> list[FieldElement]:
     """Subfield alphas with X^3 + X + alpha irreducible over GF(q), scan order."""
-    image = {(-(x**3 + x)).enc for x in ext.subfield_members()}
+    image = cubic_image(ext.subfield_members())
     return [a for a in ext.subfield_members() if a.enc not in image]
 
 
@@ -422,17 +415,21 @@ def build_family(family: str, params: ConstructionParams, ext: QuadExtension
     system = _coeffs_raw(spec.kind, params.beta, params.beta_t, params.delta,
                          params.delta_t, params.aux, ext)
     h = build_h(spec.kind, system, spec.h_index, ext)
-    q = ext.q
-    r = spec.r(q)
-    m = ext.big.order - 1
-    pairs = []
-    for e, c in h.terms.items():
-        raw = e * (q - 1) + r
-        pairs.append(((raw - 1) % m + 1, c))
-    if len({e for e, _ in pairs}) != len(pairs):
-        raise AssertionError("exponent collision while expanding a family")
-    poly = SparsePolynomial(ext.big, pairs)
+    r = spec.r(ext.q)
+    poly = expand_decomposition(r, h, ext)
+    if len(poly.terms) != len(h.terms):
+        raise InvariantViolation("exponent collision while expanding a family")
     return BuiltFamily(family, params, r, h, poly, system)
+
+
+def expand_decomposition(r: int, h: SparsePolynomial, ext: QuadExtension
+                         ) -> SparsePolynomial:
+    """X^r * h(X^(q-1)) with exponents reduced into [1, q^2-1]."""
+    q = ext.q
+    m = ext.big.order - 1
+    return SparsePolynomial(
+        ext.big, [(reduce_exponent(e * (q - 1) + r, m), c) for e, c in h.terms.items()]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +442,7 @@ class GridLimits:
     max_count: int | None = None
     delta_stride: int = 1
     delta_t_stride: int = 1
-    beta_indices: list[int] | None = None  # split points for parallel walkers
+    beta_indices: list[int] | None = None  # circle indices to walk (None = all)
 
 
 def param_grid(family: str, ext: QuadExtension, limits: GridLimits | None = None):
@@ -461,12 +458,7 @@ def param_grid(family: str, ext: QuadExtension, limits: GridLimits | None = None
             f"field order {ext.big.order} exceeds grid cap {limits.cap_order}"
         )
     spec = FAMILIES[family]
-    q = ext.q
-    if spec.congruence == "2mod3" and q % 3 != 2:
-        return
-    if spec.congruence == "0mod3" and q % 3 != 0:
-        return
-    if spec.congruence == "even" and q % 2 != 0:
+    if not spec.admits(ext.q):
         return
     mu = ext.circle_members()
     betas = (

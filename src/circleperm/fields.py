@@ -6,8 +6,10 @@ encoding coincides with the usual bitmask representation of GF(2)[x] and
 multiplication runs on shift/xor; for odd p coordinate tuples are used.
 
 Fields of order up to LOG_TABLE_MAX get discrete log/antilog tables at
-creation time, making multiplicative arithmetic O(1).  Larger fields (the
-cap is p^{2m} <= 2^20) fall back to generic polynomial arithmetic.
+creation time, making multiplicative arithmetic O(1).  Larger fields use
+table-free polynomial arithmetic; no order cap is enforced here.  The caps on
+work are verify.EXHAUSTIVE_CAP (exhaustive evaluation), qm.QM_CAP (QM search
+and classification) and GridLimits.cap_order (parameter grids).
 
 The quadratic-extension view GF(q^2)/GF(q) lives in QuadExtension, which
 exposes the subfield and the unit circle, i.e. the order-(q+1) subgroup
@@ -21,6 +23,7 @@ import itertools
 from .errors import (
     CtxMismatch,
     DivisionByZero,
+    InvariantViolation,
     NotIrreducible,
     NotMonic,
     NotPrime,
@@ -517,7 +520,7 @@ class FieldCtx:
         for enc in range(1, self.order):
             if self._enc_order_is_max(enc):
                 return enc, False
-        raise AssertionError("no primitive element found (unreachable)")
+        raise InvariantViolation("no primitive element found (unreachable)")
 
     def _build_tables(self, gen_enc: int):
         m = self.order - 1
@@ -529,7 +532,7 @@ class FieldCtx:
             log[x] = k
             x = self._mul_generic(x, gen_enc)
         if x != 1 or any(v < 0 for v in log[1:]):
-            raise AssertionError("generator orbit does not cover the field")
+            raise InvariantViolation("generator orbit does not cover the field")
         self._exp = exp
         self._log = log
         if self.p != 2:
@@ -554,33 +557,9 @@ class FieldCtx:
             return True
         return self.pow_enc(x.enc, (self.order - 1) // 3) == 1
 
-    def abs_trace(self, x: FieldElement) -> int:
-        """Absolute trace to GF(2): sum of x^(2^i) for i < n.  Requires p=2."""
-        self._own(x)
-        if self.p != 2:
-            raise ZeroInput("absolute binary trace requires characteristic 2")
-        acc = 0
-        t = x.enc
-        for _ in range(self.n):
-            acc ^= t
-            t = self.mul_enc(t, t)
-        if acc not in (0, 1):
-            raise AssertionError("trace escaped GF(2)")
-        return acc
-
     def _own(self, x: FieldElement):
         if not isinstance(x, FieldElement) or x.ctx is not self:
             raise CtxMismatch("element does not belong to this field context")
-
-    def describe(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "order": self.order,
-            "modulus": list(self.modulus),
-            "generator": list(self.generator.coords()),
-            "generator_is_root": self.generator_is_root,
-        }
 
     def __repr__(self):
         return f"FieldCtx(GF({self.p}^{self.n}), modulus={list(self.modulus)})"
@@ -617,7 +596,7 @@ def canonical_modulus(p: int, n: int) -> list[int]:
         root_order = _root_multiplicative_order(coeffs, p)
         if root_order == p**n - 1:
             return coeffs
-    raise AssertionError(f"no primitive polynomial of degree {n} over GF({p})")
+    raise InvariantViolation(f"no primitive polynomial of degree {n} over GF({p})")
 
 
 def _root_multiplicative_order(modulus, p):
@@ -682,7 +661,7 @@ class QuadExtension:
                 out.append(x)
                 x = x * g_step
             if x != self.big.one():
-                raise AssertionError("circle enumeration did not close")
+                raise InvariantViolation("circle enumeration did not close")
             self._mu = out
         return list(self._mu)
 

@@ -19,10 +19,20 @@ from .errors import (
     DeltaInSubfield,
     DivisionByZero,
     IndeterminateForm,
+    InvariantViolation,
     SizeMismatch,
     ZeroInput,
 )
 from .fields import FieldCtx, FieldElement, QuadExtension
+
+
+def reduce_exponent(e: int, m: int) -> int:
+    """(e - 1) mod m + 1 for e >= 1, and 0 for e = 0, with m = order - 1.
+
+    x^e and x^reduce_exponent(e, m) agree at every x of the field: nonzero x
+    has x^m = 1, and a positive exponent stays positive, so x = 0 agrees too.
+    """
+    return (e - 1) % m + 1 if e else 0
 
 
 class SparsePolynomial:
@@ -217,16 +227,10 @@ class SparsePolynomial:
         return out
 
     def reduce_exponents(self, modulus: int | None = None) -> "SparsePolynomial":
-        """Map e >= 1 to ((e-1) mod M) + 1 and fix e = 0, M = order - 1.
-
-        Preserves the induced function on the field (x^(M+k) = x^k for
-        nonzero x, and the convention keeps every positive exponent positive
-        so x = 0 is also unaffected).  Colliding images are merged.
-        """
+        """Apply reduce_exponent (default m = order - 1); preserves the induced
+        function on the field.  Colliding images are merged."""
         m = (self.ctx.order - 1) if modulus is None else modulus
-        pairs = []
-        for e, c in self.terms.items():
-            pairs.append((e if e == 0 else (e - 1) % m + 1, c))
+        pairs = [(reduce_exponent(e, m), c) for e, c in self.terms.items()]
         return SparsePolynomial(self.ctx, pairs)
 
     # -- euclidean structure (dense internally; desk-scale degrees) -----------
@@ -283,14 +287,6 @@ class ProjPoint:
 
     def __init__(self, value: FieldElement | None):
         self.value = value
-
-    @classmethod
-    def finite(cls, x: FieldElement):
-        return cls(x)
-
-    @classmethod
-    def infinity(cls):
-        return cls(None)
 
     @property
     def is_infinity(self) -> bool:
@@ -436,7 +432,7 @@ def rho_map(ext: QuadExtension, beta: FieldElement, delta: FieldElement) -> Mobi
     rho = MobiusMap(delta, -(beta * ext.frob_q(delta)), big.one(), -beta)
     image = {rho.eval_proj(ProjPoint(z)) for z in ext.circle_members()}
     if image != set(proj_line(ext)):
-        raise AssertionError("degree-one map failed its circle-to-line check")
+        raise InvariantViolation("degree-one map failed its circle-to-line check")
     return rho
 
 
@@ -452,7 +448,7 @@ def nu_map(ext: QuadExtension, beta_t: FieldElement, delta_t: FieldElement) -> M
     nu = MobiusMap(beta_t, -(beta_t * ext.frob_q(delta_t)), ext.big.one(), -delta_t)
     image = {nu.eval_proj(pt) for pt in proj_line(ext)}
     if image != {ProjPoint(z) for z in ext.circle_members()}:
-        raise AssertionError("degree-one map failed its line-to-circle check")
+        raise InvariantViolation("degree-one map failed its line-to-circle check")
     return nu
 
 
@@ -518,12 +514,12 @@ def is_bijection_on(mapping, domain, codomain):
 def cubic_irreducible(ctx: FieldCtx, alpha: FieldElement) -> bool:
     """X^3 + X + alpha has no root in the field (degree 3: no root <=> irreducible)."""
     ctx._own(alpha)
-    return alpha.enc not in _cubic_image(ctx)
+    return alpha.enc not in cubic_image(ctx.elements())
 
 
 def irreducible_cubic_alphas(ctx: FieldCtx) -> set[FieldElement]:
     """All alpha with X^3 + X + alpha irreducible, by exhaustive scan."""
-    image = _cubic_image(ctx)
+    image = cubic_image(ctx.elements())
     return {
         FieldElement(ctx, e) for e in range(ctx.order) if e not in image
     }
@@ -540,9 +536,7 @@ def alphas_from_noncubes(ctx: FieldCtx) -> set[FieldElement]:
     return out
 
 
-def _cubic_image(ctx: FieldCtx) -> set[int]:
-    # X^3 + X + alpha has a root x iff alpha = -(x^3 + x); scan that image
-    out = set()
-    for x in ctx.elements():
-        out.add((-(x**3 + x)).enc)
-    return out
+def cubic_image(xs) -> set[int]:
+    """Encodings of -(x^3 + x) over xs: X^3 + X + alpha has a root among xs
+    iff alpha.enc is in the set."""
+    return {(-(x**3 + x)).enc for x in xs}

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapExceeded, NotInstantiable, ZeroInput
 from .fields import FieldElement, QuadExtension
-from .polynomials import SparsePolynomial
+from .polynomials import SparsePolynomial, reduce_exponent
 
 QM_CAP = 1 << 12
 
@@ -36,11 +36,6 @@ class QmResult:
     witness: tuple[FieldElement, FieldElement, int] | None = None
     d_candidates_examined: int = 0
     prefilter_rejected: int = 0
-
-
-def _exp_map(e: int, d: int, m: int) -> int:
-    """Reduced exponent of (X^d)^e; the constant term stays at exponent 0."""
-    return (e * d - 1) % m + 1 if e else 0
 
 
 def _check_inputs(ext: QuadExtension, cap: int, polys):
@@ -54,7 +49,9 @@ def apply_qm(g: SparsePolynomial, u: FieldElement, v: FieldElement, d: int
              ) -> SparsePolynomial:
     """u * g(v * X^d), exponent-reduced."""
     m = g.ctx.order - 1
-    return SparsePolynomial(g.ctx, [(_exp_map(e, d, m), u * c * v**e) for e, c in g.terms.items()])
+    return SparsePolynomial(
+        g.ctx, [(reduce_exponent(e * d, m), u * c * v**e) for e, c in g.terms.items()]
+    )
 
 
 def qm_equivalent(f: SparsePolynomial, g: SparsePolynomial, ext: QuadExtension,
@@ -73,7 +70,7 @@ def qm_equivalent(f: SparsePolynomial, g: SparsePolynomial, ext: QuadExtension,
     for d in range(1, m):
         if math.gcd(d, m) != 1:
             continue
-        mapped = frozenset(_exp_map(e, d, m) for e, _ in g_terms)
+        mapped = frozenset(reduce_exponent(e * d, m) for e, _ in g_terms)
         if prefilter and mapped != supp_f:
             rejected += 1
             continue
@@ -87,7 +84,7 @@ def qm_equivalent(f: SparsePolynomial, g: SparsePolynomial, ext: QuadExtension,
 def _complete_for_d(f, g_terms, d, m, big, v_bruteforce):
     """Search (u, v) with f = u*g(v X^d); None when no completion exists."""
     e1, c1 = g_terms[0]
-    t1 = f.terms.get(_exp_map(e1, d, m))
+    t1 = f.terms.get(reduce_exponent(e1 * d, m))
     if t1 is None:
         return None
     if len(g_terms) == 1:
@@ -97,7 +94,7 @@ def _complete_for_d(f, g_terms, d, m, big, v_bruteforce):
             return (u, v, d)
         return None
     e2, c2 = g_terms[1]
-    t2 = f.terms.get(_exp_map(e2, d, m))
+    t2 = f.terms.get(reduce_exponent(e2 * d, m))
     if t2 is None:
         return None
     if v_bruteforce:
@@ -124,7 +121,7 @@ def _verify_map(f, g_terms, u, v, d, m):
     if len(f.terms) != len(g_terms):
         return False
     for e, c in g_terms:
-        target = f.terms.get(_exp_map(e, d, m))
+        target = f.terms.get(reduce_exponent(e * d, m))
         if target is None or u * c * v**e != target:
             return False
     return True
@@ -285,11 +282,9 @@ _INSTANTIATORS = {
     "G1": _g1_instances,
 }
 
-KNOWN_FAMILIES: dict[str, KnownFamily] = {}
-
-
-def _register():
-    rows = [
+KNOWN_FAMILIES: dict[str, KnownFamily] = {
+    row.id: row
+    for row in [
         KnownFamily("H1", "X^(q+2) + b*X", "b outside GF(q), b^(3(q-1))=1, m>1 odd",
                     "binomial registry row 1"),
         KnownFamily("H2", "X^((2^n-1)/(2^t-1)+1) + a*X",
@@ -317,24 +312,7 @@ def _register():
         KnownFamily("G1", "X^5 + X^(q+4) + X^(3q+2) + X^(4q+1) + X^(5q)",
                     "p=2, m not divisible by 4", "pentanomial registry row 1"),
     ]
-    for row in rows:
-        KNOWN_FAMILIES[row.id] = row
-    for i in list(range(2, 9)) + list(range(10, 20)):
-        fid = f"F{i}"
-        if fid not in KNOWN_FAMILIES:
-            KNOWN_FAMILIES[fid] = KnownFamily(
-                fid, "X^3 + a*X^(q+2) + b*X^(2q+1) + c*X^(3q)",
-                "out-of-scope registry stub", f"quadrinomial registry row {i}",
-                instantiable=False)
-    for i in range(2, 37):
-        fid = f"G{i}"
-        if fid not in KNOWN_FAMILIES:
-            KNOWN_FAMILIES[fid] = KnownFamily(
-                fid, "five terms", "out-of-scope registry stub",
-                f"pentanomial registry row {i}", instantiable=False)
-
-
-_register()
+}
 
 
 def instantiate_known(family_id: str, ext: QuadExtension):
@@ -368,7 +346,7 @@ def qm_canonical_key(f: SparsePolynomial, ext: QuadExtension, cap: int = QM_CAP)
     for d in range(1, m):
         if math.gcd(d, m) != 1:
             continue
-        mapped = sorted([(_exp_map(e, d, m), log) for e, log in terms])
+        mapped = sorted([(reduce_exponent(e * d, m), log) for e, log in terms])
         supp = tuple([e for e, _ in mapped])
         if best is not None and supp > best[0]:
             continue

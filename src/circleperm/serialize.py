@@ -71,7 +71,7 @@ def rational_from_json(d: dict, ctx: FieldCtx) -> RationalFunction:
 
 
 def report_to_json(rep: PermutationReport) -> dict:
-    out = {"is_permutation": rep.is_permutation, "method": rep.method, "ms": rep.ms}
+    out = {"is_permutation": rep.is_permutation, "method": rep.method}
     if rep.gcd_ok is not None:
         out["gcd_ok"] = rep.gcd_ok
     if rep.circle_ok is not None:
@@ -89,7 +89,6 @@ def report_from_json(d: dict, ctx: FieldCtx) -> PermutationReport:
         gcd_ok=d.get("gcd_ok"),
         circle_ok=d.get("circle_ok"),
         witness=tuple(element_from_json(w, ctx) for w in witness) if witness else None,
-        ms=d.get("ms", 0.0),
     )
 
 
@@ -125,21 +124,15 @@ class CatalogEntry:
     built: BuiltFamily
     report: PermutationReport
     provenance: str  # "paper-example" | "grid" | "user"
-    qm_class: int | None = None
-    negative_control: bool = False
 
     def __post_init__(self):
-        if not self.negative_control:
-            if self.report.method != "both" or not self.report.is_permutation:
-                raise ZeroInput(
-                    "catalog entries must verify by both methods unless "
-                    "flagged as negative controls"
-                )
+        if self.report.method != "both" or not self.report.is_permutation:
+            raise ZeroInput("catalog entries must verify as permutations by both methods")
 
 
 def entry_to_json(entry: CatalogEntry) -> dict:
     built = entry.built
-    out = {
+    return {
         "field": ext_to_json(entry.ext),
         "family": built.family,
         "params": params_to_json(built.params),
@@ -150,11 +143,6 @@ def entry_to_json(entry: CatalogEntry) -> dict:
         "report": report_to_json(entry.report),
         "provenance": entry.provenance,
     }
-    if entry.qm_class is not None:
-        out["qm_class"] = entry.qm_class
-    if entry.negative_control:
-        out["negative_control"] = True
-    return out
 
 
 def entry_from_json(d: dict):
@@ -171,8 +159,6 @@ def entry_from_json(d: dict):
         "term_count": d["term_count"],
         "report": report_from_json(d["report"], big),
         "provenance": d["provenance"],
-        "qm_class": d.get("qm_class"),
-        "negative_control": d.get("negative_control", False),
     }
 
 

@@ -63,13 +63,16 @@ def _ext_for(spec):
 
 class TestValidation:
     def test_wrong_congruence(self):
+        # q = 7 is 1 mod 3 and odd: every congruence condition fails
         ext49 = get_ext(7, 1)
         big = ext49.big
-        params = ConstructionParams(
-            "Q1", -big.one(), big.one(), big.generator, big.generator ** 2, None
-        )
-        v = validate_params("Q1", params, ext49)
-        assert any("not 2 mod 3" in s for s in v)
+        cases = [("Q1", "not 2 mod 3"), ("Q3", "not 0 mod 3"), ("P1", "not even")]
+        for family, wording in cases:
+            params = ConstructionParams(
+                family, -big.one(), big.one(), big.generator, big.generator ** 2, None
+            )
+            v = validate_params(family, params, ext49)
+            assert any(wording in s for s in v), family
 
     def test_p1_example_parameters_ok(self, ext16):
         b = ext16.big.generator
@@ -308,8 +311,10 @@ class TestParamGrid:
         assert sum(1 for _ in param_grid("B1", ext16)) == count
         assert count == 600
 
-    def test_congruence_mismatch_is_empty(self, ext25):
+    def test_congruence_mismatch_is_empty(self, ext25, ext9):
         assert list(param_grid("Q3", ext25)) == []
+        assert list(param_grid("P1", ext25)) == []
+        assert list(param_grid("Q1", ext9)) == []
 
     def test_cap_enforced(self):
         ext = get_ext(2, 2)

@@ -196,24 +196,6 @@ class TestSquaresCubesTrace:
         with pytest.raises(ZeroInput):
             ext25.big.is_square(ext25.big.zero())
 
-    def test_trace_zero_and_one(self):
-        ctx = get_field(2, 3)
-        assert ctx.abs_trace(ctx.zero()) == 0
-        assert ctx.abs_trace(ctx.one()) == 1  # n odd: sum of 3 ones
-        ctx4 = get_field(2, 4)
-        assert ctx4.abs_trace(ctx4.one()) == 0  # n even
-
-    def test_trace_balanced(self):
-        ctx = get_field(2, 3)
-        assert sum(1 for x in ctx.elements() if ctx.abs_trace(x) == 0) == 4
-
-    def test_trace_additive(self):
-        ctx = get_field(2, 4)
-        xs = list(ctx.elements())
-        for x in xs[::3]:
-            for y in xs[::5]:
-                assert ctx.abs_trace(x + y) == ctx.abs_trace(x) ^ ctx.abs_trace(y)
-
 
 class TestCanonicalModulus:
     def test_small_fields(self):

@@ -178,7 +178,7 @@ class TestRegistry:
         assert len(insts) == 3  # the three cube roots of unity
 
     def test_stub_rows_raise(self, ext16):
-        for fid in ["H3", "H4", "H5", "H6", "H8", "F2", "G18"]:
+        for fid in ["H3", "H4", "H5", "H6", "H8"]:
             assert not KNOWN_FAMILIES[fid].instantiable
             with pytest.raises(NotInstantiable):
                 instantiate_known(fid, ext16)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from circleperm.errors import CapExceeded, InvalidParams
@@ -59,21 +61,36 @@ class TestExhaustive:
             is_permutation_exhaustive(SparsePolynomial.x_power(ext25.big, 1), ext25.big, cap=10)
 
     def test_odd_char_table_free_path_agrees(self, ext25):
-        # the log-table fast path and generic arithmetic must produce
-        # identical reports, witness included
-        built = q1_worked_build(ext25)
-        big = ext25.big
-        non_perm = SparsePolynomial.x_power(big, 2)
-        for poly in (built.poly, non_perm):
-            fast = is_permutation_exhaustive(poly, big)
-            exp, log = big._exp, big._log
-            big._exp = big._log = None
+        # the log-table paths (p = 2 and odd p) and table-free arithmetic
+        # must produce identical reports, witness included; exponents run
+        # over 0..m so constant terms and X^m occur
+        rnd = random.Random(11)
+        for ctx in (get_field(2, 4), get_field(3, 4), ext25.big):
+            m = ctx.order - 1
+            one = ctx.one()
+            polys = [
+                SparsePolynomial(ctx, [(m, one)]),
+                SparsePolynomial(ctx, [(0, ctx.gen_pow(3)), (m, one)]),
+                SparsePolynomial(ctx, [(0, ctx.gen_pow(5)), (1, ctx.gen_pow(2))]),
+                SparsePolynomial(ctx, [(0, one), (m + 1, one)]),
+            ]
+            for _ in range(25):
+                exps = rnd.sample(range(m + 1), rnd.randint(1, 4))
+                terms = [(e, ctx.gen_pow(rnd.randrange(m))) for e in exps]
+                polys.append(SparsePolynomial(ctx, terms))
+            if ctx is ext25.big:
+                polys.append(q1_worked_build(ext25).poly)
+            fast = [is_permutation_exhaustive(poly, ctx) for poly in polys]
+            exp, log = ctx._exp, ctx._log
+            ctx._exp = ctx._log = None
             try:
-                slow = is_permutation_exhaustive(poly, big)
+                slow = [is_permutation_exhaustive(poly, ctx) for poly in polys]
             finally:
-                big._exp, big._log = exp, log
-            assert fast.is_permutation == slow.is_permutation
-            assert fast.witness == slow.witness
+                ctx._exp, ctx._log = exp, log
+            verdicts = [r.is_permutation for r in fast]
+            assert any(verdicts) and not all(verdicts)
+            for poly, a, b in zip(polys, fast, slow):
+                assert (a.is_permutation, a.witness) == (b.is_permutation, b.witness), poly
 
 
 class TestCriterion:
