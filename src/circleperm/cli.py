@@ -23,6 +23,7 @@ from .errors import (
     InvalidParams,
     InvariantViolation,
     LimitExceeded,
+    MalformedOperand,
 )
 from .families import (
     FAMILIES,
@@ -42,6 +43,8 @@ from .serialize import (
     entry_to_json,
     ext_from_json,
     ext_to_json,
+    field_desc,
+    int_list,
     poly_from_json,
     report_to_json,
 )
@@ -60,7 +63,7 @@ def parse_element(text: str, ext: QuadExtension) -> FieldElement:
     elif s.startswith("g^"):
         out = big.gen_pow(int(s[2:]))
     elif s.startswith("["):
-        out = big.element(json.loads(s))
+        out = big.element(int_list(json.loads(s), "element coords"))
     else:
         out = big.from_int(int(s))
     return -out if neg else out
@@ -79,7 +82,8 @@ def _field_from_args(args) -> QuadExtension:
         return ext_from_json(_load_json_operand(args.field))
     if args.p is None or args.m is None:
         raise CirclepermError("need --field or both --p and --m")
-    modulus = json.loads(args.modulus) if getattr(args, "modulus", None) else None
+    modulus = (int_list(json.loads(args.modulus), "--modulus")
+               if getattr(args, "modulus", None) else None)
     return quad_extension(args.p, args.m, modulus)
 
 
@@ -152,9 +156,9 @@ def cmd_verify(args) -> int:
     # odd-degree descriptors run the exhaustive check only (no quad structure)
     ctx = None
     if args.field:
-        desc = _load_json_operand(args.field)
-        if (len(desc["modulus"]) - 1) % 2:
-            ctx = field_create(desc["p"], desc["modulus"], desc.get("generator"))
+        p, modulus, gen = field_desc(_load_json_operand(args.field))
+        if (len(modulus) - 1) % 2:
+            ctx = field_create(p, modulus, gen)
     ext = None if ctx is not None else _field_from_args(args)
     big = ctx if ctx is not None else ext.big
     if big.order > args.cap:
@@ -191,10 +195,12 @@ def cmd_qm_classify(args) -> int:
         lines = [json.loads(line) for line in fh if line.strip()]
     if not lines:
         raise CirclepermError("empty catalog")
-    field_desc = lines[0]["field"]
-    if any(e["field"] != field_desc for e in lines):
+    if not all(isinstance(e, dict) for e in lines):
+        raise MalformedOperand("every catalog line must be a JSON object")
+    desc = lines[0]["field"]
+    if any(e["field"] != desc for e in lines):
         raise CirclepermError("catalog mixes field descriptors")
-    ext = ext_from_json(field_desc)
+    ext = ext_from_json(desc)
     polys = [poly_from_json(e["poly"], ext.big) for e in lines]
     part = classify_catalog(polys, ext, cap=args.cap)
     _emit(

@@ -45,6 +45,10 @@ class ZeroInput(CirclepermError):
     pass
 
 
+class MalformedOperand(CirclepermError):
+    """A JSON or command-line operand does not have the documented shape."""
+
+
 class CapExceeded(CirclepermError):
     pass
 

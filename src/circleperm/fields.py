@@ -2,14 +2,19 @@
 
 Elements are encoded as integers: the coordinate vector (c0, ..., c_{n-1})
 over Z_p, read as digits base p, gives enc = sum(c_i * p**i).  For p = 2 the
-encoding coincides with the usual bitmask representation of GF(2)[x] and
-multiplication runs on shift/xor; for odd p coordinate tuples are used.
+encoding coincides with the usual bitmask representation of GF(2)[x]:
+addition is xor and table-free multiplication runs on shift/xor.
 
-Fields of order up to LOG_TABLE_MAX get discrete log/antilog tables at
-creation time, making multiplicative arithmetic O(1).  Larger fields use
-table-free polynomial arithmetic; no order cap is enforced here.  The caps on
-work are verify.EXHAUSTIVE_CAP (exhaustive evaluation), qm.QM_CAP (QM search
-and classification) and GridLimits.cap_order (parameter grids).
+Fields of order up to LOG_TABLE_MAX get three compact int arrays at creation
+time, with m = order - 1 standing for the log of zero: exp (k -> g^k, and
+exp[m] = 0), log (enc -> k, and log[0] = m) and the Zech logarithms
+zech (k -> log(1 + g^k)).  Multiplication adds logs, and odd-p addition is
+g^a + g^b = g^(a + zech[b - a]) (K. Huber, "Some comments on Zech's
+logarithms", IEEE Trans. Inf. Theory 36(4), 1990), so both are O(1) table
+lookups.  Larger fields use table-free digit-wise and polynomial arithmetic;
+no order cap is enforced here.  The caps on work are verify.EXHAUSTIVE_CAP
+(exhaustive evaluation), qm.QM_CAP (QM search and classification) and
+GridLimits.cap_order (parameter grids).
 
 The quadratic-extension view GF(q^2)/GF(q) lives in QuadExtension, which
 exposes the subfield and the unit circle, i.e. the order-(q+1) subgroup
@@ -19,6 +24,7 @@ exposes the subfield and the unit circle, i.e. the order-(q+1) subgroup
 from __future__ import annotations
 
 import itertools
+from array import array
 
 from .errors import (
     CtxMismatch,
@@ -330,11 +336,10 @@ class FieldCtx:
         else:
             # X^n == -(c_{n-1} X^{n-1} + ... + c_0)
             self._head = tuple((-c) % p for c in modulus[:-1])
+        # every table path keys on _log; pow_enc runs table-free until it is set
+        self._exp = self._log = self._zech = None
         gen_enc, is_root = self._pick_generator(generator)
         self.generator_is_root = is_root
-        self._exp = None
-        self._log = None
-        self._coords_cache = None
         if self.order <= LOG_TABLE_MAX:
             self._build_tables(gen_enc)
         self.generator = FieldElement(self, gen_enc)
@@ -391,6 +396,13 @@ class FieldCtx:
     def add_enc(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
+        if self._log is not None:
+            if a == 0 or b == 0:
+                return a or b
+            m = self.order - 1
+            la = self._log[a]
+            z = self._zech[(self._log[b] - la) % m]
+            return 0 if z == m else self._exp[(la + z) % m]
         p = self.p
         enc = 0
         for w in reversed(self._pn_powers[:-1]):
@@ -407,6 +419,9 @@ class FieldCtx:
     def neg_enc(self, a: int) -> int:
         if self.p == 2:
             return a
+        if self._log is not None:
+            m = self.order - 1  # -1 = g^(m/2)
+            return self._exp[(self._log[a] + m // 2) % m] if a else 0
         p = self.p
         enc = 0
         for w in reversed(self._pn_powers[:-1]):
@@ -504,9 +519,6 @@ class FieldCtx:
         return self.p  # coords (0, 1, 0, ...)
 
     def _pick_generator(self, generator):
-        # bootstrap: pow_enc works table-free through _mul_generic
-        self._log = None
-        self._exp = None
         if generator is not None:
             enc = generator.enc if isinstance(generator, FieldElement) else (
                 self.coords_to_enc(generator)
@@ -523,20 +535,23 @@ class FieldCtx:
         raise InvariantViolation("no primitive element found (unreachable)")
 
     def _build_tables(self, gen_enc: int):
-        m = self.order - 1
-        exp = [0] * m
-        log = [-1] * self.order
+        p, m = self.p, self.order - 1
+        exp = array("i", [0]) * (m + 1)
+        log = array("i", [-1]) * self.order
         x = 1
         for k in range(m):
             exp[k] = x
             log[x] = k
             x = self._mul_generic(x, gen_enc)
-        if x != 1 or any(v < 0 for v in log[1:]):
+        if x != 1 or log.count(-1) != 1:
             raise InvariantViolation("generator orbit does not cover the field")
-        self._exp = exp
-        self._log = log
-        if self.p != 2:
-            self._coords_cache = [self.enc_to_coords(e) for e in range(self.order)]
+        log[0] = m
+        # 1 + x only bumps digit 0 of x, so z(k) = log(1 + g^k) costs O(1)
+        zech = array("i", [0]) * m
+        for k in range(m):
+            x = exp[k]
+            zech[k] = log[x + 1 - p if x % p == p - 1 else x + 1]
+        self._exp, self._log, self._zech = exp, log, zech
 
     # -- predicates ----------------------------------------------------------
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import ZeroInput
+from .errors import MalformedOperand, ZeroInput
 from .families import BuiltFamily, ConstructionParams
 from .fields import FieldCtx, FieldElement, QuadExtension, quad_extension
 from .polynomials import RationalFunction, SparsePolynomial
@@ -30,12 +30,28 @@ def ext_to_json(ext: QuadExtension) -> dict:
     return field_to_json(ext.big)
 
 
+def int_list(v, what: str) -> list[int]:
+    """v when it is a list of integers, else MalformedOperand naming what."""
+    if not isinstance(v, list) or not all(isinstance(c, int) for c in v):
+        raise MalformedOperand(f"{what} must be a list of integers, not {v!r}")
+    return v
+
+
+def field_desc(d: dict):
+    """(p, modulus, generator or None) of a field descriptor, shape-checked."""
+    if not isinstance(d, dict) or not isinstance(d.get("p"), int):
+        raise MalformedOperand(f"field descriptor needs an integer p: {d!r}")
+    gen = d.get("generator")
+    return (d["p"], int_list(d.get("modulus"), "modulus"),
+            None if gen is None else int_list(gen, "generator"))
+
+
 def ext_from_json(d: dict) -> QuadExtension:
-    n = len(d["modulus"]) - 1
+    p, modulus, gen = field_desc(d)
+    n = len(modulus) - 1
     if n % 2 != 0:
         raise ZeroInput("quadratic-extension descriptor needs even degree")
-    gen = d.get("generator")
-    return quad_extension(d["p"], n // 2, d["modulus"], generator=gen)
+    return quad_extension(p, n // 2, modulus, generator=gen)
 
 
 def element_to_json(x: FieldElement) -> dict:
@@ -45,9 +61,13 @@ def element_to_json(x: FieldElement) -> dict:
 
 
 def element_from_json(d: dict, ctx: FieldCtx) -> FieldElement:
-    if "pow" in d:
-        return ctx.gen_pow(d["pow"])
-    return ctx.element(d["coords"])
+    if isinstance(d, dict):
+        k = d.get("pow")
+        if isinstance(k, int):
+            return ctx.gen_pow(k)
+        if k is None:
+            return ctx.element(int_list(d.get("coords"), "element coords"))
+    raise MalformedOperand(f'element must be {{"pow": int}} or {{"coords": [...]}}, not {d!r}')
 
 
 def poly_to_json(f: SparsePolynomial) -> dict:
@@ -55,9 +75,13 @@ def poly_to_json(f: SparsePolynomial) -> dict:
 
 
 def poly_from_json(d: dict, ctx: FieldCtx) -> SparsePolynomial:
-    return SparsePolynomial(
-        ctx, [(e, element_from_json(c, ctx)) for e, c in d["terms"]]
-    )
+    terms = d.get("terms") if isinstance(d, dict) else None
+    pairs = []
+    for t in terms if isinstance(terms, list) else [None]:  # None fails the check
+        if not (isinstance(t, list) and len(t) == 2 and isinstance(t[0], int)):
+            raise MalformedOperand(f'polynomial must be {{"terms": [[exp, element], ...]}}, not {d!r}')
+        pairs.append((t[0], element_from_json(t[1], ctx)))
+    return SparsePolynomial(ctx, pairs)
 
 
 def rational_to_json(rf: RationalFunction) -> dict:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 
 from .errors import CapExceeded, InvalidParams, InvariantViolation
@@ -40,49 +41,37 @@ def is_permutation_exhaustive(f: SparsePolynomial, ctx: FieldCtx,
     """Evaluate f everywhere; witness = first collision in generator order."""
     if ctx.order > cap:
         raise CapExceeded(f"field order {ctx.order} above exhaustive cap {cap}")
-    order = ctx.order
-    first_preimage = [-1] * order  # value enc -> enc of first x hitting it
-
-    def record(x_enc: int, v_enc: int):
-        prev = first_preimage[v_enc]
-        if prev >= 0:
-            return (FieldElement(ctx, prev), FieldElement(ctx, x_enc))
-        first_preimage[v_enc] = x_enc
-        return None
-
-    witness = record(0, f.coeff(0).enc)
-    if witness is None:
-        m = order - 1
-        if ctx._log is not None:
-            exp_t = ctx._exp
-            terms = [(e, ctx._log[c.enc]) for e, c in f.terms.items()]
-            if ctx.p == 2:
-                for k in range(m):
-                    acc = 0
-                    for e, lc in terms:
-                        acc ^= exp_t[(lc + e * k) % m]
-                    witness = record(exp_t[k], acc)
-                    if witness is not None:
-                        break
-            else:
-                coords = ctx._coords_cache
-                n = ctx.n
-                p = ctx.p
-                to_enc = ctx.coords_to_enc
-                for k in range(m):
-                    acc = [0] * n
-                    for e, lc in terms:
-                        cv = coords[exp_t[(lc + e * k) % m]]
-                        for i in range(n):
-                            acc[i] += cv[i]
-                    witness = record(exp_t[k], to_enc([v % p for v in acc]))
-                    if witness is not None:
-                        break
-        else:
-            for x in itertools.islice(ctx.elements(), 1, None):  # zero is recorded above
-                witness = record(x.enc, f.eval(x).enc)
-                if witness is not None:
-                    break
+    first_preimage = array("i", [-1]) * ctx.order  # value -> first x hitting it
+    witness = None
+    if ctx._log is None or f.is_zero():  # the zero polynomial has no first term
+        first_preimage[f.coeff(0).enc] = 0  # keyed by enc
+        for x in itertools.islice(ctx.elements(), 1, None):
+            v = f.eval(x).enc
+            if first_preimage[v] >= 0:
+                witness = (FieldElement(ctx, first_preimage[v]), x)
+                break
+            first_preimage[v] = x.enc
+    else:
+        # keyed by log, m standing for zero: x = g^k, and each partial sum of
+        # f(x) stays a log, g^acc + g^t = g^(acc + zech[t - acc]); the index
+        # lies in (-m, m), so the array's negative indexing reduces it mod m
+        m = ctx.order - 1
+        exp_t, log_t, zech = ctx._exp, ctx._log, ctx._zech
+        (e0, l0), *rest = [(e, log_t[c.enc]) for e, c in f.terms.items()]
+        first_preimage[log_t[f.coeff(0).enc]] = m
+        for k in range(m):
+            acc = (l0 + e0 * k) % m
+            for e, lc in rest:
+                if acc == m:
+                    acc = (lc + e * k) % m
+                else:
+                    z = zech[(lc + e * k) % m - acc]
+                    acc = m if z == m else (acc + z) % m
+            prev = first_preimage[acc]
+            if prev >= 0:
+                witness = (FieldElement(ctx, exp_t[prev]), FieldElement(ctx, exp_t[k]))
+                break
+            first_preimage[acc] = k
     return PermutationReport(
         is_permutation=witness is None,
         method="exhaustive",

@@ -206,6 +206,9 @@ class TestCommands:
         cat.write_text(dumps_line({"field": field, "poly": {"terms": []}}))
         assert main(["qm-classify", "--catalog", str(cat)]) == 2
         assert "ZeroInput" in capsys.readouterr().err
+        cat.write_text("5\n")
+        assert main(["qm-classify", "--catalog", str(cat)]) == 2
+        assert "MalformedOperand" in capsys.readouterr().err
 
     def test_field_info(self, capsys):
         assert main(["field-info", "--p", "2", "--m", "2"]) == 0
@@ -228,6 +231,22 @@ class TestCommands:
         assert rc == 4 and out == ""
         assert "Traceback" not in err
         assert "disagree" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--p", "2", "--m", "2", "--poly", '{"terms": 5}'],
+        ["verify", "--p", "2", "--m", "2", "--poly", '{"terms": [[1, "x"]]}'],
+        ["field-info", "--p", "2", "--m", "2", "--modulus", "5"],
+        ["construct", "--p", "5", "--m", "1", "--family", "Q1",
+         "--beta", '[1, "a"]', "--delta", "g", "--delta-t", "g"],
+        ["field-info", "--field", '{"p": 5, "modulus": [2, 4, 1], "generator": "z"}'],
+    ])
+    def test_malformed_operand_exits_2(self, argv, capsys):
+        # exit 1 means "not a permutation", so a bad operand must not reach it
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert "Traceback" not in err
+        assert "MalformedOperand" in json.loads(err)["error"]
 
     def test_qm_cap_defaults(self):
         ap = build_parser()

@@ -1,3 +1,6 @@
+import copy
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +16,7 @@ from circleperm.errors import (
 from circleperm.fields import (
     canonical_modulus,
     field_create,
+    is_irreducible,
     prime_factors,
     quad_extension,
 )
@@ -215,3 +219,69 @@ class TestCanonicalModulus:
     def test_element_text_form(self, ext25):
         assert str(ext25.big.zero()) == "0"
         assert str(ext25.big.generator ** 7) == "g^7"
+
+
+def tables_off(ctx):
+    """A copy of ctx on table-free arithmetic: digit-wise add, shift/xor or
+    schoolbook mul.  Encodings do not depend on the tables, so they compare."""
+    off = copy.copy(ctx)
+    off._exp = off._log = off._zech = None
+    return off
+
+
+TABLE_FIELDS = [(2, 4), (3, 3), (3, 4), (5, 2)]
+
+
+class TestZechArithmetic:
+    @pytest.mark.parametrize("p,n", TABLE_FIELDS)
+    def test_matches_digitwise_on_every_pair(self, p, n):
+        ctx = get_field(p, n)
+        assert ctx._zech is not None
+        off = tables_off(ctx)
+        for a in range(ctx.order):
+            assert ctx.neg_enc(a) == off.neg_enc(a), a
+            for b in range(ctx.order):
+                assert ctx.add_enc(a, b) == off.add_enc(a, b), (a, b)
+                assert ctx.sub_enc(a, b) == off.sub_enc(a, b), (a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(field=st.sampled_from(TABLE_FIELDS), data=st.data())
+    def test_field_laws_on_both_paths(self, field, data):
+        ctx = get_field(*field)
+        a, b, c = (data.draw(st.integers(0, ctx.order - 1)) for _ in range(3))
+        for f in (ctx, tables_off(ctx)):
+            add, mul = f.add_enc, f.mul_enc
+            assert add(add(a, b), c) == add(a, add(b, c))
+            assert mul(mul(a, b), c) == mul(a, mul(b, c))
+            assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+            assert f.sub_enc(add(a, b), b) == a
+
+
+class TestSympyCrossCheck:
+    def test_is_irreducible_matches_sympy(self):
+        pytest.importorskip("sympy")
+        from sympy.polys.domains import ZZ
+        from sympy.polys.galoistools import gf_irreducible_p
+
+        for p, max_deg in [(2, 4), (3, 4), (5, 3)]:
+            for deg in range(1, max_deg + 1):
+                for tail in itertools.product(range(p), repeat=deg):
+                    monic = list(tail) + [1]  # least degree first; sympy wants most
+                    assert is_irreducible(monic, p) == gf_irreducible_p(monic[::-1], p, ZZ), (p, monic)
+
+    def test_canonical_modulus_is_primitive(self):
+        pytest.importorskip("sympy")
+        from sympy import factorint
+        from sympy.polys.domains import ZZ
+        from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod
+
+        # the (p, degree) pairs the tests and repro build without a stated modulus
+        pairs = [(2, 2), (2, 4), (2, 6), (2, 8), (2, 10), (3, 1), (3, 2), (3, 4),
+                 (5, 1), (5, 2), (7, 1), (7, 2), (11, 2)]
+        for p, n in pairs:
+            f = canonical_modulus(p, n)[::-1]
+            assert gf_irreducible_p(f, p, ZZ), (p, n)
+            m = p**n - 1
+            for r in factorint(m):  # X has order exactly m modulo f
+                assert gf_pow_mod([1, 0], m // r, f, p, ZZ) != [1], (p, n, r)
+            assert gf_pow_mod([1, 0], m, f, p, ZZ) == [1], (p, n)

@@ -61,19 +61,30 @@ class TestExhaustive:
             is_permutation_exhaustive(SparsePolynomial.x_power(ext25.big, 1), ext25.big, cap=10)
 
     def test_odd_char_table_free_path_agrees(self, ext25):
-        # the log-table paths (p = 2 and odd p) and table-free arithmetic
-        # must produce identical reports, witness included; exponents run
-        # over 0..m so constant terms and X^m occur
+        # the log-domain (Zech) loop and table-free arithmetic must produce
+        # identical reports, witness included, in every characteristic;
+        # exponents run over 0..m so constant terms and X^m occur
         rnd = random.Random(11)
         for ctx in (get_field(2, 4), get_field(3, 4), ext25.big):
             m = ctx.order - 1
             one = ctx.one()
             polys = [
+                SparsePolynomial.zero(ctx),
+                SparsePolynomial.constant(ctx, ctx.gen_pow(4)),
                 SparsePolynomial(ctx, [(m, one)]),
                 SparsePolynomial(ctx, [(0, ctx.gen_pow(3)), (m, one)]),
                 SparsePolynomial(ctx, [(0, ctx.gen_pow(5)), (1, ctx.gen_pow(2))]),
                 SparsePolynomial(ctx, [(0, one), (m + 1, one)]),
             ]
+            # partial sums that cancel, so the Zech "sum is zero" branch runs:
+            # X + X^(1+m/2) vanishes at every nonsquare (odd p), X^3 + X^5
+            # at x = 1 (p = 2), and a third term then starts from zero
+            if ctx.p == 2:
+                polys += [SparsePolynomial(ctx, [(3, one), (5, one)]),
+                          SparsePolynomial(ctx, [(3, one), (5, one), (7, one)])]
+            else:
+                polys += [SparsePolynomial(ctx, [(1, one), (1 + m // 2, one)]),
+                          SparsePolynomial(ctx, [(1, one), (1 + m // 2, one), (2, one)])]
             for _ in range(25):
                 exps = rnd.sample(range(m + 1), rnd.randint(1, 4))
                 terms = [(e, ctx.gen_pow(rnd.randrange(m))) for e in exps]
@@ -81,12 +92,12 @@ class TestExhaustive:
             if ctx is ext25.big:
                 polys.append(q1_worked_build(ext25).poly)
             fast = [is_permutation_exhaustive(poly, ctx) for poly in polys]
-            exp, log = ctx._exp, ctx._log
-            ctx._exp = ctx._log = None
+            tables = ctx._exp, ctx._log, ctx._zech
+            ctx._exp = ctx._log = ctx._zech = None
             try:
                 slow = [is_permutation_exhaustive(poly, ctx) for poly in polys]
             finally:
-                ctx._exp, ctx._log = exp, log
+                ctx._exp, ctx._log, ctx._zech = tables
             verdicts = [r.is_permutation for r in fast]
             assert any(verdicts) and not all(verdicts)
             for poly, a, b in zip(polys, fast, slow):
