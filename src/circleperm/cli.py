@@ -33,7 +33,7 @@ from .families import (
     derive_beta_t,
     param_grid,
 )
-from .fields import FieldElement, QuadExtension, field_create, quad_extension
+from .fields import EXHAUSTIVE_CAP, FieldElement, QuadExtension, field_create, quad_extension
 from .qm import QM_CAP, classify_catalog, qm_equivalent
 from .serialize import (
     CSV_HEADER,
@@ -48,7 +48,7 @@ from .serialize import (
     poly_from_json,
     report_to_json,
 )
-from .verify import EXHAUSTIVE_CAP, decompose, is_permutation_exhaustive, verify_both
+from .verify import decompose, is_permutation_exhaustive, verify_both
 
 
 def parse_element(text: str, ext: QuadExtension) -> FieldElement:
@@ -153,22 +153,24 @@ def construct_grid_entries(ext, family, limits: GridLimits):
 
 
 def cmd_verify(args) -> int:
-    # odd-degree descriptors run the exhaustive check only (no quad structure)
-    ctx = None
     if args.field:
         p, modulus, gen = field_desc(_load_json_operand(args.field))
-        if (len(modulus) - 1) % 2:
-            ctx = field_create(p, modulus, gen)
-    ext = None if ctx is not None else _field_from_args(args)
-    big = ctx if ctx is not None else ext.big
+        n = len(modulus) - 1
+        # odd-degree descriptors run the exhaustive check only (no quad structure)
+        ext = None if n % 2 else quad_extension(p, n // 2, modulus, gen)
+        big = field_create(p, modulus, gen) if n % 2 else ext.big
+    else:
+        ext = _field_from_args(args)
+        big = ext.big
     if big.order > args.cap:
         raise CapExceeded(f"field order {big.order} above --cap {args.cap}")
     poly = poly_from_json(_load_json_operand(args.poly), big)
-    dec = decompose(poly.reduce_exponents(), ext) if ext is not None else None
+    reduced = poly.reduce_exponents()
+    dec = decompose(reduced, ext) if ext is not None else None
     if dec is None:
         report = is_permutation_exhaustive(poly, big, cap=args.cap)
     else:
-        report = verify_both(dec[0], dec[1], poly.reduce_exponents(), ext, cap=args.cap)
+        report = verify_both(dec[0], dec[1], reduced, ext, cap=args.cap)
     _emit(sys.stdout, dumps_line(report_to_json(report)))
     return 0 if report.is_permutation else 1
 

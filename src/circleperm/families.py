@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import CtxMismatch, InvalidParams, InvariantViolation, LimitExceeded
-from .fields import FieldElement, QuadExtension
+from .fields import EXHAUSTIVE_CAP, FieldElement, QuadExtension
 from .polynomials import RationalFunction, SparsePolynomial, cubic_image, reduce_exponent
 
 KIND_CUBIC = "cubic"
@@ -409,11 +409,7 @@ def build_family(family: str, params: ConstructionParams, ext: QuadExtension
                  ) -> BuiltFamily:
     """Expand X^r * h(X^(q-1)) for the family; raises InvalidParams."""
     spec = FAMILIES[family]
-    violations = validate_params(family, params, ext)
-    if violations:
-        raise InvalidParams(violations)
-    system = _coeffs_raw(spec.kind, params.beta, params.beta_t, params.delta,
-                         params.delta_t, params.aux, ext)
+    system = coeffs(spec.kind, params, ext)
     h = build_h(spec.kind, system, spec.h_index, ext)
     r = spec.r(ext.q)
     poly = expand_decomposition(r, h, ext)
@@ -438,7 +434,7 @@ def expand_decomposition(r: int, h: SparsePolynomial, ext: QuadExtension
 
 @dataclass
 class GridLimits:
-    cap_order: int = 1 << 16
+    cap_order: int = EXHAUSTIVE_CAP
     max_count: int | None = None
     delta_stride: int = 1
     delta_t_stride: int = 1

@@ -12,9 +12,10 @@ zech (k -> log(1 + g^k)).  Multiplication adds logs, and odd-p addition is
 g^a + g^b = g^(a + zech[b - a]) (K. Huber, "Some comments on Zech's
 logarithms", IEEE Trans. Inf. Theory 36(4), 1990), so both are O(1) table
 lookups.  Larger fields use table-free digit-wise and polynomial arithmetic;
-no order cap is enforced here.  The caps on work are verify.EXHAUSTIVE_CAP
-(exhaustive evaluation), qm.QM_CAP (QM search and classification) and
-GridLimits.cap_order (parameter grids).
+no order cap is enforced on arithmetic.  The caps on work are
+EXHAUSTIVE_CAP, defined here (exhaustive evaluation; verify re-exports it and
+GridLimits.cap_order defaults to it for parameter grids), and qm.QM_CAP (QM
+search and classification).
 
 The quadratic-extension view GF(q^2)/GF(q) lives in QuadExtension, which
 exposes the subfield and the unit circle, i.e. the order-(q+1) subgroup
@@ -37,6 +38,7 @@ from .errors import (
 )
 
 LOG_TABLE_MAX = 1 << 16
+EXHAUSTIVE_CAP = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +650,6 @@ class QuadExtension:
         self.big._own(x)
         if x.enc == 0:
             return True
-        if self.big._log is not None:
-            return self.big._log[x.enc] % (self.q + 1) == 0
         return self.big.pow_enc(x.enc, self.q) == x.enc
 
     def on_circle(self, x: FieldElement) -> bool:
@@ -657,8 +657,6 @@ class QuadExtension:
         self.big._own(x)
         if x.enc == 0:
             return False
-        if self.big._log is not None:
-            return self.big._log[x.enc] % (self.q - 1) == 0
         return self.big.pow_enc(x.enc, self.q + 1) == 1
 
     def frob_q(self, x: FieldElement) -> FieldElement:

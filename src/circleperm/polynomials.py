@@ -200,20 +200,16 @@ class SparsePolynomial:
     def eval(self, x: FieldElement) -> FieldElement:
         if x.ctx is not self.ctx:
             raise CtxMismatch("evaluation point from a different ctx")
+        return FieldElement(self.ctx, self.eval_enc(x.enc))
+
+    def eval_enc(self, a: int) -> int:
+        """Encoding of the value at the element encoded by a (0 included:
+        pow_enc(0, 0) = 1 keeps the constant term)."""
         ctx = self.ctx
-        if x.enc == 0:
-            return self.terms.get(0, ctx.zero())
         acc = 0
-        if ctx._log is not None:
-            m = ctx.order - 1
-            lx = ctx._log[x.enc]
-            exp_t = ctx._exp
-            for e, c in self.terms.items():
-                acc = ctx.add_enc(acc, exp_t[(ctx._log[c.enc] + e * lx) % m])
-        else:
-            for e, c in self.terms.items():
-                acc = ctx.add_enc(acc, ctx.mul_enc(c.enc, ctx.pow_enc(x.enc, e)))
-        return FieldElement(ctx, acc)
+        for e, c in self.terms.items():
+            acc = ctx.add_enc(acc, ctx.mul_enc(c.enc, ctx.pow_enc(a, e)))
+        return acc
 
     def compose(self, inner: "SparsePolynomial") -> "SparsePolynomial":
         """self(inner(X)); intended for small degrees."""
@@ -226,10 +222,10 @@ class SparsePolynomial:
             out = out + power.scale(c)
         return out
 
-    def reduce_exponents(self, modulus: int | None = None) -> "SparsePolynomial":
-        """Apply reduce_exponent (default m = order - 1); preserves the induced
+    def reduce_exponents(self) -> "SparsePolynomial":
+        """Apply reduce_exponent with m = order - 1; preserves the induced
         function on the field.  Colliding images are merged."""
-        m = (self.ctx.order - 1) if modulus is None else modulus
+        m = self.ctx.order - 1
         pairs = [(reduce_exponent(e, m), c) for e, c in self.terms.items()]
         return SparsePolynomial(self.ctx, pairs)
 

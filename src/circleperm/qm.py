@@ -64,25 +64,29 @@ def qm_equivalent(f: SparsePolynomial, g: SparsePolynomial, ext: QuadExtension,
     g = g.reduce_exponents()
     m = big.order - 1
     supp_f = frozenset(f.terms)
-    g_terms = sorted(g.terms.items(), key=lambda t: -t[0])
     examined = 0
     rejected = 0
     for d in range(1, m):
         if math.gcd(d, m) != 1:
             continue
-        mapped = frozenset(reduce_exponent(e * d, m) for e, _ in g_terms)
+        mapped = frozenset(reduce_exponent(e * d, m) for e in g.terms)
         if prefilter and mapped != supp_f:
             rejected += 1
             continue
         examined += 1
-        witness = _complete_for_d(f, g_terms, d, m, big, v_bruteforce)
+        witness = _complete_for_d(f, g, d, big, v_bruteforce)
         if witness is not None:
             return QmResult(True, witness, examined, rejected)
     return QmResult(False, None, examined, rejected)
 
 
-def _complete_for_d(f, g_terms, d, m, big, v_bruteforce):
-    """Search (u, v) with f = u*g(v X^d); None when no completion exists."""
+def _complete_for_d(f, g, d, big, v_bruteforce):
+    """Search (u, v) with f = u*g(v X^d); None when no completion exists.
+
+    f and g are exponent-reduced, so the comparison with apply_qm is exact.
+    """
+    m = big.order - 1
+    g_terms = g.sorted_terms()
     e1, c1 = g_terms[0]
     t1 = f.terms.get(reduce_exponent(e1 * d, m))
     if t1 is None:
@@ -90,7 +94,7 @@ def _complete_for_d(f, g_terms, d, m, big, v_bruteforce):
     if len(g_terms) == 1:
         v = big.one()
         u = t1 / c1  # any v works; v = 1 keeps the witness canonical
-        if _verify_map(f, g_terms, u, v, d, m):
+        if apply_qm(g, u, v, d) == f:
             return (u, v, d)
         return None
     e2, c2 = g_terms[1]
@@ -112,19 +116,9 @@ def _complete_for_d(f, g_terms, d, m, big, v_bruteforce):
         v_candidates = (big.gen_pow(y0 + j * step) for j in range(t))
     for v in v_candidates:
         u = t1 / (c1 * v**e1)
-        if _verify_map(f, g_terms, u, v, d, m):
+        if apply_qm(g, u, v, d) == f:
             return (u, v, d)
     return None
-
-
-def _verify_map(f, g_terms, u, v, d, m):
-    if len(f.terms) != len(g_terms):
-        return False
-    for e, c in g_terms:
-        target = f.terms.get(reduce_exponent(e * d, m))
-        if target is None or u * c * v**e != target:
-            return False
-    return True
 
 
 def qm_verify_witness(f, g, witness, ext) -> bool:

@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+from circleperm import cli as cli_mod
 from circleperm import verify as verify_mod
 from circleperm.cli import build_parser, main, parse_element
 from circleperm.errors import ZeroInput
-from circleperm.families import ConstructionParams, build_family
+from circleperm.families import ConstructionParams, GridLimits, build_family
+from circleperm.fields import EXHAUSTIVE_CAP
 from circleperm.serialize import (
     CatalogEntry,
     dumps_line,
@@ -175,6 +177,10 @@ class TestCommands:
         assert sq == 1
         out = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
         assert out[-1]["witness"] is not None
+        # the zero polynomial has no (r, h) and gets the exhaustive verdict
+        zero = main(["verify", "--p", "5", "--m", "1", "--poly", '{"terms": []}'])
+        assert zero == 1
+        assert json.loads(capsys.readouterr().out)["witness"] is not None
 
     def test_qm_test_exit_codes(self, capsys):
         f = '{"terms": [[3, {"pow": 1}], [7, {"pow": 3}]]}'
@@ -252,6 +258,10 @@ class TestCommands:
         ap = build_parser()
         assert ap.parse_args(["qm-test", "--f", "{}", "--g", "{}"]).cap == QM_CAP
         assert ap.parse_args(["qm-classify", "--catalog", "cat.jsonl"]).cap == QM_CAP
+        assert ap.parse_args(["construct", "--family", "P1"]).cap == EXHAUSTIVE_CAP
+        assert ap.parse_args(["verify", "--poly", "{}"]).cap == EXHAUSTIVE_CAP
+        assert GridLimits().cap_order == EXHAUSTIVE_CAP
+        assert verify_mod.EXHAUSTIVE_CAP == EXHAUSTIVE_CAP
 
     def test_cap_exit_3(self, capsys):
         rc = main(["verify", "--p", "2", "--m", "8",
@@ -267,9 +277,18 @@ class TestCommands:
         assert out.count("FAIL") == 1
         assert "11/12" in out
 
-    def test_file_operands(self, tmp_path, capsys):
+    def test_file_operands(self, tmp_path, capsys, monkeypatch):
+        # each operand is loaded once, on the quadratic and the odd-degree path
+        loads = []
+        load = cli_mod._load_json_operand
+        monkeypatch.setattr(cli_mod, "_load_json_operand",
+                            lambda text: loads.append(text) or load(text))
         poly = tmp_path / "f.json"
         poly.write_text('{"terms": [[1, {"pow": 0}]]}')
         field = tmp_path / "field.json"
         field.write_text(json.dumps(ext_to_json(get_ext(5, 1))))
         assert main(["verify", "--field", str(field), "--poly", str(poly)]) == 0
+        odd = tmp_path / "odd.json"
+        odd.write_text('{"p": 5, "modulus": [3, 1]}')
+        assert main(["verify", "--field", str(odd), "--poly", str(poly)]) == 0
+        assert loads == [str(field), str(poly), str(odd), str(poly)]

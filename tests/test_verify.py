@@ -1,3 +1,5 @@
+import contextlib
+import math
 import random
 
 import pytest
@@ -24,6 +26,17 @@ from circleperm.verify import (
     verify_both,
 )
 from conftest import get_ext, get_field
+
+
+@contextlib.contextmanager
+def tables_off(ctx):
+    """Run ctx on its table-free arithmetic, as fields above LOG_TABLE_MAX do."""
+    tables = ctx._exp, ctx._log, ctx._zech
+    ctx._exp = ctx._log = ctx._zech = None
+    try:
+        yield
+    finally:
+        ctx._exp, ctx._log, ctx._zech = tables
 
 
 def q1_worked_build(ext25):
@@ -92,12 +105,8 @@ class TestExhaustive:
             if ctx is ext25.big:
                 polys.append(q1_worked_build(ext25).poly)
             fast = [is_permutation_exhaustive(poly, ctx) for poly in polys]
-            tables = ctx._exp, ctx._log, ctx._zech
-            ctx._exp = ctx._log = ctx._zech = None
-            try:
+            with tables_off(ctx):
                 slow = [is_permutation_exhaustive(poly, ctx) for poly in polys]
-            finally:
-                ctx._exp, ctx._log, ctx._zech = tables
             verdicts = [r.is_permutation for r in fast]
             assert any(verdicts) and not all(verdicts)
             for poly, a, b in zip(polys, fast, slow):
@@ -119,6 +128,74 @@ class TestCriterion:
         h = SparsePolynomial.from_coeff_list(big, [-1, 1])  # root 1 on the circle
         rep = criterion_check(3, h, ext25)
         assert not rep.is_permutation and rep.detail["circle_root"].enc == 1
+
+    def test_circle_walk_matches_definitions(self):
+        # criterion_check and h_no_circle_root walk the circle by log and
+        # evaluate through eval_enc; with and without the log tables they must
+        # equal the definitions over ext.circle_members() in FieldElement
+        # arithmetic, and eval must equal sum(c * x**e) at every element
+        rnd = random.Random(23)
+        for ext in (get_ext(2, 2), get_ext(3, 2), get_ext(5, 1)):
+            big, q = ext.big, ext.q
+            mu = ext.circle_members()
+            one = big.one()
+
+            def linear(z):
+                return SparsePolynomial(big, [(1, one), (0, -z)])
+
+            cases = [
+                (1, linear(mu[len(mu) // 2])),  # a root mid-circle
+                (3, linear(mu[-1])),  # the only root is the last point
+                (1, linear(mu[1]) * linear(mu[-2])),  # two roots
+                (q + 1, SparsePolynomial.constant(big, big.gen_pow(2))),  # z^(q+1) = 1
+            ]
+            for _ in range(40):
+                exps = rnd.sample(range(2 * q + 2), rnd.randint(1, 5))
+                h = SparsePolynomial(big, [(e, big.gen_pow(rnd.randrange(big.order - 1)))
+                                           for e in exps])
+                cases.append((rnd.randint(1, q - 1), h))
+            points = list(big.elements())
+
+            def h_at(h, x):
+                return sum((c * x**e for e, c in h.terms.items()), big.zero())
+
+            def oracle(r, h):
+                detail, seen = {}, {}
+                for z in mu:
+                    hz = h_at(h, z)
+                    if hz.enc == 0:
+                        detail["circle_root"] = z
+                        break
+                    img = z**r * hz ** (q - 1)
+                    if img in seen:
+                        detail["circle_collision"] = (seen[img], z)
+                        break
+                    seen[img] = z
+                gcd_ok = math.gcd(r, q - 1) == 1
+                root = next((z for z in mu if h_at(h, z).enc == 0), None)
+                return ((gcd_ok and not detail, gcd_ok, not detail, detail),
+                        (root is None, root))
+
+            def walked():
+                out = []
+                for r, h in cases:
+                    rep = criterion_check(r, h, ext)
+                    out.append(((rep.is_permutation, rep.gcd_ok, rep.circle_ok, rep.detail),
+                                h_no_circle_root(h, ext)))
+                return out
+
+            def evals():
+                return [[h.eval(x) for x in points] for _, h in cases]
+
+            expected = [oracle(r, h) for r, h in cases]
+            sums = [[h_at(h, x) for x in points] for _, h in cases]
+            assert walked() == expected and evals() == sums
+            with tables_off(big):
+                assert walked() == expected and evals() == sums
+            details = [d for (_, _, _, d), _ in expected]
+            assert any("circle_root" in d for d in details)
+            assert any("circle_collision" in d for d in details)
+            assert any(v for (v, _, _, _), _ in expected)
 
     def test_agreement_over_small_grids(self):
         # both verdicts on every emitted (r, h) at q in {3, 4, 5}; zero mismatches
