@@ -5,17 +5,21 @@ over Z_p, read as digits base p, gives enc = sum(c_i * p**i).  For p = 2 the
 encoding coincides with the usual bitmask representation of GF(2)[x]:
 addition is xor and table-free multiplication runs on shift/xor.
 
-Fields of order up to LOG_TABLE_MAX get three compact int arrays at creation
-time, with m = order - 1 standing for the log of zero: exp (k -> g^k, and
-exp[m] = 0), log (enc -> k, and log[0] = m) and the Zech logarithms
-zech (k -> log(1 + g^k)).  Multiplication adds logs, and odd-p addition is
+Fields of order up to EXHAUSTIVE_CAP (2^20) get three compact arrays, with
+m = order - 1 standing for the log of zero: exp (k -> g^k, and exp[m] = 0),
+log (enc -> k, and log[0] = m) and the Zech logarithms zech
+(k -> log(1 + g^k)), typecode "H" up to order 2^16 (every entry is <= m) and
+"i" above.  Multiplication adds logs, and odd-p addition is
 g^a + g^b = g^(a + zech[b - a]) (K. Huber, "Some comments on Zech's
 logarithms", IEEE Trans. Inf. Theory 36(4), 1990), so both are O(1) table
-lookups.  Larger fields use table-free digit-wise and polynomial arithmetic;
-no order cap is enforced on arithmetic.  The caps on work are
-EXHAUSTIVE_CAP, defined here (exhaustive evaluation; verify re-exports it and
-GridLimits.cap_order defaults to it for parameter grids), and qm.QM_CAP (QM
-search and classification).
+lookups.  p = 2 adds by xor, so only the exhaustive loop's multi-term log sum
+reads zech, and zech_table() builds it on first use.  The tables are filled
+by stepping x -> x*g: for the modulus root a step shifts the digits of x once
+and adds (top digit)*X^n mod the modulus, O(n) digit work.  Larger fields use
+table-free digit-wise and polynomial arithmetic; no order cap is enforced on
+arithmetic.  EXHAUSTIVE_CAP, the one cap on tables and exhaustive work, is
+re-exported by verify, and GridLimits.cap_order defaults to it; qm.QM_CAP
+caps QM search and classification.
 
 The quadratic-extension view GF(q^2)/GF(q) lives in QuadExtension, which
 exposes the subfield and the unit circle, i.e. the order-(q+1) subgroup
@@ -37,8 +41,7 @@ from .errors import (
     ZeroInput,
 )
 
-LOG_TABLE_MAX = 1 << 16
-EXHAUSTIVE_CAP = 1 << 16
+EXHAUSTIVE_CAP = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +343,10 @@ class FieldCtx:
             self._head = tuple((-c) % p for c in modulus[:-1])
         # every table path keys on _log; pow_enc runs table-free until it is set
         self._exp = self._log = self._zech = None
-        gen_enc, is_root = self._pick_generator(generator)
-        self.generator_is_root = is_root
-        if self.order <= LOG_TABLE_MAX:
-            self._build_tables(gen_enc)
+        gen_enc, self.generator_is_root = self._pick_generator(generator)
         self.generator = FieldElement(self, gen_enc)
+        if self.order <= EXHAUSTIVE_CAP:
+            self._build_tables()
 
     # -- encoding -----------------------------------------------------------
 
@@ -387,11 +389,8 @@ class FieldCtx:
     def elements(self):
         """All field elements: zero first, then ascending generator powers."""
         yield self.zero()
-        g = self.generator
-        x = self.one()
-        for _ in range(self.order - 1):
-            yield x
-            x = x * g
+        for x in itertools.islice(self._orbit(), self.order - 1):
+            yield FieldElement(self, x)
 
     # -- raw encoded arithmetic ----------------------------------------------
 
@@ -496,12 +495,9 @@ class FieldCtx:
         if self._log is not None:
             return self._log[a]
         # generic fallback: walk the generator orbit (large fields only)
-        g = self.generator.enc
-        x = 1
-        for k in range(self.order - 1):
+        for k, x in zip(range(self.order - 1), self._orbit()):
             if x == a:
                 return k
-            x = self._mul_generic(x, g)
         raise ZeroInput("element not in the generator orbit (corrupt ctx)")
 
     def exp_enc(self, k: int) -> int:
@@ -536,24 +532,57 @@ class FieldCtx:
                 return enc, False
         raise InvariantViolation("no primitive element found (unreachable)")
 
-    def _build_tables(self, gen_enc: int):
-        p, m = self.p, self.order - 1
-        exp = array("i", [0]) * (m + 1)
-        log = array("i", [-1]) * self.order
+    def _orbit(self):
+        """1, g, g^2, ... without end; x -> x*g is a digit step for the root."""
         x = 1
-        for k in range(m):
+        if not self.generator_is_root:
+            while True:
+                yield x
+                x = self._mul_generic(x, self.generator.enc)
+        elif self.p == 2:
+            top, mask = self.order, self._modmask
+            while True:
+                yield x
+                x <<= 1
+                if x & top:
+                    x ^= mask
+        else:
+            # x*X: shift the digits up one, then add t*X^n = t*head, t the
+            # digit shifted out; only the nonzero digits of head change
+            p, w = self.p, self._pn_powers
+            head = [(w[i], h) for i, h in enumerate(self._head) if h]
+            while True:
+                yield x
+                t, x = divmod(x, w[-2])
+                x *= p
+                for wi, h in head:
+                    d = x // wi % p
+                    x += ((d + t * h) % p - d) * wi
+
+    def _build_tables(self):
+        m = self.order - 1
+        typecode = "H" if self.order <= 1 << 16 else "i"  # every entry is <= m
+        exp = array(typecode, [0]) * (m + 1)
+        log = array(typecode, [m]) * self.order  # m: zero, or not reached yet
+        orbit = self._orbit()
+        for k, x in zip(range(m), orbit):
             exp[k] = x
             log[x] = k
-            x = self._mul_generic(x, gen_enc)
-        if x != 1 or log.count(-1) != 1:
+        if next(orbit) != 1 or log.count(m) != 1:
             raise InvariantViolation("generator orbit does not cover the field")
-        log[0] = m
-        # 1 + x only bumps digit 0 of x, so z(k) = log(1 + g^k) costs O(1)
-        zech = array("i", [0]) * m
-        for k in range(m):
-            x = exp[k]
-            zech[k] = log[x + 1 - p if x % p == p - 1 else x + 1]
-        self._exp, self._log, self._zech = exp, log, zech
+        self._exp, self._log = exp, log
+        if self.p != 2:
+            self.zech_table()  # odd-p add_enc reads it
+
+    def zech_table(self):
+        """zech[k] = log(1 + g^k), built on first use; None without tables."""
+        if self._zech is None and self._log is not None:
+            p, log = self.p, self._log
+            # 1 + x only bumps digit 0 of x, so each entry costs O(1)
+            self._zech = array(log.typecode, (
+                log[x + 1 - p if x % p == p - 1 else x + 1]
+                for x in itertools.islice(self._exp, len(log) - 1)))
+        return self._zech
 
     # -- predicates ----------------------------------------------------------
 

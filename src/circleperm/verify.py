@@ -56,8 +56,9 @@ def is_permutation_exhaustive(f: SparsePolynomial, ctx: FieldCtx,
         # f(x) stays a log, g^acc + g^t = g^(acc + zech[t - acc]); the index
         # lies in (-m, m), so the array's negative indexing reduces it mod m
         m = ctx.order - 1
-        exp_t, log_t, zech = ctx._exp, ctx._log, ctx._zech
+        exp_t, log_t = ctx._exp, ctx._log
         (e0, l0), *rest = [(e, log_t[c.enc]) for e, c in f.terms.items()]
+        zech = ctx.zech_table() if rest else None
         first_preimage[log_t[f.coeff(0).enc]] = m
         for k in range(m):
             acc = (l0 + e0 * k) % m
@@ -79,15 +80,20 @@ def is_permutation_exhaustive(f: SparsePolynomial, ctx: FieldCtx,
     )
 
 
-def h_no_circle_root(h: SparsePolynomial, ext: QuadExtension):
-    """(True, None) when h vanishes nowhere on the unit circle, else the root.
+def _circle(ext: QuadExtension):
+    """Encodings of z = g^(k(q-1)), k = 0..q: the unit circle, one mul_enc a step."""
+    mul, step = ext.big.mul_enc, ext.big.exp_enc(ext.q - 1)
+    z = 1
+    for _ in range(ext.q + 1):
+        yield z
+        z = mul(z, step)
 
-    The circle is {g^k : k = 0, q-1, ..., q(q-1)}, walked by log.
-    """
-    big = ext.big
-    for k in range(0, big.order - 1, ext.q - 1):
-        if h.eval_enc(big.exp_enc(k)) == 0:
-            return False, big.gen_pow(k)
+
+def h_no_circle_root(h: SparsePolynomial, ext: QuadExtension):
+    """(True, None) when h vanishes nowhere on the unit circle, else the root."""
+    for z in _circle(ext):
+        if h.eval_enc(z) == 0:
+            return False, FieldElement(ext.big, z)
     return True, None
 
 
@@ -96,8 +102,8 @@ def criterion_check(r: int, h: SparsePolynomial, ext: QuadExtension) -> Permutat
 
     gcd_ok tests gcd(r, q-1) = 1; circle_ok tests that z -> z^r h(z)^(q-1)
     is injective on the circle (a circle root of h is a definite failure:
-    it maps that z to 0, which is off the circle).  z = g^k is walked by
-    log as in h_no_circle_root, so z^r = g^(k*r).
+    it maps that z to 0, which is off the circle).  z is walked as in
+    h_no_circle_root, and z^r steps along with it by g^(r(q-1)).
     """
     if h.is_zero():
         raise InvalidParams(["h must be nonzero"])
@@ -106,19 +112,22 @@ def criterion_check(r: int, h: SparsePolynomial, ext: QuadExtension) -> Permutat
     gcd_ok = math.gcd(r, q - 1) == 1
     circle_ok = True
     detail = {}
-    seen = {}  # image enc -> log of the first circle point hitting it
-    for k in range(0, big.order - 1, q - 1):
-        v = h.eval_enc(big.exp_enc(k))
+    seen = {}  # image enc -> the first circle point hitting it
+    step_r = big.exp_enc(r * (q - 1))
+    zr = 1
+    for z in _circle(ext):
+        v = h.eval_enc(z)
         if v == 0:
             circle_ok = False
-            detail["circle_root"] = big.gen_pow(k)
+            detail["circle_root"] = FieldElement(big, z)
             break
-        img = big.mul_enc(big.exp_enc(k * r), big.pow_enc(v, q - 1))
+        img = big.mul_enc(zr, big.pow_enc(v, q - 1))
         if img in seen:
             circle_ok = False
-            detail["circle_collision"] = (big.gen_pow(seen[img]), big.gen_pow(k))
+            detail["circle_collision"] = (FieldElement(big, seen[img]), FieldElement(big, z))
             break
-        seen[img] = k
+        seen[img] = z
+        zr = big.mul_enc(zr, step_r)
     return PermutationReport(
         is_permutation=gcd_ok and circle_ok,
         method="criterion",

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -236,13 +237,25 @@ class TestZechArithmetic:
     @pytest.mark.parametrize("p,n", TABLE_FIELDS)
     def test_matches_digitwise_on_every_pair(self, p, n):
         ctx = get_field(p, n)
-        assert ctx._zech is not None
+        assert ctx._log is not None
         off = tables_off(ctx)
         for a in range(ctx.order):
             assert ctx.neg_enc(a) == off.neg_enc(a), a
             for b in range(ctx.order):
                 assert ctx.add_enc(a, b) == off.add_enc(a, b), (a, b)
                 assert ctx.sub_enc(a, b) == off.sub_enc(a, b), (a, b)
+
+    @pytest.mark.parametrize("p,n", TABLE_FIELDS)
+    def test_zech_table_is_log_of_one_plus(self, p, n):
+        # p = 2 builds the table on first use, odd p with the field
+        ctx = get_field(p, n)
+        off = tables_off(ctx)
+        m = ctx.order - 1
+        zech = ctx.zech_table()
+        assert off.zech_table() is None and len(zech) == m
+        for k in range(m):
+            s = off.add_enc(1, off.exp_enc(k))
+            assert zech[k] == (off.log_enc(s) if s else m), k
 
     @settings(max_examples=200, deadline=None)
     @given(field=st.sampled_from(TABLE_FIELDS), data=st.data())
@@ -255,6 +268,51 @@ class TestZechArithmetic:
             assert mul(mul(a, b), c) == mul(a, mul(b, c))
             assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
             assert f.sub_enc(add(a, b), b) == a
+
+
+def mul_generic_tables(ctx):
+    """exp, log and Zech lists from x -> x*g through the schoolbook product."""
+    off = tables_off(ctx)
+    m, g = ctx.order - 1, ctx.generator.enc
+    exp, log = [], [m] * ctx.order
+    x = 1
+    for k in range(m):
+        exp.append(x)
+        log[x] = k
+        x = off._mul_generic(x, g)
+    assert x == 1
+    zech = [log[off.add_enc(1, x)] for x in exp]
+    return exp + [0], log, zech
+
+
+class TestSteppedTables:
+    @pytest.mark.parametrize("p,n", [(2, 4), (2, 8), (3, 4), (5, 2), (7, 2)])
+    def test_root_steps_equal_schoolbook_products(self, p, n):
+        ctx = get_field(p, n)
+        assert ctx.generator_is_root
+        tables = (list(ctx._exp), list(ctx._log), list(ctx.zech_table()))
+        assert tables == mul_generic_tables(ctx)
+
+    def test_supplied_non_root_generator(self):
+        root = get_field(3, 4).generator
+        ctx = field_create(3, canonical_modulus(3, 4), generator=(root ** 7).coords())
+        assert not ctx.generator_is_root and ctx.generator.enc == (root ** 7).enc
+        tables = (list(ctx._exp), list(ctx._log), list(ctx.zech_table()))
+        assert tables == mul_generic_tables(ctx)
+
+    def test_typecode_h_up_to_order_2_16(self):
+        ctx = get_field(2, 16, tuple(MOD_2_16))
+        assert ctx._exp.typecode == ctx._log.typecode == "H"
+        assert ctx._log[0] == 65535 and ctx._exp[65535] == 0
+
+    def test_typecode_i_above_2_16(self):
+        ctx = get_field(2, 18)
+        off = tables_off(ctx)
+        assert ctx._exp.typecode == ctx._log.typecode == "i"
+        g = ctx.generator.enc
+        for k in random.Random(18).sample(range(ctx.order - 1), 2000):
+            x = off.pow_enc(g, k)
+            assert ctx._exp[k] == x and ctx._log[x] == k, k
 
 
 class TestSympyCrossCheck:

@@ -30,7 +30,10 @@ from conftest import get_ext, get_field
 
 @contextlib.contextmanager
 def tables_off(ctx):
-    """Run ctx on its table-free arithmetic, as fields above LOG_TABLE_MAX do."""
+    """Run ctx on its table-free arithmetic, as fields above EXHAUSTIVE_CAP do.
+
+    Table-free multiplication is the polynomial product, so it does not
+    share the generator stepping that builds the tables."""
     tables = ctx._exp, ctx._log, ctx._zech
     ctx._exp = ctx._log = ctx._zech = None
     try:
@@ -111,6 +114,22 @@ class TestExhaustive:
             assert any(verdicts) and not all(verdicts)
             for poly, a, b in zip(polys, fast, slow):
                 assert (a.is_permutation, a.witness) == (b.is_permutation, b.witness), poly
+
+
+class TestDefaultCap:
+    def test_gf_2_18_both_ways(self):
+        # GF(2^18) is under the default cap and tabled: X^5 runs the one-term
+        # loop, X^q + g X the full Zech-log sum; it is GF(q)-linear with no
+        # kernel, since x^(q-1) = g has no root for a primitive g
+        ext = get_ext(2, 9)
+        big, q = ext.big, ext.q
+        assert big._log is not None
+        polys = [SparsePolynomial.x_power(big, 5),
+                 SparsePolynomial(big, [(q, big.one()), (1, big.generator)])]
+        for f in polys:
+            r, h = decompose(f, ext)
+            rep = verify_both(r, h, f, ext)
+            assert rep.is_permutation and rep.witness is None, f
 
 
 class TestCriterion:
