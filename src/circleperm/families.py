@@ -462,20 +462,22 @@ def param_grid(family: str, ext: QuadExtension, limits: GridLimits | None = None
         if limits.beta_indices is None
         else [mu[i] for i in limits.beta_indices]
     )
-    nonsub = ext.nonsubfield_members()
-    deltas = nonsub[:: limits.delta_stride]
-    delta_ts = nonsub[:: limits.delta_t_stride]
+    big, q = ext.big, ext.q
+
+    def nonsub(stride):  # GF(q^2) \ GF(q) lazily: the i-th log off (q+1)Z is i + i//q + 1
+        return (big.from_enc(big.exp_enc(i + i // q + 1)) for i in range(0, q * q - q, stride))
+
     emitted = 0
     for beta in betas:
         beta_t = derive_beta_t(family, beta)
         for aux in aux_candidates(family, ext):
-            aux_val = aux if aux is not None else ext.big.zero()
-            for delta in deltas:
+            aux_val = aux if aux is not None else big.zero()
+            for delta in nonsub(limits.delta_stride):
                 if spec.kind == KIND_QUARTIC_TRI:
                     if (delta + ext.frob_q(delta) + aux_val).enc == 0:
                         continue
                 excl = {x.enc for x in exclusion_set(spec.kind, delta, aux_val, ext)}
-                for delta_t in delta_ts:
+                for delta_t in nonsub(limits.delta_t_stride):
                     if delta_t.enc in excl:
                         continue
                     yield ConstructionParams(family, beta, beta_t, delta, delta_t, aux)

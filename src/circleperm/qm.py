@@ -11,7 +11,9 @@ produces witnesses and is the oracle the tests hold classification against.
 
 Catalogs are classified without comparing pairs: the maps form a group, so the
 least (support, coefficient-log) key over a polynomial's orbit is an exact
-class invariant, and grouping by it takes time linear in the catalog.
+class invariant, and grouping by it takes time linear in the catalog.  The
+key tries only the d that can give the least support: those sending an
+exponent of least gcd g* with q^2-1 to g* itself, at most g* per exponent.
 
 Functional comparison happens on exponent-reduced polynomials: the
 fixpoint convention of reduce_exponents keeps positive exponents positive,
@@ -83,20 +85,18 @@ def qm_equivalent(f: SparsePolynomial, g: SparsePolynomial, ext: QuadExtension,
 def _complete_for_d(f, g, d, big, v_bruteforce):
     """Search (u, v) with f = u*g(v X^d); None when no completion exists.
 
-    f and g are exponent-reduced, so the comparison with apply_qm is exact.
+    f and g are exponent-reduced and d is a unit, so u*g(v X^d) has one term
+    per term of g and equals f iff the sizes agree and every mapped
+    coefficient matches; the check stops at the first mismatch.
     """
     m = big.order - 1
     g_terms = g.sorted_terms()
     e1, c1 = g_terms[0]
     t1 = f.terms.get(reduce_exponent(e1 * d, m))
-    if t1 is None:
+    if t1 is None or len(f.terms) != len(g_terms):
         return None
-    if len(g_terms) == 1:
-        v = big.one()
-        u = t1 / c1  # any v works; v = 1 keeps the witness canonical
-        if apply_qm(g, u, v, d) == f:
-            return (u, v, d)
-        return None
+    if len(g_terms) == 1:  # u*c1 = t1 for any v; v = 1 keeps the witness canonical
+        return (t1 / c1, big.one(), d)
     e2, c2 = g_terms[1]
     t2 = f.terms.get(reduce_exponent(e2 * d, m))
     if t2 is None:
@@ -115,8 +115,9 @@ def _complete_for_d(f, g, d, big, v_bruteforce):
         y0 = rho_log // t * pow(delta // t, -1, step) % step
         v_candidates = (big.gen_pow(y0 + j * step) for j in range(t))
     for v in v_candidates:
-        u = t1 / (c1 * v**e1)
-        if apply_qm(g, u, v, d) == f:
+        u = t1 / (c1 * v**e1)  # solved from the first term: check the rest
+        if all(f.terms.get(reduce_exponent(e * d, m)) == u * c * v**e
+               for e, c in g_terms[1:]):
             return (u, v, d)
     return None
 
@@ -327,19 +328,29 @@ def instantiate_known(family_id: str, ext: QuadExtension):
 def qm_canonical_key(f: SparsePolynomial, ext: QuadExtension, cap: int = QM_CAP) -> tuple:
     """Least (support, coefficient logs) over the QM orbit of f.
 
-    f ~ g iff their keys are equal.  For each unit d the mapped support is
-    sorted; u and v then add a + b*e (mod m, any a and b) to the log of the
-    term at mapped exponent e, so a sets the first log to 0 and b minimises
-    the second, leaving gcd(e2 - e1, m) choices of b compared in full.
+    f ~ g iff their keys are equal.  A unit d fixes exponents 0 and m and
+    sends e in (0, m) to a multiple of gcd(e, m), so the least support starts
+    (after any constant) with g* = min gcd(e, m), reached only by d*e = g*:
+    the unit lifts of (e/g*)^-1 mod m/g*.  For each such d the mapped support
+    is sorted; u and v then add a + b*e (mod m, any a and b) to the log of
+    the term at mapped exponent e, so a sets the first log to 0 and b
+    minimises the second, leaving gcd(e2 - e1, m) choices of b compared.
     """
     _check_inputs(ext, cap, (f,))
-    big = ext.big
+    return _reduced_key(f.reduce_exponents(), ext.big)
+
+
+def _reduced_key(f: SparsePolynomial, big) -> tuple:
+    """qm_canonical_key of an exponent-reduced, checked f."""
     m = big.order - 1
-    terms = [(e, big.log_enc(c.enc)) for e, c in f.reduce_exponents().terms.items()]
+    terms = [(e, big.log_enc(c.enc)) for e, c in f.terms.items()]
+    inner = [e for e, _ in terms if 0 < e < m]
+    g_star = min((math.gcd(e, m) for e in inner), default=m)
+    n = m // g_star
+    ds = {d for e in inner if math.gcd(e, m) == g_star
+          for d in range(pow(e // g_star, -1, n), m, n) if math.gcd(d, m) == 1}
     best = None
-    for d in range(1, m):
-        if math.gcd(d, m) != 1:
-            continue
+    for d in ds or (1,):
         mapped = sorted([(reduce_exponent(e * d, m), log) for e, log in terms])
         supp = tuple([e for e, _ in mapped])
         if best is not None and supp > best[0]:
@@ -369,7 +380,7 @@ def classify_catalog(polys: list[SparsePolynomial], ext: QuadExtension,
     reduced = [p.reduce_exponents() for p in polys]
     groups: dict[tuple, list[int]] = {}
     for i, f in enumerate(reduced):
-        groups.setdefault(qm_canonical_key(f, ext, cap), []).append(i)
+        groups.setdefault(_reduced_key(f, ext.big), []).append(i)
     classes = list(groups.values())
     reps = [min(members, key=lambda i: reduced[i].canonical_key()) for members in classes]
     order = sorted(range(len(classes)), key=lambda c: reduced[reps[c]].canonical_key())

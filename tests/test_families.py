@@ -333,6 +333,29 @@ class TestParamGrid:
             )
         assert whole == split
 
+    @pytest.mark.parametrize("strides", [(1, 1), (2, 3), (5, 2)])
+    def test_strided_order_matches_nonsubfield_list(self, ext25, strides):
+        # order oracle: strided slices of the materialised list, every aux
+        nonsub = ext25.nonsubfield_members()
+        expected = []
+        for delta in nonsub[:: strides[0]]:
+            excl = {x.enc for x in exclusion_set(KIND_CUBIC, delta, ext25.big.zero(), ext25)}
+            expected += [(delta.enc, t.enc) for t in nonsub[:: strides[1]] if t.enc not in excl]
+        limits = GridLimits(delta_stride=strides[0], delta_t_stride=strides[1],
+                            beta_indices=[0])
+        got = [(p.delta.enc, p.delta_t.enc) for p in param_grid("Q1", ext25, limits)]
+        assert got == expected * len(aux_candidates("Q1", ext25))
+
+    def test_first_tuple_builds_no_field_sized_list(self, ext64, monkeypatch):
+        # the deltas are walked lazily: one tuple costs a few generator
+        # powers, not the q^2 - q of GF(q^2) \ GF(q)
+        big = ext64.big
+        calls = []
+        exp_enc = big.exp_enc
+        monkeypatch.setattr(big, "exp_enc", lambda k: calls.append(k) or exp_enc(k))
+        next(param_grid("P1", ext64))
+        assert 0 < len(calls) < ext64.q
+
     def test_aux_candidates(self, ext9, ext16):
         # GF(9): nonsquares of GF(3) are {2}; plus zero
         assert len(aux_candidates("Q3", get_ext(3, 1))) == 2

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from circleperm.errors import CapExceeded, NotInstantiable, ZeroInput
 from circleperm.families import ConstructionParams, GridLimits, build_family, param_grid
-from circleperm.polynomials import SparsePolynomial
+from circleperm.polynomials import SparsePolynomial, reduce_exponent
 from circleperm.qm import (
     KNOWN_FAMILIES,
     apply_qm,
@@ -342,3 +342,95 @@ class TestCanonicalKey:
                 f, g, ext, prefilter=False, v_bruteforce=True).equivalent))
         part = classify_catalog(catalog, ext)
         assert sorted(map(tuple, part.classes)) == sorted(oracle)
+
+
+def all_units_key(f, ext):
+    """The canonical key by walking every unit d mod m: the oracle for the
+    candidate-d key."""
+    big = ext.big
+    m = big.order - 1
+    terms = [(e, big.log_enc(c.enc)) for e, c in f.reduce_exponents().terms.items()]
+    best = None
+    for d in range(1, m):
+        if math.gcd(d, m) != 1:
+            continue
+        mapped = sorted([(reduce_exponent(e * d, m), log) for e, log in terms])
+        supp = tuple([e for e, _ in mapped])
+        if best is not None and supp > best[0]:
+            continue
+        (e1, l1), (e2, l2) = mapped[0], mapped[min(1, len(mapped) - 1)]
+        t = math.gcd(e2 - e1, m)
+        step = m // t
+        b0 = -((l2 - l1) // t) * pow((e2 - e1) // t, -1, step) % step
+        key = (supp, min(tuple((log - l1 + b * (e - e1)) % m for e, log in mapped)
+                         for b in range(b0, m, step)))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+# GF(4), GF(9), GF(16), GF(25), GF(49), GF(81)
+ORACLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)]
+
+
+@st.composite
+def oracle_polys(draw, ext):
+    """1-5 terms of one of these shapes: any exponents in 0..m; a monomial;
+    a support inside {0, m}; inner exponents plus both 0 and m; or inner
+    exponents sharing a divisor of m, so that the least gcd exceeds 1."""
+    m = ext.big.order - 1
+    divisors = [k for k in range(2, m) if m % k == 0]
+    shape = draw(st.sampled_from(["any", "monomial", "ends", "with_ends", "shared"][
+        : 5 if divisors else 4]))
+    if shape == "any":
+        n = draw(st.integers(1, min(5, m + 1)))
+        exps = draw(st.lists(st.integers(0, m), min_size=n, max_size=n, unique=True))
+    elif shape == "monomial":
+        exps = [draw(st.integers(0, m))]
+    elif shape == "ends":
+        exps = draw(st.sampled_from([[0], [m], [0, m]]))
+    elif shape == "with_ends":
+        inner = draw(st.lists(st.integers(1, m - 1), max_size=min(3, m - 1), unique=True))
+        exps = [0, m] + inner
+    else:
+        k = draw(st.sampled_from(divisors))
+        n = draw(st.integers(1, min(4, m // k - 1)))
+        inner = draw(st.lists(st.integers(1, m // k - 1), min_size=n, max_size=n,
+                              unique=True))
+        exps = [k * e for e in inner] + draw(st.sampled_from([[], [0], [m]]))
+    logs = draw(st.lists(st.integers(0, m - 1), min_size=len(exps), max_size=len(exps)))
+    return SparsePolynomial(ext.big, [(e, ext.big.gen_pow(k)) for e, k in zip(exps, logs)])
+
+
+class TestKeyAgainstAllUnits:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), field=st.sampled_from(ORACLE_FIELDS))
+    def test_equals_all_units_key(self, data, field):
+        ext = get_ext(*field)
+        f = data.draw(oracle_polys(ext))
+        assert qm_canonical_key(f, ext) == all_units_key(f, ext)
+
+    @pytest.fixture(scope="class")
+    def p1_at_256(self):
+        ext = get_ext(2, 8)  # q = 256, above QM_CAP
+        limits = GridLimits(delta_stride=4099, delta_t_stride=997, max_count=4)
+        polys = [build_family("P1", p, ext).poly for p in param_grid("P1", ext, limits)]
+        return ext, polys, [all_units_key(f, ext) for f in polys]
+
+    def test_p1_at_q256(self, p1_at_256):
+        ext, polys, keys = p1_at_256
+        assert len(polys) == 4
+        assert [qm_canonical_key(f, ext, cap=1 << 16) for f in polys] == keys
+
+    def test_classify_at_q256(self, p1_at_256):
+        ext, polys, keys = p1_at_256
+        big = ext.big
+        twists = [apply_qm(polys[0], big.gen_pow(7), big.gen_pow(11), 13),
+                  apply_qm(polys[2], big.gen_pow(5), big.one(), 29)]
+        keys = keys + [all_units_key(f, ext) for f in twists]
+        assert keys[4:] == [keys[0], keys[2]]
+        by_key = {}
+        for i, k in enumerate(keys):
+            by_key.setdefault(k, []).append(i)
+        part = classify_catalog(polys + twists, ext, cap=1 << 16)
+        assert sorted(part.classes) == sorted(by_key.values())
