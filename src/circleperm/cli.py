@@ -34,7 +34,7 @@ from .families import (
     param_grid,
 )
 from .fields import EXHAUSTIVE_CAP, FieldElement, QuadExtension, field_create, quad_extension
-from .qm import QM_CAP, classify_catalog, qm_equivalent
+from .qm import classify_catalog, qm_equivalent
 from .serialize import (
     CSV_HEADER,
     CatalogEntry,
@@ -264,12 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(sp)
     sp.add_argument("--f", required=True)
     sp.add_argument("--g", required=True)
-    sp.add_argument("--cap", type=int, default=QM_CAP)
+    sp.add_argument("--cap", type=int, default=EXHAUSTIVE_CAP)
     sp.set_defaults(func=cmd_qm_test)
 
     sp = sub.add_parser("qm-classify", help="partition a catalog into QM classes")
     sp.add_argument("--catalog", required=True, help="JSONL catalog path")
-    sp.add_argument("--cap", type=int, default=QM_CAP)
+    sp.add_argument("--cap", type=int, default=EXHAUSTIVE_CAP)
     sp.set_defaults(func=cmd_qm_classify)
 
     sp = sub.add_parser("repro", help="rebuild the embedded worked examples")

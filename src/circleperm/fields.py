@@ -17,9 +17,9 @@ reads zech, and zech_table() builds it on first use.  The tables are filled
 by stepping x -> x*g: for the modulus root a step shifts the digits of x once
 and adds (top digit)*X^n mod the modulus, O(n) digit work.  Larger fields use
 table-free digit-wise and polynomial arithmetic; no order cap is enforced on
-arithmetic.  EXHAUSTIVE_CAP, the one cap on tables and exhaustive work, is
-re-exported by verify, and GridLimits.cap_order defaults to it; qm.QM_CAP
-caps QM search and classification.
+arithmetic.  EXHAUSTIVE_CAP, the one cap on tables, exhaustive work and QM
+equivalence, is re-exported by verify; GridLimits.cap_order and the qm
+functions' caps default to it.
 
 The quadratic-extension view GF(q^2)/GF(q) lives in QuadExtension, which
 exposes the subfield and the unit circle, i.e. the order-(q+1) subgroup
@@ -718,16 +718,6 @@ class QuadExtension:
                 x = x * gq
             self._sub = out
         return list(self._sub)
-
-    def nonsubfield_members(self) -> list[FieldElement]:
-        """Elements of GF(q^2) \\ GF(q), ascending generator power."""
-        q1 = self.q + 1
-        big = self.big
-        return [
-            FieldElement(big, big.exp_enc(k))
-            for k in range(big.order - 1)
-            if k % q1 != 0
-        ]
 
     # -- subfield-relative predicates -----------------------------------------
 

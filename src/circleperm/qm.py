@@ -1,19 +1,14 @@
 """Quasi-multiplicative equivalence and the registry of known families.
 
 f ~ g over GF(q^2) iff f(X) = u * g(v * X^d) for units u, v and some
-1 <= d < q^2-1 coprime to q^2-1.  The decision procedure walks d ascending;
-an exponent-set prefilter (the support of g scaled by d mod q^2-1 must equal
-the support of f) removes most candidates, after which v is pinned down by a
-coefficient-ratio root equation and u by a single coefficient, with every
-remaining coefficient verified.  A brute-force v enumeration is kept as an
-independent path and the prefilter can be switched off entirely.  This search
-produces witnesses and is the oracle the tests hold classification against.
-
-Catalogs are classified without comparing pairs: the maps form a group, so the
-least (support, coefficient-log) key over a polynomial's orbit is an exact
-class invariant, and grouping by it takes time linear in the catalog.  The
-key tries only the d that can give the least support: those sending an
-exponent of least gcd g* with q^2-1 to g* itself, at most g* per exponent.
+1 <= d < q^2-1 coprime to q^2-1.  The maps form a group, so the least
+(support, coefficient-log) key over a polynomial's orbit is an exact class
+invariant: f ~ g iff their keys are equal.  The key tries only the d that
+can give the least support: those sending an exponent of least gcd g* with
+q^2-1 to g* itself, at most g* per exponent.  Catalogs are classified by
+grouping on the key, in time linear in the catalog, and a pair is decided by
+comparing two keys.  The witness composes the maps that reach them: the
+inverse of f's map after g's.
 
 Functional comparison happens on exponent-reduced polynomials: the
 fixpoint convention of reduce_exponents keeps positive exponents positive,
@@ -25,19 +20,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import CapExceeded, NotInstantiable, ZeroInput
-from .fields import FieldElement, QuadExtension
+from .errors import CapExceeded, InvariantViolation, NotInstantiable, ZeroInput
+from .fields import EXHAUSTIVE_CAP, FieldElement, QuadExtension
 from .polynomials import SparsePolynomial, reduce_exponent
-
-QM_CAP = 1 << 12
 
 
 @dataclass
 class QmResult:
     equivalent: bool
     witness: tuple[FieldElement, FieldElement, int] | None = None
-    d_candidates_examined: int = 0
-    prefilter_rejected: int = 0
+    d_candidates_examined: int = 0  # candidate d whose b loop ran, both keys
+    prefilter_rejected: int = 0  # candidate d whose mapped support lost, both keys
 
 
 def _check_inputs(ext: QuadExtension, cap: int, polys):
@@ -57,69 +50,30 @@ def apply_qm(g: SparsePolynomial, u: FieldElement, v: FieldElement, d: int
 
 
 def qm_equivalent(f: SparsePolynomial, g: SparsePolynomial, ext: QuadExtension,
-                  cap: int = QM_CAP, prefilter: bool = True,
-                  v_bruteforce: bool = False) -> QmResult:
-    """Decide f ~ g; any valid witness is acceptable, found in ascending-d order."""
+                  cap: int = EXHAUSTIVE_CAP) -> QmResult:
+    """Decide f ~ g by comparing canonical keys; the witness maps g to f.
+
+    With T(u, v, d) h = u*h(v X^d), maps compose as T_A(T_B h) =
+    T(u_A*u_B, v_B*v_A^d_B, d_A*d_B).  If T1 = T(u1, v1, d1) takes f and
+    T2 takes g to the common key, then f = T1^-1(T2 g): d = d2/d1 mod m,
+    log u = a2 - a1 and log v = beta2 - beta1*d, where a_i = log u_i and
+    beta_i = log v_i.  The counters add up both keys' candidate d.
+    """
     _check_inputs(ext, cap, (f, g))
     big = ext.big
+    m = big.order - 1
     f = f.reduce_exponents()
     g = g.reduce_exponents()
-    m = big.order - 1
-    supp_f = frozenset(f.terms)
-    examined = 0
-    rejected = 0
-    for d in range(1, m):
-        if math.gcd(d, m) != 1:
-            continue
-        mapped = frozenset(reduce_exponent(e * d, m) for e in g.terms)
-        if prefilter and mapped != supp_f:
-            rejected += 1
-            continue
-        examined += 1
-        witness = _complete_for_d(f, g, d, big, v_bruteforce)
-        if witness is not None:
-            return QmResult(True, witness, examined, rejected)
-    return QmResult(False, None, examined, rejected)
-
-
-def _complete_for_d(f, g, d, big, v_bruteforce):
-    """Search (u, v) with f = u*g(v X^d); None when no completion exists.
-
-    f and g are exponent-reduced and d is a unit, so u*g(v X^d) has one term
-    per term of g and equals f iff the sizes agree and every mapped
-    coefficient matches; the check stops at the first mismatch.
-    """
-    m = big.order - 1
-    g_terms = g.sorted_terms()
-    e1, c1 = g_terms[0]
-    t1 = f.terms.get(reduce_exponent(e1 * d, m))
-    if t1 is None or len(f.terms) != len(g_terms):
-        return None
-    if len(g_terms) == 1:  # u*c1 = t1 for any v; v = 1 keeps the witness canonical
-        return (t1 / c1, big.one(), d)
-    e2, c2 = g_terms[1]
-    t2 = f.terms.get(reduce_exponent(e2 * d, m))
-    if t2 is None:
-        return None
-    if v_bruteforce:
-        v_candidates = (big.gen_pow(y) for y in range(m))
-    else:
-        # u*c1*v^e1 = t1 and u*c2*v^e2 = t2 force v^(e1-e2) = (t1*c2)/(t2*c1)
-        ratio = (t1 * c2) / (t2 * c1)
-        rho_log = big.log_enc(ratio.enc)
-        delta = (e1 - e2) % m
-        t = math.gcd(delta, m)
-        if rho_log % t != 0:
-            return None
-        step = m // t
-        y0 = rho_log // t * pow(delta // t, -1, step) % step
-        v_candidates = (big.gen_pow(y0 + j * step) for j in range(t))
-    for v in v_candidates:
-        u = t1 / (c1 * v**e1)  # solved from the first term: check the rest
-        if all(f.terms.get(reduce_exponent(e * d, m)) == u * c * v**e
-               for e, c in g_terms[1:]):
-            return (u, v, d)
-    return None
+    key_f, (a1, beta1, d1), seen_f, lost_f = _orbit_min(f, big)
+    key_g, (a2, beta2, d2), seen_g, lost_g = _orbit_min(g, big)
+    examined, rejected = seen_f + seen_g, lost_f + lost_g
+    if key_f != key_g:
+        return QmResult(False, None, examined, rejected)
+    d = d2 * pow(d1, -1, m) % m
+    u, v = big.gen_pow((a2 - a1) % m), big.gen_pow((beta2 - beta1 * d) % m)
+    if apply_qm(g, u, v, d) != f:
+        raise InvariantViolation("equal QM keys gave a witness that does not map g to f")
+    return QmResult(True, (u, v, d), examined, rejected)
 
 
 def qm_verify_witness(f, g, witness, ext) -> bool:
@@ -325,7 +279,8 @@ def instantiate_known(family_id: str, ext: QuadExtension):
 # catalog classification
 
 
-def qm_canonical_key(f: SparsePolynomial, ext: QuadExtension, cap: int = QM_CAP) -> tuple:
+def qm_canonical_key(f: SparsePolynomial, ext: QuadExtension,
+                     cap: int = EXHAUSTIVE_CAP) -> tuple:
     """Least (support, coefficient logs) over the QM orbit of f.
 
     f ~ g iff their keys are equal.  A unit d fixes exponents 0 and m and
@@ -337,11 +292,13 @@ def qm_canonical_key(f: SparsePolynomial, ext: QuadExtension, cap: int = QM_CAP)
     minimises the second, leaving gcd(e2 - e1, m) choices of b compared.
     """
     _check_inputs(ext, cap, (f,))
-    return _reduced_key(f.reduce_exponents(), ext.big)
+    return _orbit_min(f.reduce_exponents(), ext.big)[0]
 
 
-def _reduced_key(f: SparsePolynomial, big) -> tuple:
-    """qm_canonical_key of an exponent-reduced, checked f."""
+def _orbit_min(f: SparsePolynomial, big) -> tuple:
+    """(key, (log u, log v, d), d examined, d skipped) for an exponent-reduced,
+    checked f: u*f(v X^d) has the key, with log u = -l1 - b*e1 and
+    log v = b*d for the winning d and b."""
     m = big.order - 1
     terms = [(e, big.log_enc(c.enc)) for e, c in f.terms.items()]
     inner = [e for e, _ in terms if 0 < e < m]
@@ -350,21 +307,27 @@ def _reduced_key(f: SparsePolynomial, big) -> tuple:
     ds = {d for e in inner if math.gcd(e, m) == g_star
           for d in range(pow(e // g_star, -1, n), m, n) if math.gcd(d, m) == 1}
     best = None
+    examined = skipped = 0
     for d in ds or (1,):
         mapped = sorted([(reduce_exponent(e * d, m), log) for e, log in terms])
         supp = tuple([e for e, _ in mapped])
         if best is not None and supp > best[0]:
+            skipped += 1
             continue
+        examined += 1
         # a monomial pairs its term with itself: t = m and every b is tried
         (e1, l1), (e2, l2) = mapped[0], mapped[min(1, len(mapped) - 1)]
         t = math.gcd(e2 - e1, m)
         step = m // t
         b0 = -((l2 - l1) // t) * pow((e2 - e1) // t, -1, step) % step
-        key = (supp, min(tuple((log - l1 + b * (e - e1)) % m for e, log in mapped)
-                         for b in range(b0, m, step)))
+        logs = [tuple((log - l1 + b * (e - e1)) % m for e, log in mapped)
+                for b in range(b0, m, step)]
+        key = (supp, min(logs))
         if best is None or key < best:
             best = key
-    return best
+            b = b0 + logs.index(key[1]) * step
+            best_map = ((-l1 - b * e1) % m, b * d % m, d)
+    return best, best_map, examined, skipped
 
 
 @dataclass
@@ -374,13 +337,13 @@ class QmPartition:
 
 
 def classify_catalog(polys: list[SparsePolynomial], ext: QuadExtension,
-                     cap: int = QM_CAP) -> QmPartition:
+                     cap: int = EXHAUSTIVE_CAP) -> QmPartition:
     """Group by qm_canonical_key; representatives minimal in degree-then-lex."""
     _check_inputs(ext, cap, polys)
     reduced = [p.reduce_exponents() for p in polys]
     groups: dict[tuple, list[int]] = {}
     for i, f in enumerate(reduced):
-        groups.setdefault(_reduced_key(f, ext.big), []).append(i)
+        groups.setdefault(_orbit_min(f, ext.big)[0], []).append(i)
     classes = list(groups.values())
     reps = [min(members, key=lambda i: reduced[i].canonical_key()) for members in classes]
     order = sorted(range(len(classes)), key=lambda c: reduced[reps[c]].canonical_key())

@@ -1,8 +1,11 @@
 import functools
+import math
 
 import pytest
 
 from circleperm.fields import field_create, quad_extension
+from circleperm.polynomials import reduce_exponent
+from circleperm.qm import QmResult
 
 # moduli the worked examples fix explicitly, least degree first
 MOD_2_6 = [1, 1, 0, 1, 1, 0, 1]  # X^6+X^4+X^3+X+1
@@ -49,3 +52,30 @@ def ext64():
 @pytest.fixture(scope="session")
 def ext81():
     return get_ext(3, 2, tuple(MOD_3_4))
+
+
+def qm_search_oracle(f, g, ext):
+    """Decide f ~ g by brute force, the oracle for the key-based qm_equivalent:
+    every unit d ascending, every v = g^y, u solved from g's first term and
+    every term compared.  The first (u, v, d) found is the witness."""
+    big = ext.big
+    m = big.order - 1
+    f = f.reduce_exponents()
+    g_terms = g.reduce_exponents().sorted_terms()
+    e1, c1 = g_terms[0]
+    for d in range(1, m):
+        if math.gcd(d, m) != 1:
+            continue
+        t1 = f.terms.get(reduce_exponent(e1 * d, m))
+        if t1 is None or len(f.terms) != len(g_terms):
+            continue
+        if len(g_terms) == 1:  # u*c1 = t1 for any v; v = 1 keeps the witness canonical
+            return QmResult(True, (t1 / c1, big.one(), d))
+        if reduce_exponent(g_terms[1][0] * d, m) not in f.terms:
+            continue
+        for v in (big.gen_pow(y) for y in range(m)):
+            u = t1 / (c1 * v**e1)
+            if all(f.terms.get(reduce_exponent(e * d, m)) == u * c * v**e
+                   for e, c in g_terms[1:]):
+                return QmResult(True, (u, v, d))
+    return QmResult(False)

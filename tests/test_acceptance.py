@@ -46,7 +46,7 @@ from circleperm.verify import (
     is_permutation_exhaustive,
     verify_both,
 )
-from conftest import MOD_2_6, MOD_2_12, MOD_3_4, get_ext, get_field
+from conftest import MOD_2_6, MOD_2_12, MOD_3_4, get_ext, get_field, qm_search_oracle
 
 
 def record(number, ok, message):
@@ -261,7 +261,7 @@ def test_criterion_6_qm_desk_scale_inequivalence():
     pairs = 0
     for poly in b1_polys:
         for inst in relaxed:
-            res = qm_equivalent(poly, inst.poly, ext4, prefilter=False, v_bruteforce=True)
+            res = qm_search_oracle(poly, inst.poly, ext4)
             assert not res.equivalent
             pairs += 1
     # quadrinomial side: the worked q=5 instance against every registry row
@@ -275,7 +275,7 @@ def test_criterion_6_qm_desk_scale_inequivalence():
     ).poly
     f9_pairs = 0
     for inst in instantiate_known("F9", ext5):
-        res = qm_equivalent(f_q1, inst.poly, ext5, prefilter=False, v_bruteforce=True)
+        res = qm_search_oracle(f_q1, inst.poly, ext5)
         assert not res.equivalent
         f9_pairs += 1
     assert f9_pairs == 4
@@ -308,7 +308,7 @@ def test_criterion_7_qm_soundness():
         res = qm_equivalent(f, twisted, ext)
         assert res.equivalent and qm_verify_witness(f, twisted, res.witness, ext)
         probes += 1
-    # prefilter agreement against the unfiltered search
+    # key-based verdicts against the brute-force search
     agree = 0
     for p, m_deg in [(3, 1), (2, 2)]:
         ext = get_ext(p, m_deg)
@@ -323,13 +323,13 @@ def test_criterion_7_qm_soundness():
                 big, [(e, big.gen_pow(rnd.randrange(mm))) for e in rnd.sample(range(1, mm + 1), n2)]
             )
             fast = qm_equivalent(a, b, ext)
-            slow = qm_equivalent(a, b, ext, prefilter=False, v_bruteforce=True)
+            slow = qm_search_oracle(a, b, ext)
             assert fast.equivalent == slow.equivalent
             agree += 1
     record(
         7, True,
         f"{probes} self-equivalence probes returned verifying witnesses; "
-        f"prefilter agreed with the unfiltered search on {agree} random pairs",
+        f"key comparison agreed with the brute-force search on {agree} random pairs",
     )
 
 

@@ -25,7 +25,6 @@ from circleperm.serialize import (
     rational_to_json,
 )
 from circleperm.polynomials import RationalFunction, SparsePolynomial
-from circleperm.qm import QM_CAP
 from circleperm.verify import verify_both
 from conftest import get_ext
 
@@ -256,8 +255,8 @@ class TestCommands:
 
     def test_qm_cap_defaults(self):
         ap = build_parser()
-        assert ap.parse_args(["qm-test", "--f", "{}", "--g", "{}"]).cap == QM_CAP
-        assert ap.parse_args(["qm-classify", "--catalog", "cat.jsonl"]).cap == QM_CAP
+        assert ap.parse_args(["qm-test", "--f", "{}", "--g", "{}"]).cap == EXHAUSTIVE_CAP
+        assert ap.parse_args(["qm-classify", "--catalog", "cat.jsonl"]).cap == EXHAUSTIVE_CAP
         assert ap.parse_args(["construct", "--family", "P1"]).cap == EXHAUSTIVE_CAP
         assert ap.parse_args(["verify", "--poly", "{}"]).cap == EXHAUSTIVE_CAP
         assert GridLimits().cap_order == EXHAUSTIVE_CAP

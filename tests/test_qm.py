@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -19,7 +20,7 @@ from circleperm.qm import (
     qm_verify_witness,
 )
 from circleperm.verify import is_permutation_exhaustive
-from conftest import get_ext
+from conftest import get_ext, qm_search_oracle
 
 
 def rand_poly(ctx, rnd, max_terms=4):
@@ -105,10 +106,27 @@ class TestSearch:
         f = q1_example_poly(ext25)
         other = SparsePolynomial.x_power(big, 2)  # different support size
         res = qm_equivalent(f, other, ext25)
-        m = big.order - 1
-        coprime = sum(1 for d in range(1, m) if math.gcd(d, m) == 1)
+        # f (exponents 3, 7, 11, 15 mod 24) tries d = 7 and 11, the inverses
+        # of its gcd-1 exponents; X^2 tries d = 1 and 13, the lifts of 1 mod
+        # 12; each key's mapped supports tie, so no candidate is skipped
         assert not res.equivalent
-        assert res.prefilter_rejected == coprime and res.d_candidates_examined == 0
+        assert res.d_candidates_examined == 4 and res.prefilter_rejected == 0
+        # X + X^2 + X^7 tries d = 1, support (1, 2, 7), then d = 7, support
+        # (1, 7, 14), which loses and is skipped: once per key
+        h = SparsePolynomial(big, [(1, big.one()), (2, big.one()), (7, big.one())])
+        res = qm_equivalent(h, h, ext25)
+        assert res.d_candidates_examined == 2 and res.prefilter_rejected == 2
+
+    def test_witness_uses_the_winning_b(self, ext25):
+        # exponents 1, 3, 4: 3 - 1 shares the factor 2 with 24 and 4 - 1 does
+        # not, so the two b that fix the first two logs give different keys
+        big = ext25.big
+        f = SparsePolynomial(big, [(1, big.one()), (3, big.gen_pow(5)), (4, big.gen_pow(9))])
+        rnd = random.Random(31)
+        for _ in range(20):
+            twisted = apply_qm(f, *rand_witness(big, rnd))
+            res = qm_equivalent(f, twisted, ext25)
+            assert res.equivalent and qm_verify_witness(f, twisted, res.witness, ext25)
 
     def test_prefilter_agrees_with_unfiltered(self):
         rnd = random.Random(41)
@@ -118,27 +136,18 @@ class TestSearch:
                 a = rand_poly(ext.big, rnd)
                 b = rand_poly(ext.big, rnd)
                 fast = qm_equivalent(a, b, ext)
-                slow = qm_equivalent(a, b, ext, prefilter=False, v_bruteforce=True)
+                slow = qm_search_oracle(a, b, ext)
                 assert fast.equivalent == slow.equivalent
                 if fast.equivalent:
                     assert qm_verify_witness(a, b, fast.witness, ext)
                     assert qm_verify_witness(a, b, slow.witness, ext)
 
-    def test_v_solver_paths_agree(self, ext25):
-        f = q1_example_poly(ext25)
-        big = ext25.big
-        tw = apply_qm(f, big.gen_pow(13), big.gen_pow(2), 13)
-        r1 = qm_equivalent(f, tw, ext25)
-        r2 = qm_equivalent(f, tw, ext25, v_bruteforce=True)
-        assert r1.equivalent and r2.equivalent
-        assert qm_verify_witness(f, tw, r2.witness, ext25)
-
     def test_cap(self):
         from conftest import MOD_2_12
 
-        ext = get_ext(2, 6, tuple(MOD_2_12))  # order 4096 = cap boundary
+        ext = get_ext(2, 6, tuple(MOD_2_12))  # order 4096
         f = SparsePolynomial.x_power(ext.big, 1)
-        assert qm_equivalent(f, f, ext).equivalent  # at the cap: fine
+        assert qm_equivalent(f, f, ext).equivalent  # under the default cap: fine
         with pytest.raises(CapExceeded):
             qm_equivalent(f, f, ext, cap=1 << 11)
 
@@ -264,9 +273,7 @@ class TestClassify:
         idx = [distinct.index(p) for p in sample]
         for a_pos, i in enumerate(idx):
             for j in idx[a_pos + 1:]:
-                slow = qm_equivalent(
-                    distinct[i], distinct[j], ext16, prefilter=False, v_bruteforce=True
-                ).equivalent
+                slow = qm_search_oracle(distinct[i], distinct[j], ext16).equivalent
                 assert (class_of[i] == class_of[j]) == slow
 
     def test_cap_checked_for_any_catalog_size(self):
@@ -274,7 +281,7 @@ class TestClassify:
 
         ext = get_ext(2, 6, tuple(MOD_2_12))
         f = SparsePolynomial.x_power(ext.big, 1)
-        assert classify_catalog([f], ext).classes == [[0]]  # at the cap: fine
+        assert classify_catalog([f], ext).classes == [[0]]  # under the default cap
         for catalog in ([], [f], [f, f]):
             with pytest.raises(CapExceeded):
                 classify_catalog(catalog, ext, cap=1 << 11)
@@ -338,8 +345,13 @@ class TestCanonicalKey:
         catalog = data.draw(st.permutations(catalog))
         oracle = set()
         for f in catalog:
-            oracle.add(tuple(j for j, g in enumerate(catalog) if qm_equivalent(
-                f, g, ext, prefilter=False, v_bruteforce=True).equivalent))
+            row = tuple(j for j, g in enumerate(catalog)
+                        if qm_search_oracle(f, g, ext).equivalent)
+            oracle.add(row)
+            for j, g in enumerate(catalog):
+                res = qm_equivalent(f, g, ext)
+                assert res.equivalent == (j in row)
+                assert not res.equivalent or qm_verify_witness(f, g, res.witness, ext)
         part = classify_catalog(catalog, ext)
         assert sorted(map(tuple, part.classes)) == sorted(oracle)
 
@@ -412,25 +424,36 @@ class TestKeyAgainstAllUnits:
 
     @pytest.fixture(scope="class")
     def p1_at_256(self):
-        ext = get_ext(2, 8)  # q = 256, above QM_CAP
+        # four P1 polynomials at q = 256, then twists of the first and third
+        ext = get_ext(2, 8)
+        big = ext.big
         limits = GridLimits(delta_stride=4099, delta_t_stride=997, max_count=4)
         polys = [build_family("P1", p, ext).poly for p in param_grid("P1", ext, limits)]
+        polys += [apply_qm(polys[0], big.gen_pow(7), big.gen_pow(11), 13),
+                  apply_qm(polys[2], big.gen_pow(5), big.one(), 29)]
         return ext, polys, [all_units_key(f, ext) for f in polys]
 
     def test_p1_at_q256(self, p1_at_256):
         ext, polys, keys = p1_at_256
-        assert len(polys) == 4
-        assert [qm_canonical_key(f, ext, cap=1 << 16) for f in polys] == keys
+        assert len(polys) == 6
+        assert [qm_canonical_key(f, ext) for f in polys] == keys
 
     def test_classify_at_q256(self, p1_at_256):
         ext, polys, keys = p1_at_256
-        big = ext.big
-        twists = [apply_qm(polys[0], big.gen_pow(7), big.gen_pow(11), 13),
-                  apply_qm(polys[2], big.gen_pow(5), big.one(), 29)]
-        keys = keys + [all_units_key(f, ext) for f in twists]
         assert keys[4:] == [keys[0], keys[2]]
         by_key = {}
         for i, k in enumerate(keys):
             by_key.setdefault(k, []).append(i)
-        part = classify_catalog(polys + twists, ext, cap=1 << 16)
+        part = classify_catalog(polys, ext)
         assert sorted(part.classes) == sorted(by_key.values())
+
+    def test_equivalent_at_q256(self, p1_at_256):
+        ext, polys, keys = p1_at_256
+        equivalent = set()
+        for i, j in itertools.combinations(range(len(polys)), 2):
+            res = qm_equivalent(polys[i], polys[j], ext)
+            assert res.equivalent == (keys[i] == keys[j])
+            if res.equivalent:
+                assert qm_verify_witness(polys[i], polys[j], res.witness, ext)
+                equivalent.add((i, j))
+        assert {(0, 4), (2, 5)} <= equivalent  # each twist with its source
