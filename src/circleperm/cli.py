@@ -104,17 +104,18 @@ def cmd_construct(args) -> int:
         raise CapExceeded(f"field order {ext.big.order} above --cap {args.cap}")
     if args.family not in FAMILIES:
         raise CirclepermError(f"unknown family {args.family!r}")
+    # built before any output, so that malformed limits write nothing
+    limits = GridLimits(
+        cap_order=args.cap,
+        max_count=args.max_count,
+        delta_stride=args.delta_stride,
+        delta_t_stride=args.delta_t_stride,
+    )
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         if args.format == "csv":
             _emit(out, CSV_HEADER)
         if args.grid:
-            limits = GridLimits(
-                cap_order=args.cap,
-                max_count=args.max_count,
-                delta_stride=args.delta_stride,
-                delta_t_stride=args.delta_t_stride,
-            )
             for entry in construct_grid_entries(ext, args.family, limits):
                 line = entry_to_json(entry)
                 _emit(out, entry_to_csv_row(line) if args.format == "csv" else dumps_line(line))
@@ -122,13 +123,10 @@ def cmd_construct(args) -> int:
         if not (args.beta and args.delta and args.delta_t):
             raise CirclepermError("single construction needs --beta, --delta, --delta-t")
         beta = parse_element(args.beta, ext)
-        beta_t = (
-            parse_element(args.beta_t, ext) if args.beta_t else derive_beta_t(args.family, beta)
-        )
         params = ConstructionParams(
             args.family,
             beta,
-            beta_t,
+            derive_beta_t(args.family, beta),
             parse_element(args.delta, ext),
             parse_element(args.delta_t, ext),
             parse_element(args.aux, ext) if args.aux else None,
@@ -241,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(sp)
     sp.add_argument("--family", required=True, choices=sorted(FAMILIES))
     sp.add_argument("--beta")
-    sp.add_argument("--beta-t", dest="beta_t")
     sp.add_argument("--delta")
     sp.add_argument("--delta-t", dest="delta_t")
     sp.add_argument("--aux")

@@ -1,25 +1,31 @@
-"""Closed-form coefficient systems and builders for the polynomial families.
+"""Coefficient systems and builders for the polynomial families.
 
 Every family is a polynomial X^r * h(X^(q-1)) over GF(q^2) whose h comes
-from conjugating one of four base maps of the projective line into the unit
-circle through a pair of degree-one bijections:
+from conjugating a base map R = sum c_i X^i of degree d, a permutation of
+the projective line, into the unit circle through the degree-one bijections
+rho(X) = (delta*X - beta*delta^q)/(X - beta) and
+nu(w) = beta_t*(w - delta_t^q)/(w - delta_t).  The base maps are
 
     cubic              X^3                      (q = 2 mod 3)
     cubic_shift        X^3 - alpha*X            (q = 0 mod 3)
     quartic_trinomial  X^4 + X^2 + alpha*X      (q even)
     quartic_binomial   X^4 + a*X                (q even; a = 0 for B1/B2)
 
-The numerator/denominator coefficients of the conjugated map are closed
-forms in (beta, beta_t, delta, delta_t, aux); build_family materializes the
-chosen h_i, the exponent r and the expanded sparse polynomial with
-exponents reduced into [1, q^2-1] (expand_decomposition).
+One formula serves all four.  Put X = beta*Y, let Q_k be the Y^k
+coefficient of (Y - 1)^d * R((delta*Y - delta^q)/(Y - 1)) and
+b_k = C(d,k) * (-1)^(d-k).  Then nu(R(rho(X))) = sum N_k X^k / sum D_k X^k with
+D_k = beta^(d-k) * (Q_k - delta_t*b_k), N_k = beta_t * beta^(d-k) * (Q_k -
+delta_t^q*b_k) and beta_t = -beta^(-d).  The exclusion sets and the h_i read
+off Q, b and D; build_family expands the chosen h_i with its exponent r.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
-from .errors import CtxMismatch, InvalidParams, InvariantViolation, LimitExceeded
+from .errors import InvalidParams, InvariantViolation, LimitExceeded
 from .fields import EXHAUSTIVE_CAP, FieldElement, QuadExtension
 from .polynomials import RationalFunction, SparsePolynomial, cubic_image, reduce_exponent
 
@@ -31,6 +37,15 @@ KIND_QUARTIC_BIN = "quartic_binomial"
 # congruence name -> (modulus, residue, wording in violations)
 _CONGRUENCES = {"2mod3": (3, 2, "2 mod 3"), "0mod3": (3, 0, "0 mod 3"), "even": (2, 0, "even")}
 
+# kind -> (index of the unshifted h, base map R as terms (i, n, e) that stand
+# for n * aux^e * X^i, highest degree first)
+_BASE_MAPS = {
+    KIND_CUBIC: (0, ((3, 1, 0),)),
+    KIND_CUBIC_SHIFT: (0, ((3, 1, 0), (1, -1, 1))),
+    KIND_QUARTIC_TRI: (1, ((4, 1, 0), (2, 1, 0), (1, 1, 1))),
+    KIND_QUARTIC_BIN: (1, ((4, 1, 0), (1, 1, 1))),
+}
+
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -41,7 +56,6 @@ class FamilySpec:
     h_index: int  # 0 = plain h (cubic kinds), 1..5 for the shifted variants
     r_q: int  # r = r_q * q + r_c
     r_c: int
-    beta_rel: str  # "cube": beta_t*beta^3 = -1; "fourth": beta_t*beta^4 = 1
     congruence: str  # "2mod3" | "0mod3" | "even"
     aux: str | None  # None | "square_or_zero" | "cubic_alpha" | "noncube" | "zero"
     advertised_terms: int
@@ -58,22 +72,22 @@ class FamilySpec:
 FAMILIES: dict[str, FamilySpec] = {
     s.family: s
     for s in [
-        FamilySpec("Q1", KIND_CUBIC, 0, 0, 3, "cube", "2mod3", None, 4),
-        FamilySpec("Q2a", KIND_CUBIC, 1, 0, 1, "cube", "2mod3", None, 4),
-        FamilySpec("Q2b", KIND_CUBIC, 2, 1, 0, "cube", "2mod3", None, 4),
-        FamilySpec("Q2c", KIND_CUBIC, 3, 1, -2, "cube", "2mod3", None, 4),
-        FamilySpec("Q3", KIND_CUBIC_SHIFT, 0, 0, 3, "cube", "0mod3", "square_or_zero", 4),
-        FamilySpec("Q4a", KIND_CUBIC_SHIFT, 1, 0, 1, "cube", "0mod3", "square_or_zero", 4),
-        FamilySpec("Q4b", KIND_CUBIC_SHIFT, 2, 1, 0, "cube", "0mod3", "square_or_zero", 4),
-        FamilySpec("Q4c", KIND_CUBIC_SHIFT, 3, 3, 0, "cube", "0mod3", "square_or_zero", 4),
-        FamilySpec("P1", KIND_QUARTIC_TRI, 1, 0, 4, "fourth", "even", "cubic_alpha", 5),
-        FamilySpec("P2", KIND_QUARTIC_TRI, 2, 0, 2, "fourth", "even", "cubic_alpha", 5),
-        FamilySpec("P3", KIND_QUARTIC_TRI, 5, 1, -3, "fourth", "even", "cubic_alpha", 5),
-        FamilySpec("P4", KIND_QUARTIC_BIN, 1, 0, 4, "fourth", "even", "noncube", 5),
-        FamilySpec("P5", KIND_QUARTIC_BIN, 2, 0, 2, "fourth", "even", "noncube", 5),
-        FamilySpec("P6", KIND_QUARTIC_BIN, 5, 1, -3, "fourth", "even", "noncube", 5),
-        FamilySpec("B1", KIND_QUARTIC_BIN, 2, 0, 2, "fourth", "even", "zero", 2),
-        FamilySpec("B2", KIND_QUARTIC_BIN, 5, 1, -3, "fourth", "even", "zero", 2),
+        FamilySpec("Q1", KIND_CUBIC, 0, 0, 3, "2mod3", None, 4),
+        FamilySpec("Q2a", KIND_CUBIC, 1, 0, 1, "2mod3", None, 4),
+        FamilySpec("Q2b", KIND_CUBIC, 2, 1, 0, "2mod3", None, 4),
+        FamilySpec("Q2c", KIND_CUBIC, 3, 1, -2, "2mod3", None, 4),
+        FamilySpec("Q3", KIND_CUBIC_SHIFT, 0, 0, 3, "0mod3", "square_or_zero", 4),
+        FamilySpec("Q4a", KIND_CUBIC_SHIFT, 1, 0, 1, "0mod3", "square_or_zero", 4),
+        FamilySpec("Q4b", KIND_CUBIC_SHIFT, 2, 1, 0, "0mod3", "square_or_zero", 4),
+        FamilySpec("Q4c", KIND_CUBIC_SHIFT, 3, 3, 0, "0mod3", "square_or_zero", 4),
+        FamilySpec("P1", KIND_QUARTIC_TRI, 1, 0, 4, "even", "cubic_alpha", 5),
+        FamilySpec("P2", KIND_QUARTIC_TRI, 2, 0, 2, "even", "cubic_alpha", 5),
+        FamilySpec("P3", KIND_QUARTIC_TRI, 5, 1, -3, "even", "cubic_alpha", 5),
+        FamilySpec("P4", KIND_QUARTIC_BIN, 1, 0, 4, "even", "noncube", 5),
+        FamilySpec("P5", KIND_QUARTIC_BIN, 2, 0, 2, "even", "noncube", 5),
+        FamilySpec("P6", KIND_QUARTIC_BIN, 5, 1, -3, "even", "noncube", 5),
+        FamilySpec("B1", KIND_QUARTIC_BIN, 2, 0, 2, "even", "zero", 2),
+        FamilySpec("B2", KIND_QUARTIC_BIN, 5, 1, -3, "even", "zero", 2),
     ]
 }
 
@@ -90,26 +104,21 @@ class ConstructionParams:
 
 @dataclass
 class CoefficientSystem:
-    """Numerator/denominator coefficients of the conjugated base map.
-
-    Cubic kinds carry N = (N0..N3) and D = (D0..D3).  Quartic kinds carry
-    N = (N0..N4) plus the circle-shift constants n4_shift = N4 + delta_t and
-    n0_shift = N0 + beta^4 * delta_t that appear in every h_i.
-    """
+    """Denominator coefficients D = (D_0..D_d) of the conjugated base map:
+    h and every h_i are D on shifted exponents (build_h).  The numerator is
+    built only for the dual-path check (closed_form_rational)."""
 
     kind: str
-    N: tuple
-    D: tuple | None = None
-    n4_shift: FieldElement | None = None
-    n0_shift: FieldElement | None = None
+    D: tuple
+
+
+def _degree(kind: str) -> int:
+    return _BASE_MAPS[kind][1][0][0]  # terms run highest degree first
 
 
 def derive_beta_t(family: str, beta: FieldElement) -> FieldElement:
-    """The beta_t forced by the family's relation on (beta, beta_t)."""
-    spec = FAMILIES[family]
-    if spec.beta_rel == "cube":
-        return -(beta**-3)
-    return beta**-4
+    """The beta_t forced by the family: beta_t = -beta^(-d), d = deg R."""
+    return -(beta ** -_degree(FAMILIES[family].kind))
 
 
 # ---------------------------------------------------------------------------
@@ -133,67 +142,48 @@ def validate_params(family: str, params: ConstructionParams, ext: QuadExtension)
         v.append("delta lies in the subfield")
     if ext.in_subfield(delta_t):
         v.append("delta_t lies in the subfield")
-    if spec.beta_rel == "cube":
-        if (ext.big.one() + beta_t * beta**3).enc != 0:
-            v.append("beta relation 1 + beta_t*beta^3 = 0 fails")
-    else:
-        if (beta_t * beta**4) != ext.big.one():
-            v.append("beta relation beta_t*beta^4 = 1 fails")
+    d = _degree(spec.kind)
+    if (ext.big.one() + beta_t * beta**d).enc != 0:
+        v.append(f"beta relation 1 + beta_t*beta^{d} = 0 fails")
     aux = params.aux
-    if spec.aux in (None, "zero"):
-        if aux is not None and aux.enc != 0:
-            v.append("family takes no aux element")
-        aux_val = ext.big.zero()
-    elif aux is None:
+    takes_aux = spec.aux not in (None, "zero")
+    if not takes_aux and aux is not None and aux.enc != 0:
+        v.append("family takes no aux element")
+    if takes_aux and aux is None:
         v.append("family requires an aux element")
-        aux_val = ext.big.zero()
-    else:
-        aux_val = aux
-    try:
-        excl = exclusion_set(spec.kind, delta, aux_val, ext)
-        if delta_t in excl:
-            v.append("delta_t lies in the excluded set for this delta")
-        if spec.kind == KIND_QUARTIC_TRI:
-            if (delta + ext.frob_q(delta) + aux_val).enc == 0:
-                v.append("delta + delta^q + aux = 0")
-    except CtxMismatch:
-        v.append("exclusion set not computable: aux from a different ctx")
-    if spec.aux == "square_or_zero" and aux is not None:
+    aux_val = aux if takes_aux and aux is not None else ext.big.zero()
+    if delta_t in exclusion_set(spec.kind, delta, aux_val, ext):
+        v.append("delta_t lies in the excluded set for this delta")
+    if spec.kind == KIND_QUARTIC_TRI and (delta + ext.frob_q(delta) + aux_val).enc == 0:
+        v.append("delta + delta^q + aux = 0")
+    if takes_aux and aux is not None:
         if not ext.in_subfield(aux):
             v.append("aux is not in the subfield")
-        elif aux.enc != 0 and ext.is_square_sub(aux):
+        elif spec.aux == "square_or_zero" and aux.enc != 0 and ext.is_square_sub(aux):
             v.append("aux must be zero or a non-square in the subfield")
-    elif spec.aux == "cubic_alpha" and aux is not None:
-        if not ext.in_subfield(aux):
-            v.append("aux is not in the subfield")
-        elif aux.enc in cubic_image(ext.subfield_members()):
+        elif spec.aux == "cubic_alpha" and aux.enc in cubic_image(ext.subfield_members()):
             v.append("X^3 + X + aux has a root in the subfield")
-    elif spec.aux == "noncube" and aux is not None:
-        if not ext.in_subfield(aux):
-            v.append("aux is not in the subfield")
-        elif aux.enc == 0:
+        elif spec.aux == "noncube" and aux.enc == 0:
             v.append("aux must be nonzero")
-        elif ext.is_cube_sub(aux):
+        elif spec.aux == "noncube" and ext.is_cube_sub(aux):
             v.append("aux must be a non-cube in the subfield")
     return v
 
 
 def exclusion_set(kind: str, delta: FieldElement, aux: FieldElement, ext: QuadExtension):
-    """delta_t values that would zero a coefficient the family needs."""
-    q = ext.q
-    dq = ext.frob_q(delta)
-    if kind == KIND_CUBIC:
-        return {delta**3, delta ** (q + 2), delta ** (2 * q + 1), delta ** (3 * q)}
-    if kind == KIND_CUBIC_SHIFT:
-        return {delta ** (3 * q) - aux * dq, delta**3 - aux * delta}
-    if kind == KIND_QUARTIC_TRI:
-        return {
-            delta**4 + delta**2 + aux * delta,
-            dq**4 + dq**2 + aux * dq,
-        }
-    if kind == KIND_QUARTIC_BIN:
-        return {delta**4 + aux * delta, dq**4 + aux * dq}
-    raise ValueError(f"unknown kind {kind}")
+    """delta_t values that would zero a coefficient the family needs.
+
+    D_k = beta^(d-k) * (Q_k - delta_t*b_k) vanishes at delta_t = Q_k/b_k
+    whenever b_k is nonzero mod p.
+    """
+    big = ext.big
+    p = big.p
+    _, b, _ = _plan(kind, p, ext.q)
+    return {
+        FieldElement(big, big.mul_enc(qk, pow(bk, -1, p)))
+        for qk, bk in zip(_q_encs(kind, delta, aux, ext), b)
+        if bk
+    }
 
 
 def irreducible_cubic_alphas_sub(ext: QuadExtension) -> list[FieldElement]:
@@ -208,9 +198,8 @@ def aux_candidates(family: str, ext: QuadExtension):
     if spec.aux in (None, "zero"):
         return [None]
     if spec.aux == "square_or_zero":
-        out = [ext.big.zero()]
-        out += [s for s in ext.subfield_members() if s.enc and not ext.is_square_sub(s)]
-        return out
+        nonsquares = [s for s in ext.subfield_members() if s.enc and not ext.is_square_sub(s)]
+        return [ext.big.zero()] + nonsquares
     if spec.aux == "cubic_alpha":
         return irreducible_cubic_alphas_sub(ext)
     if spec.aux == "noncube":
@@ -224,8 +213,50 @@ def aux_candidates(family: str, ext: QuadExtension):
 # coefficient systems
 
 
+@functools.lru_cache(maxsize=None)
+def _plan(kind: str, p: int, q: int):
+    """(d, b, terms) of the kind's R over GF(q^2): b_k mod p, and the terms
+    (k, n, e, x) of Q_k = sum n * aux^e * delta^x, nonzero n mod p.
+
+    Q_k expands sum_i c_i * (delta*Y - delta^q)^i * (Y - 1)^(d-i): Y^j of the
+    first factor times Y^l of the second gives k = j + l, x = j + q(i - j).
+    """
+    d = _degree(kind)
+    b = tuple(math.comb(d, k) * (-1) ** (d - k) % p for k in range(d + 1))
+    terms = tuple(
+        (j + l, n, e, j + q * (i - j))
+        for i, c, e in _BASE_MAPS[kind][1]
+        for j in range(i + 1)
+        for l in range(d - i + 1)
+        if (n := c * math.comb(i, j) * math.comb(d - i, l) * (-1) ** (d - j - l) % p)
+    )
+    return d, b, terms
+
+
+def _q_encs(kind: str, delta: FieldElement, aux: FieldElement | None, ext: QuadExtension
+            ) -> list[int]:
+    """Encodings of Q_0..Q_d at this delta and aux (None reads as zero)."""
+    big = ext.big
+    big._own(delta)
+    a = 0
+    if aux is not None:
+        big._own(aux)
+        a = aux.enc
+    mul, add, pw = big.mul_enc, big.add_enc, big.pow_enc
+    d, _, terms = _plan(kind, big.p, ext.q)
+    out = [0] * (d + 1)
+    for k, n, e, x in terms:
+        t = pw(delta.enc, x)
+        if n != 1:
+            t = mul(n, t)  # the prime-subfield element n is encoded as n
+        if e:
+            t = mul(a, t)
+        out[k] = add(out[k], t)
+    return out
+
+
 def coeffs(kind: str, params: ConstructionParams, ext: QuadExtension) -> CoefficientSystem:
-    """Closed-form numerator/denominator coefficients for the kind."""
+    """Validated coefficient system of the conjugated base map for the kind."""
     if FAMILIES[params.family].kind != kind:
         raise InvalidParams([f"params are for family {params.family}, not kind {kind}"])
     violations = validate_params(params.family, params, ext)
@@ -236,117 +267,36 @@ def coeffs(kind: str, params: ConstructionParams, ext: QuadExtension) -> Coeffic
 
 
 def _coeffs_raw(kind, beta, beta_t, delta, delta_t, aux, ext) -> CoefficientSystem:
-    q = ext.q
+    """D_k = beta^(d-k) * (Q_k - delta_t*b_k); beta_t enters only the numerator."""
     big = ext.big
-    dq = ext.frob_q(delta)
-    dtq = ext.frob_q(delta_t)
-    if kind == KIND_CUBIC:
-        three = big.from_int(3)
-        n = (
-            -(beta_t * beta**3) * (delta ** (3 * q) - dtq),
-            three * beta_t * beta**2 * (delta ** (2 * q + 1) - dtq),
-            -(three * beta_t * beta) * (delta ** (q + 2) - dtq),
-            beta_t * (delta**3 - dtq),
-        )
-        d = (
-            -(beta**3) * (delta ** (3 * q) - delta_t),
-            three * beta**2 * (delta ** (2 * q + 1) - delta_t),
-            -(three * beta) * (delta ** (q + 2) - delta_t),
-            delta**3 - delta_t,
-        )
-        return CoefficientSystem(kind, n, d)
-    if kind == KIND_CUBIC_SHIFT:
-        alpha = aux if aux is not None else big.zero()
-        drift = dq - delta
-        n = (
-            beta_t * beta**3 * (alpha * dq - delta ** (3 * q) + dtq),
-            alpha * beta_t * beta**2 * drift,
-            alpha * beta_t * beta * drift,
-            beta_t * (delta**3 - alpha * delta - dtq),
-        )
-        d = (
-            beta**3 * (alpha * dq - delta ** (3 * q) + delta_t),
-            alpha * beta**2 * drift,
-            alpha * beta * drift,
-            delta**3 - alpha * delta - delta_t,
-        )
-        return CoefficientSystem(kind, n, d)
-    if kind == KIND_QUARTIC_TRI:
-        alpha = aux
-        s = delta + dq
-        n = (
-            beta**4 * (dq**4 + dq**2 + alpha * dq),
-            alpha * beta**3 * s,
-            beta**2 * s * (s + alpha),
-            alpha * beta * s,
-            delta**4 + delta**2 + alpha * delta,
-        )
-        return CoefficientSystem(
-            kind,
-            n,
-            n4_shift=n[4] + delta_t,
-            n0_shift=n[0] + beta**4 * delta_t,
-        )
-    if kind == KIND_QUARTIC_BIN:
-        a = aux if aux is not None else big.zero()
-        s = delta + dq
-        n = (
-            beta**4 * (a * dq + dq**4),
-            a * beta**3 * s,
-            a * beta**2 * s,
-            a * beta * s,
-            delta**4 + a * delta,
-        )
-        return CoefficientSystem(
-            kind,
-            n,
-            n4_shift=n[4] + delta_t,
-            n0_shift=n[0] + beta**4 * delta_t,
-        )
-    raise ValueError(f"unknown kind {kind}")
+    mul = big.mul_enc
+    d, b, _ = _plan(kind, big.p, ext.q)
+    return CoefficientSystem(kind, tuple(
+        FieldElement(big, mul(big.pow_enc(beta.enc, d - k), big.sub_enc(qk, mul(bk, delta_t.enc))))
+        for k, (qk, bk) in enumerate(zip(_q_encs(kind, delta, aux, ext), b))
+    ))
 
 
 def base_map(kind: str, aux: FieldElement | None, ext: QuadExtension) -> RationalFunction:
-    """The inner projective-line map the kind conjugates."""
+    """The inner projective-line map R the kind conjugates."""
     big = ext.big
-    one = SparsePolynomial.constant(big, big.one())
-    if kind == KIND_CUBIC:
-        return RationalFunction(SparsePolynomial.x_power(big, 3), one)
-    if kind == KIND_CUBIC_SHIFT:
-        alpha = aux if aux is not None else big.zero()
-        num = SparsePolynomial(big, [(3, big.one()), (1, -alpha)])
-        return RationalFunction(num, one)
-    if kind == KIND_QUARTIC_TRI:
-        num = SparsePolynomial(big, [(4, big.one()), (2, big.one()), (1, aux)])
-        return RationalFunction(num, one)
-    if kind == KIND_QUARTIC_BIN:
-        a = aux if aux is not None else big.zero()
-        num = SparsePolynomial(big, [(4, big.one()), (1, a)])
-        return RationalFunction(num, one)
-    raise ValueError(f"unknown kind {kind}")
+    a = aux if aux is not None else big.zero()
+    num = SparsePolynomial(big, [(i, big.from_int(n) * a**e) for i, n, e in _BASE_MAPS[kind][1]])
+    return RationalFunction(num, SparsePolynomial.constant(big, big.one()))
 
 
 def closed_form_rational(system: CoefficientSystem, params: ConstructionParams,
                          ext: QuadExtension) -> RationalFunction:
-    """The conjugated map assembled from the closed forms (for dual-path checks)."""
+    """N/D from the formula, for dual-path checks: the numerator is
+    N_k = beta_t * beta^(d-k) * (Q_k - delta_t^q*b_k)."""
     big = ext.big
-    if system.kind in (KIND_CUBIC, KIND_CUBIC_SHIFT):
-        num = SparsePolynomial(big, list(enumerate(system.N)))
-        den = SparsePolynomial(big, list(enumerate(system.D)))
-        return RationalFunction(num, den, reduce=False)
-    n0, n1, n2, n3, n4 = system.N
-    beta_t = params.beta_t
-    beta4 = params.beta**4
+    d, b, _ = _plan(system.kind, big.p, ext.q)
     dtq = ext.frob_q(params.delta_t)
-    num = SparsePolynomial(
-        big,
-        [(4, beta_t * (n4 + dtq)), (3, beta_t * n3), (2, beta_t * n2),
-         (1, beta_t * n1), (0, beta_t * (n0 + beta4 * dtq))],
-    )
-    den = SparsePolynomial(
-        big,
-        [(4, system.n4_shift), (3, n3), (2, n2), (1, n1), (0, system.n0_shift)],
-    )
+    num = SparsePolynomial(big, [
+        (k, params.beta_t * params.beta ** (d - k) * (FieldElement(big, qk) - bk * dtq))
+        for k, (qk, bk) in enumerate(zip(_q_encs(system.kind, params.delta, params.aux, ext), b))
+    ])
+    den = SparsePolynomial(big, list(enumerate(system.D)))
     return RationalFunction(num, den, reduce=False)
 
 
@@ -356,37 +306,25 @@ def closed_form_rational(system: CoefficientSystem, params: ConstructionParams,
 
 def build_h(kind: str, system: CoefficientSystem, index: int, ext: QuadExtension
             ) -> SparsePolynomial:
-    """The index-th circle polynomial of the system (0 = plain h)."""
-    q = ext.q
-    big = ext.big
-    if kind in (KIND_CUBIC, KIND_CUBIC_SHIFT):
-        d0, d1, d2, d3 = system.D
-        layouts = {
-            0: [(3, d3), (2, d2), (1, d1), (0, d0)],
-            1: [(q, d0), (2, d3), (1, d2), (0, d1)],
-            2: [(2 * q, d0), (q, d1), (1, d3), (0, d2)],
-            3: [(3 * q, d0), (2 * q, d1), (q, d2), (0, d3)],
-        }
-    else:
-        n1, n2, n3 = system.N[1], system.N[2], system.N[3]
-        e_hi, e_lo = system.n4_shift, system.n0_shift
-        layouts = {
-            1: [(4, e_hi), (3, n3), (2, n2), (1, n1), (0, e_lo)],
-            2: [(q, e_lo), (3, e_hi), (2, n3), (1, n2), (0, n1)],
-            3: [(2 * q, e_lo), (q, n1), (2, e_hi), (1, n3), (0, n2)],
-            4: [(3 * q, e_lo), (2 * q, n1), (q, n2), (1, e_hi), (0, n3)],
-            5: [(4 * q, e_lo), (3 * q, n1), (2 * q, n2), (q, n3), (0, e_hi)],
-        }
-    if index not in layouts:
+    """The index-th circle polynomial of the system.
+
+    It is h shifted by s = index - (index of the unshifted h): D_k X^k
+    becomes X^(k-s) for k >= s and X^((s-k)q) otherwise, so that
+    h_index(z) * z^s = h(z) on the unit circle.
+    """
+    s = index - _BASE_MAPS[kind][0]
+    if not 0 <= s < len(system.D):
         raise ValueError(f"kind {kind} has no h_{index}")
-    return SparsePolynomial(big, layouts[index])
+    q = ext.q
+    return SparsePolynomial(
+        ext.big, [(k - s if k >= s else (s - k) * q, c) for k, c in enumerate(system.D)]
+    )
 
 
 def h_variants(kind: str, system: CoefficientSystem, ext: QuadExtension):
     """All circle polynomials of the kind: [h, h1..h3] or [h1..h5]."""
-    if kind in (KIND_CUBIC, KIND_CUBIC_SHIFT):
-        return [build_h(kind, system, i, ext) for i in range(4)]
-    return [build_h(kind, system, i, ext) for i in range(1, 6)]
+    first = _BASE_MAPS[kind][0]
+    return [build_h(kind, system, i, ext) for i in range(first, first + len(system.D))]
 
 
 @dataclass
@@ -440,6 +378,12 @@ class GridLimits:
     delta_t_stride: int = 1
     beta_indices: list[int] | None = None  # circle indices to walk (None = all)
 
+    def __post_init__(self):
+        if self.max_count is not None and self.max_count < 0:
+            raise ValueError(f"max_count must be >= 0, not {self.max_count}")
+        if min(self.delta_stride, self.delta_t_stride) < 1:
+            raise ValueError("delta strides must be >= 1")
+
 
 def param_grid(family: str, ext: QuadExtension, limits: GridLimits | None = None):
     """Yield every valid ConstructionParams tuple (optionally strided/capped).
@@ -457,11 +401,7 @@ def param_grid(family: str, ext: QuadExtension, limits: GridLimits | None = None
     if not spec.admits(ext.q):
         return
     mu = ext.circle_members()
-    betas = (
-        mu
-        if limits.beta_indices is None
-        else [mu[i] for i in limits.beta_indices]
-    )
+    betas = mu if limits.beta_indices is None else [mu[i] for i in limits.beta_indices]
     big, q = ext.big, ext.q
 
     def nonsub(stride):  # GF(q^2) \ GF(q) lazily: the i-th log off (q+1)Z is i + i//q + 1
@@ -473,14 +413,13 @@ def param_grid(family: str, ext: QuadExtension, limits: GridLimits | None = None
         for aux in aux_candidates(family, ext):
             aux_val = aux if aux is not None else big.zero()
             for delta in nonsub(limits.delta_stride):
-                if spec.kind == KIND_QUARTIC_TRI:
-                    if (delta + ext.frob_q(delta) + aux_val).enc == 0:
-                        continue
+                if spec.kind == KIND_QUARTIC_TRI and (delta + delta**q + aux_val).enc == 0:
+                    continue
                 excl = {x.enc for x in exclusion_set(spec.kind, delta, aux_val, ext)}
                 for delta_t in nonsub(limits.delta_t_stride):
                     if delta_t.enc in excl:
                         continue
-                    yield ConstructionParams(family, beta, beta_t, delta, delta_t, aux)
-                    emitted += 1
                     if limits.max_count is not None and emitted >= limits.max_count:
                         return
+                    yield ConstructionParams(family, beta, beta_t, delta, delta_t, aux)
+                    emitted += 1

@@ -32,7 +32,6 @@ class ReproCase:
     delta: object
     delta_t: object
     aux: object = None
-    beta_t: object = None  # None = derived from the family relation
     expected: list = field(default_factory=list)  # [(exp_fn(q), coeff spec)]
     known_defect: bool = False
     built_pin: list = field(default_factory=list)  # regression pin for defects
@@ -132,7 +131,7 @@ CASES: list[ReproCase] = [
     ),
     ReproCase(
         "Q4c/q=9", 3, 2, "Q4c", [2, 0, 0, 2, 1],
-        beta=("int", 1), beta_t=("int", -1), delta=("pow", 1), delta_t=("pow", 1),
+        beta=("int", 1), delta=("pow", 1), delta_t=("pow", 1),
         aux=("pow", lambda q: q + 1),
         expected=[
             (lambda q: 3 * q, ("coords", [1, 1])),
@@ -228,9 +227,8 @@ def run_case(case: ReproCase) -> ReproResult:
     ext = case_extension(case)
     big = ext.big
     beta = _resolve(case.beta, ext)
-    beta_t = _resolve(case.beta_t, ext) if case.beta_t else derive_beta_t(case.family, beta)
     params = ConstructionParams(
-        case.family, beta, beta_t,
+        case.family, beta, derive_beta_t(case.family, beta),
         _resolve(case.delta, ext), _resolve(case.delta_t, ext),
         _resolve(case.aux, ext),
     )

@@ -117,7 +117,7 @@ class TestCommands:
     def test_construct_single(self, capsys):
         rc = main([
             "construct", "--p", "5", "--m", "1", "--family", "Q1",
-            "--beta", "-1", "--delta", "g", "--delta-t", "g", "--beta-t", "1",
+            "--beta", "-1", "--delta", "g", "--delta-t", "g",
         ])
         assert rc == 0
         entry = json.loads(capsys.readouterr().out)
@@ -144,6 +144,28 @@ class TestCommands:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 7
         assert all(json.loads(l)["provenance"] == "grid" for l in lines)
+
+    def test_grid_max_count_zero_emits_nothing(self, capsys):
+        rc = main([
+            "construct", "--p", "2", "--m", "2", "--family", "B1",
+            "--grid", "--max-count", "0",
+        ])
+        assert rc == 0
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--max-count", "-1"), ("--delta-stride", "-2"), ("--delta-stride", "0"),
+        ("--delta-t-stride", "-1"),
+    ])
+    def test_grid_malformed_limits_exit_2(self, capsys, tmp_path, flag, value):
+        out = tmp_path / "cat.csv"
+        rc = main([
+            "construct", "--p", "2", "--m", "2", "--family", "B1",
+            "--grid", flag, value, "--format", "csv", "--out", str(out),
+        ])
+        assert rc == 2
+        assert "ValueError" in json.loads(capsys.readouterr().err)["error"]
+        assert not out.exists()  # rejected before any output
 
     def test_grid_worker_order_fixed(self, capsys):
         # catalog lines carry no timing: two runs print the same bytes

@@ -138,12 +138,19 @@ class TestCoefficientSystems:
         assert d0 == big.from_int(2)
 
     def test_quartic_shift_constants_match_definition(self, ext16):
+        # D4 = R(delta) + delta_t and D0 = beta^4 (R(delta^q) + delta_t) for
+        # R = X^4 + a X: the circle-shift constants of every h_i
         b = ext16.big.generator
-        one = ext16.big.one()
-        params = ConstructionParams("P4", b**3, b**3, b, b, b**2 + b)
+        a = b**2 + b
+        params = ConstructionParams("P4", b**3, b**3, b, b, a)
         sys = coeffs(KIND_QUARTIC_BIN, params, ext16)
-        assert sys.n4_shift == sys.N[4] + params.delta_t
-        assert sys.n0_shift == sys.N[0] + params.beta**4 * params.delta_t
+
+        def r_map(x):
+            return x**4 + a * x
+
+        dq = ext16.frob_q(params.delta)
+        assert sys.D[4] == r_map(params.delta) + params.delta_t
+        assert sys.D[0] == params.beta**4 * (r_map(dq) + params.delta_t)
 
     def test_kind_family_mismatch(self, ext25):
         big = ext25.big
@@ -329,6 +336,16 @@ class TestParamGrid:
         with pytest.raises(LimitExceeded):
             list(param_grid("B1", ext, GridLimits(cap_order=8)))
 
+    def test_max_count_is_exact(self, ext16):
+        for n in (0, 1, 5):
+            assert len(list(param_grid("B1", ext16, GridLimits(max_count=n)))) == n
+
+    @pytest.mark.parametrize("bad", [{"max_count": -1}, {"delta_stride": 0},
+                                     {"delta_stride": -3}, {"delta_t_stride": -1}])
+    def test_malformed_limits_rejected(self, bad):
+        with pytest.raises(ValueError):
+            GridLimits(**bad)
+
     def test_beta_split_preserves_union(self, ext16):
         whole = [
             (p.beta.enc, p.delta.enc, p.delta_t.enc) for p in param_grid("B1", ext16)
@@ -386,6 +403,31 @@ class TestExclusionSets:
         q = ext25.q
         excl = exclusion_set(KIND_CUBIC, g, big.zero(), ext25)
         assert excl == {g**3, g ** (q + 2), g ** (2 * q + 1), g ** (3 * q)}
+
+    @pytest.mark.parametrize(
+        "family,extspec",
+        [("Q1", (5, 1, None)), ("Q1", (2, 3, ("MOD_2_6",))), ("Q3", (3, 2, ("MOD_3_4",))),
+         ("P1", (2, 4, None)), ("P4", (2, 4, None)), ("B1", (2, 4, None))],
+    )
+    def test_paper_sets_for_every_delta(self, family, extspec):
+        # the paper's sets, written out per base map, at every delta outside
+        # GF(q) and every aux candidate
+        ext = _ext_for(extspec)
+        big, q = ext.big, ext.q
+        kind = FAMILIES[family].kind
+        for aux in aux_candidates(family, ext):
+            a = aux if aux is not None else big.zero()
+            for delta in nonsubfield_members(ext):
+                dq = delta**q
+                if kind == KIND_CUBIC:
+                    paper = {delta**3, delta ** (q + 2), delta ** (2 * q + 1), delta ** (3 * q)}
+                elif kind == KIND_CUBIC_SHIFT:
+                    paper = {delta**3 - a * delta, dq**3 - a * dq}
+                elif kind == KIND_QUARTIC_TRI:
+                    paper = {x**4 + x**2 + a * x for x in (delta, dq)}
+                else:
+                    paper = {x**4 + a * x for x in (delta, dq)}
+                assert exclusion_set(kind, delta, a, ext) == paper, (family, aux, delta)
 
     def test_quartic_tri_delta_condition(self, ext16):
         # delta with delta + delta^q + alpha = 0 must be skipped by the grid
