@@ -102,24 +102,17 @@ def cmd_construct(args) -> int:
     ext = _field_from_args(args)
     if ext.big.order > args.cap:
         raise CapExceeded(f"field order {ext.big.order} above --cap {args.cap}")
-    if args.family not in FAMILIES:
-        raise CirclepermError(f"unknown family {args.family!r}")
-    # built before any output, so that malformed limits write nothing
+    # limits, operands and a single construction are checked before --out is
+    # opened, so that a rejected run leaves it as it was
     limits = GridLimits(
         cap_order=args.cap,
         max_count=args.max_count,
         delta_stride=args.delta_stride,
         delta_t_stride=args.delta_t_stride,
     )
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        if args.format == "csv":
-            _emit(out, CSV_HEADER)
-        if args.grid:
-            for entry in construct_grid_entries(ext, args.family, limits):
-                line = entry_to_json(entry)
-                _emit(out, entry_to_csv_row(line) if args.format == "csv" else dumps_line(line))
-            return 0
+    if args.grid:
+        entries = construct_grid_entries(ext, args.family, limits)
+    else:
         if not (args.beta and args.delta and args.delta_t):
             raise CirclepermError("single construction needs --beta, --delta, --delta-t")
         beta = parse_element(args.beta, ext)
@@ -133,9 +126,14 @@ def cmd_construct(args) -> int:
         )
         built = build_family(args.family, params, ext)
         report = verify_both(built.r, built.h, built.poly, ext, cap=args.cap)
-        entry = CatalogEntry(ext, built, report, "user")
-        line = entry_to_json(entry)
-        _emit(out, entry_to_csv_row(line) if args.format == "csv" else dumps_line(line))
+        entries = [CatalogEntry(ext, built, report, "user")]
+    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    try:
+        if args.format == "csv":
+            _emit(out, CSV_HEADER)
+        for entry in entries:
+            line = entry_to_json(entry)
+            _emit(out, entry_to_csv_row(line) if args.format == "csv" else dumps_line(line))
         return 0
     finally:
         if out is not sys.stdout:

@@ -4,14 +4,16 @@ Every family is a polynomial X^r * h(X^(q-1)) over GF(q^2) whose h comes
 from conjugating a base map R = sum c_i X^i of degree d, a permutation of
 the projective line, into the unit circle through the degree-one bijections
 rho(X) = (delta*X - beta*delta^q)/(X - beta) and
-nu(w) = beta_t*(w - delta_t^q)/(w - delta_t).  The base maps are
+nu(w) = beta_t*(w - delta_t^q)/(w - delta_t).  Each base map is one row of
+_BASE_MAPS, which also holds the conditions under which R permutes:
 
-    cubic              X^3                      (q = 2 mod 3)
-    cubic_shift        X^3 - alpha*X            (q = 0 mod 3)
-    quartic_trinomial  X^4 + X^2 + alpha*X      (q even)
-    quartic_binomial   X^4 + a*X                (q even; a = 0 for B1/B2)
+    cubic              X^3                      q = 2 mod 3
+    cubic_shift        X^3 - alpha*X            q = 0 mod 3, alpha zero or a non-square
+    quartic_trinomial  X^4 + X^2 + alpha*X      q even, X^3 + X + alpha irreducible
+    quartic_binomial   X^4 + a*X                q even, a a nonzero non-cube
+    quartic            X^4                      q even (B1, B2)
 
-One formula serves all four.  Put X = beta*Y, let Q_k be the Y^k
+One formula serves every row.  Put X = beta*Y, let Q_k be the Y^k
 coefficient of (Y - 1)^d * R((delta*Y - delta^q)/(Y - 1)) and
 b_k = C(d,k) * (-1)^(d-k).  Then nu(R(rho(X))) = sum N_k X^k / sum D_k X^k with
 D_k = beta^(d-k) * (Q_k - delta_t*b_k), N_k = beta_t * beta^(d-k) * (Q_k -
@@ -23,48 +25,73 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .errors import InvalidParams, InvariantViolation, LimitExceeded
 from .fields import EXHAUSTIVE_CAP, FieldElement, QuadExtension
-from .polynomials import RationalFunction, SparsePolynomial, cubic_image, reduce_exponent
+from .polynomials import (
+    RationalFunction, SparsePolynomial, irreducible_cubic_alphas, reduce_exponent,
+)
 
 KIND_CUBIC = "cubic"
 KIND_CUBIC_SHIFT = "cubic_shift"
 KIND_QUARTIC_TRI = "quartic_trinomial"
 KIND_QUARTIC_BIN = "quartic_binomial"
+KIND_QUARTIC = "quartic"
 
 # congruence name -> (modulus, residue, wording in violations)
 _CONGRUENCES = {"2mod3": (3, 2, "2 mod 3"), "0mod3": (3, 0, "0 mod 3"), "even": (2, 0, "even")}
 
-# kind -> (index of the unshifted h, base map R as terms (i, n, e) that stand
-# for n * aux^e * X^i, highest degree first)
+
+# A base map row: R as terms (i, n, e) that stand for n * aux^e * X^i, highest
+# degree first; the index of the unshifted h; the congruence R needs; and its
+# aux rule (the violation, and ext -> the valid aux of GF(q) in subfield scan
+# order), None when R has no aux coefficient.
+BaseMap = namedtuple("BaseMap", "terms first_h congruence aux")
+AuxRule = namedtuple("AuxRule", "violation members")
+
+
 _BASE_MAPS = {
-    KIND_CUBIC: (0, ((3, 1, 0),)),
-    KIND_CUBIC_SHIFT: (0, ((3, 1, 0), (1, -1, 1))),
-    KIND_QUARTIC_TRI: (1, ((4, 1, 0), (2, 1, 0), (1, 1, 1))),
-    KIND_QUARTIC_BIN: (1, ((4, 1, 0), (1, 1, 1))),
+    KIND_CUBIC: BaseMap(((3, 1, 0),), 0, "2mod3", None),
+    KIND_CUBIC_SHIFT: BaseMap(((3, 1, 0), (1, -1, 1)), 0, "0mod3", AuxRule(
+        "aux must be zero or a non-square in the subfield",
+        lambda ext: [s for s in ext.subfield_members() if not s.enc or not ext.is_square_sub(s)])),
+    KIND_QUARTIC_TRI: BaseMap(((4, 1, 0), (2, 1, 0), (1, 1, 1)), 1, "even", AuxRule(
+        "X^3 + X + aux has a root in the subfield",
+        lambda ext: irreducible_cubic_alphas(ext.subfield_members()))),
+    KIND_QUARTIC_BIN: BaseMap(((4, 1, 0), (1, 1, 1)), 1, "even", AuxRule(
+        "aux must be a nonzero non-cube in the subfield",
+        lambda ext: [s for s in ext.subfield_members() if s.enc and not ext.is_cube_sub(s)])),
+    KIND_QUARTIC: BaseMap(((4, 1, 0),), 1, "even", None),
 }
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Static data for one family: shape, exponent, and constraint selectors."""
+    """Static data for one family: base map, h index and exponent."""
 
     family: str
-    kind: str
+    kind: str  # key of _BASE_MAPS
     h_index: int  # 0 = plain h (cubic kinds), 1..5 for the shifted variants
     r_q: int  # r = r_q * q + r_c
     r_c: int
-    congruence: str  # "2mod3" | "0mod3" | "even"
-    aux: str | None  # None | "square_or_zero" | "cubic_alpha" | "noncube" | "zero"
     advertised_terms: int
+
+    @property
+    def congruence(self) -> str:
+        return _BASE_MAPS[self.kind].congruence
+
+    @property
+    def aux(self) -> AuxRule | None:
+        return _BASE_MAPS[self.kind].aux
 
     def r(self, q: int) -> int:
         return self.r_q * q + self.r_c
 
     def admits(self, q: int) -> bool:
-        """q meets the family's congruence condition."""
+        """q meets the base map's congruence condition."""
         mod, res, _ = _CONGRUENCES[self.congruence]
         return q % mod == res
 
@@ -72,22 +99,22 @@ class FamilySpec:
 FAMILIES: dict[str, FamilySpec] = {
     s.family: s
     for s in [
-        FamilySpec("Q1", KIND_CUBIC, 0, 0, 3, "2mod3", None, 4),
-        FamilySpec("Q2a", KIND_CUBIC, 1, 0, 1, "2mod3", None, 4),
-        FamilySpec("Q2b", KIND_CUBIC, 2, 1, 0, "2mod3", None, 4),
-        FamilySpec("Q2c", KIND_CUBIC, 3, 1, -2, "2mod3", None, 4),
-        FamilySpec("Q3", KIND_CUBIC_SHIFT, 0, 0, 3, "0mod3", "square_or_zero", 4),
-        FamilySpec("Q4a", KIND_CUBIC_SHIFT, 1, 0, 1, "0mod3", "square_or_zero", 4),
-        FamilySpec("Q4b", KIND_CUBIC_SHIFT, 2, 1, 0, "0mod3", "square_or_zero", 4),
-        FamilySpec("Q4c", KIND_CUBIC_SHIFT, 3, 3, 0, "0mod3", "square_or_zero", 4),
-        FamilySpec("P1", KIND_QUARTIC_TRI, 1, 0, 4, "even", "cubic_alpha", 5),
-        FamilySpec("P2", KIND_QUARTIC_TRI, 2, 0, 2, "even", "cubic_alpha", 5),
-        FamilySpec("P3", KIND_QUARTIC_TRI, 5, 1, -3, "even", "cubic_alpha", 5),
-        FamilySpec("P4", KIND_QUARTIC_BIN, 1, 0, 4, "even", "noncube", 5),
-        FamilySpec("P5", KIND_QUARTIC_BIN, 2, 0, 2, "even", "noncube", 5),
-        FamilySpec("P6", KIND_QUARTIC_BIN, 5, 1, -3, "even", "noncube", 5),
-        FamilySpec("B1", KIND_QUARTIC_BIN, 2, 0, 2, "even", "zero", 2),
-        FamilySpec("B2", KIND_QUARTIC_BIN, 5, 1, -3, "even", "zero", 2),
+        FamilySpec("Q1", KIND_CUBIC, 0, 0, 3, 4),
+        FamilySpec("Q2a", KIND_CUBIC, 1, 0, 1, 4),
+        FamilySpec("Q2b", KIND_CUBIC, 2, 1, 0, 4),
+        FamilySpec("Q2c", KIND_CUBIC, 3, 1, -2, 4),
+        FamilySpec("Q3", KIND_CUBIC_SHIFT, 0, 0, 3, 4),
+        FamilySpec("Q4a", KIND_CUBIC_SHIFT, 1, 0, 1, 4),
+        FamilySpec("Q4b", KIND_CUBIC_SHIFT, 2, 1, 0, 4),
+        FamilySpec("Q4c", KIND_CUBIC_SHIFT, 3, 3, 0, 4),
+        FamilySpec("P1", KIND_QUARTIC_TRI, 1, 0, 4, 5),
+        FamilySpec("P2", KIND_QUARTIC_TRI, 2, 0, 2, 5),
+        FamilySpec("P3", KIND_QUARTIC_TRI, 5, 1, -3, 5),
+        FamilySpec("P4", KIND_QUARTIC_BIN, 1, 0, 4, 5),
+        FamilySpec("P5", KIND_QUARTIC_BIN, 2, 0, 2, 5),
+        FamilySpec("P6", KIND_QUARTIC_BIN, 5, 1, -3, 5),
+        FamilySpec("B1", KIND_QUARTIC, 2, 0, 2, 2),
+        FamilySpec("B2", KIND_QUARTIC, 5, 1, -3, 2),
     ]
 }
 
@@ -113,7 +140,7 @@ class CoefficientSystem:
 
 
 def _degree(kind: str) -> int:
-    return _BASE_MAPS[kind][1][0][0]  # terms run highest degree first
+    return _BASE_MAPS[kind].terms[0][0]  # terms run highest degree first
 
 
 def derive_beta_t(family: str, beta: FieldElement) -> FieldElement:
@@ -127,11 +154,16 @@ def derive_beta_t(family: str, beta: FieldElement) -> FieldElement:
 
 def validate_params(family: str, params: ConstructionParams, ext: QuadExtension):
     """Check the family's constraint system; violations returned as strings."""
-    spec = FAMILIES[family]
+    return _check(FAMILIES[family], params, ext)[0]
+
+
+def _check(spec: FamilySpec, params: ConstructionParams, ext: QuadExtension):
+    """(violations, Q_0..Q_d encodings at the tuple's delta and aux)."""
+    base = _BASE_MAPS[spec.kind]
     q = ext.q
     v = []
     if not spec.admits(q):
-        v.append(f"q = {q} is not {_CONGRUENCES[spec.congruence][2]}")
+        v.append(f"q = {q} is not {_CONGRUENCES[base.congruence][2]}")
     beta, beta_t = params.beta, params.beta_t
     delta, delta_t = params.delta, params.delta_t
     if not ext.on_circle(beta):
@@ -146,67 +178,54 @@ def validate_params(family: str, params: ConstructionParams, ext: QuadExtension)
     if (ext.big.one() + beta_t * beta**d).enc != 0:
         v.append(f"beta relation 1 + beta_t*beta^{d} = 0 fails")
     aux = params.aux
-    takes_aux = spec.aux not in (None, "zero")
-    if not takes_aux and aux is not None and aux.enc != 0:
-        v.append("family takes no aux element")
-    if takes_aux and aux is None:
+    if base.aux is None:
+        if aux is not None and aux.enc != 0:
+            v.append("family takes no aux element")
+        aux = None
+    elif aux is None:
         v.append("family requires an aux element")
-    aux_val = aux if takes_aux and aux is not None else ext.big.zero()
-    if delta_t in exclusion_set(spec.kind, delta, aux_val, ext):
+    qs, excluded, delta_ok = _delta_rules(spec.kind, delta, aux, ext)
+    if delta_t.enc in excluded:
         v.append("delta_t lies in the excluded set for this delta")
-    if spec.kind == KIND_QUARTIC_TRI and (delta + ext.frob_q(delta) + aux_val).enc == 0:
+    if not delta_ok:
         v.append("delta + delta^q + aux = 0")
-    if takes_aux and aux is not None:
+    if aux is not None:
         if not ext.in_subfield(aux):
             v.append("aux is not in the subfield")
-        elif spec.aux == "square_or_zero" and aux.enc != 0 and ext.is_square_sub(aux):
-            v.append("aux must be zero or a non-square in the subfield")
-        elif spec.aux == "cubic_alpha" and aux.enc in cubic_image(ext.subfield_members()):
-            v.append("X^3 + X + aux has a root in the subfield")
-        elif spec.aux == "noncube" and aux.enc == 0:
-            v.append("aux must be nonzero")
-        elif spec.aux == "noncube" and ext.is_cube_sub(aux):
-            v.append("aux must be a non-cube in the subfield")
-    return v
+        elif aux.enc not in _aux_set(base.aux, ext):
+            v.append(base.aux.violation)
+    return v, qs
 
 
-def exclusion_set(kind: str, delta: FieldElement, aux: FieldElement, ext: QuadExtension):
-    """delta_t values that would zero a coefficient the family needs.
-
-    D_k = beta^(d-k) * (Q_k - delta_t*b_k) vanishes at delta_t = Q_k/b_k
-    whenever b_k is nonzero mod p.
-    """
+def _delta_rules(kind: str, delta: FieldElement, aux: FieldElement | None, ext: QuadExtension):
+    """(Q encodings, excluded delta_t encodings, delta ok) at this delta and aux:
+    D_k vanishes at delta_t = Q_k/b_k for b_k nonzero mod p, and the trinomial
+    needs delta + delta^q + aux != 0 (aux None reads as zero)."""
     big = ext.big
     p = big.p
     _, b, _ = _plan(kind, p, ext.q)
-    return {
-        FieldElement(big, big.mul_enc(qk, pow(bk, -1, p)))
-        for qk, bk in zip(_q_encs(kind, delta, aux, ext), b)
-        if bk
-    }
+    qs = _q_encs(kind, delta, aux, ext)
+    excluded = {big.mul_enc(qk, pow(bk, -1, p)) for qk, bk in zip(qs, b) if bk}
+    a = aux if aux is not None else big.zero()
+    delta_ok = kind != KIND_QUARTIC_TRI or (delta + ext.frob_q(delta) + a).enc != 0
+    return qs, excluded, delta_ok
 
 
-def irreducible_cubic_alphas_sub(ext: QuadExtension) -> list[FieldElement]:
-    """Subfield alphas with X^3 + X + alpha irreducible over GF(q), scan order."""
-    image = cubic_image(ext.subfield_members())
-    return [a for a in ext.subfield_members() if a.enc not in image]
+_AUX_SETS = weakref.WeakKeyDictionary()  # ext -> {aux rule: {enc: valid aux}}
+
+
+def _aux_set(rule: AuxRule, ext: QuadExtension) -> dict[int, FieldElement]:
+    """The rule's valid aux by encoding, in scan order, built once per extension."""
+    sets = _AUX_SETS.setdefault(ext, {})
+    if rule not in sets:
+        sets[rule] = {a.enc: a for a in rule.members(ext)}
+    return sets[rule]
 
 
 def aux_candidates(family: str, ext: QuadExtension):
     """All valid aux elements for the family at this extension (None = no aux)."""
-    spec = FAMILIES[family]
-    if spec.aux in (None, "zero"):
-        return [None]
-    if spec.aux == "square_or_zero":
-        nonsquares = [s for s in ext.subfield_members() if s.enc and not ext.is_square_sub(s)]
-        return [ext.big.zero()] + nonsquares
-    if spec.aux == "cubic_alpha":
-        return irreducible_cubic_alphas_sub(ext)
-    if spec.aux == "noncube":
-        if (ext.q - 1) % 3 != 0:
-            return []
-        return [s for s in ext.subfield_members() if s.enc and not ext.is_cube_sub(s)]
-    raise ValueError(f"unknown aux kind {spec.aux}")
+    rule = FAMILIES[family].aux
+    return [None] if rule is None else list(_aux_set(rule, ext).values())
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +244,7 @@ def _plan(kind: str, p: int, q: int):
     b = tuple(math.comb(d, k) * (-1) ** (d - k) % p for k in range(d + 1))
     terms = tuple(
         (j + l, n, e, j + q * (i - j))
-        for i, c, e in _BASE_MAPS[kind][1]
+        for i, c, e in _BASE_MAPS[kind].terms
         for j in range(i + 1)
         for l in range(d - i + 1)
         if (n := c * math.comb(i, j) * math.comb(d - i, l) * (-1) ** (d - j - l) % p)
@@ -255,25 +274,19 @@ def _q_encs(kind: str, delta: FieldElement, aux: FieldElement | None, ext: QuadE
     return out
 
 
-def coeffs(kind: str, params: ConstructionParams, ext: QuadExtension) -> CoefficientSystem:
-    """Validated coefficient system of the conjugated base map for the kind."""
-    if FAMILIES[params.family].kind != kind:
-        raise InvalidParams([f"params are for family {params.family}, not kind {kind}"])
-    violations = validate_params(params.family, params, ext)
+def coeffs(params: ConstructionParams, ext: QuadExtension) -> CoefficientSystem:
+    """Validated D_k = beta^(d-k) * (Q_k - delta_t*b_k) for params.family."""
+    spec = FAMILIES[params.family]
+    violations, qs = _check(spec, params, ext)
     if violations:
         raise InvalidParams(violations)
-    return _coeffs_raw(kind, params.beta, params.beta_t, params.delta, params.delta_t,
-                       params.aux, ext)
-
-
-def _coeffs_raw(kind, beta, beta_t, delta, delta_t, aux, ext) -> CoefficientSystem:
-    """D_k = beta^(d-k) * (Q_k - delta_t*b_k); beta_t enters only the numerator."""
     big = ext.big
     mul = big.mul_enc
-    d, b, _ = _plan(kind, big.p, ext.q)
-    return CoefficientSystem(kind, tuple(
-        FieldElement(big, mul(big.pow_enc(beta.enc, d - k), big.sub_enc(qk, mul(bk, delta_t.enc))))
-        for k, (qk, bk) in enumerate(zip(_q_encs(kind, delta, aux, ext), b))
+    d, b, _ = _plan(spec.kind, big.p, ext.q)
+    beta, delta_t = params.beta.enc, params.delta_t.enc
+    return CoefficientSystem(spec.kind, tuple(
+        FieldElement(big, mul(big.pow_enc(beta, d - k), big.sub_enc(qk, mul(bk, delta_t))))
+        for k, (qk, bk) in enumerate(zip(qs, b))
     ))
 
 
@@ -281,7 +294,7 @@ def base_map(kind: str, aux: FieldElement | None, ext: QuadExtension) -> Rationa
     """The inner projective-line map R the kind conjugates."""
     big = ext.big
     a = aux if aux is not None else big.zero()
-    num = SparsePolynomial(big, [(i, big.from_int(n) * a**e) for i, n, e in _BASE_MAPS[kind][1]])
+    num = SparsePolynomial(big, [(i, big.from_int(n) * a**e) for i, n, e in _BASE_MAPS[kind].terms])
     return RationalFunction(num, SparsePolynomial.constant(big, big.one()))
 
 
@@ -304,27 +317,26 @@ def closed_form_rational(system: CoefficientSystem, params: ConstructionParams,
 # h polynomials and expansion
 
 
-def build_h(kind: str, system: CoefficientSystem, index: int, ext: QuadExtension
-            ) -> SparsePolynomial:
+def build_h(system: CoefficientSystem, index: int, ext: QuadExtension) -> SparsePolynomial:
     """The index-th circle polynomial of the system.
 
     It is h shifted by s = index - (index of the unshifted h): D_k X^k
     becomes X^(k-s) for k >= s and X^((s-k)q) otherwise, so that
     h_index(z) * z^s = h(z) on the unit circle.
     """
-    s = index - _BASE_MAPS[kind][0]
+    s = index - _BASE_MAPS[system.kind].first_h
     if not 0 <= s < len(system.D):
-        raise ValueError(f"kind {kind} has no h_{index}")
+        raise ValueError(f"kind {system.kind} has no h_{index}")
     q = ext.q
     return SparsePolynomial(
         ext.big, [(k - s if k >= s else (s - k) * q, c) for k, c in enumerate(system.D)]
     )
 
 
-def h_variants(kind: str, system: CoefficientSystem, ext: QuadExtension):
-    """All circle polynomials of the kind: [h, h1..h3] or [h1..h5]."""
-    first = _BASE_MAPS[kind][0]
-    return [build_h(kind, system, i, ext) for i in range(first, first + len(system.D))]
+def h_variants(system: CoefficientSystem, ext: QuadExtension):
+    """All circle polynomials of the system: [h, h1..h3] or [h1..h5]."""
+    first = _BASE_MAPS[system.kind].first_h
+    return [build_h(system, i, ext) for i in range(first, first + len(system.D))]
 
 
 @dataclass
@@ -347,8 +359,8 @@ def build_family(family: str, params: ConstructionParams, ext: QuadExtension
                  ) -> BuiltFamily:
     """Expand X^r * h(X^(q-1)) for the family; raises InvalidParams."""
     spec = FAMILIES[family]
-    system = coeffs(spec.kind, params, ext)
-    h = build_h(spec.kind, system, spec.h_index, ext)
+    system = coeffs(params, ext)
+    h = build_h(system, spec.h_index, ext)
     r = spec.r(ext.q)
     poly = expand_decomposition(r, h, ext)
     if len(poly.terms) != len(h.terms):
@@ -411,11 +423,10 @@ def param_grid(family: str, ext: QuadExtension, limits: GridLimits | None = None
     for beta in betas:
         beta_t = derive_beta_t(family, beta)
         for aux in aux_candidates(family, ext):
-            aux_val = aux if aux is not None else big.zero()
             for delta in nonsub(limits.delta_stride):
-                if spec.kind == KIND_QUARTIC_TRI and (delta + delta**q + aux_val).enc == 0:
+                _, excl, delta_ok = _delta_rules(spec.kind, delta, aux, ext)
+                if not delta_ok:
                     continue
-                excl = {x.enc for x in exclusion_set(spec.kind, delta, aux_val, ext)}
                 for delta_t in nonsub(limits.delta_t_stride):
                     if delta_t.enc in excl:
                         continue

@@ -507,18 +507,11 @@ def is_bijection_on(mapping, domain, codomain):
 # cubic shape X^3 + X + alpha over GF(2^m)
 
 
-def cubic_irreducible(ctx: FieldCtx, alpha: FieldElement) -> bool:
-    """X^3 + X + alpha has no root in the field (degree 3: no root <=> irreducible)."""
-    ctx._own(alpha)
-    return alpha.enc not in cubic_image(ctx.elements())
-
-
-def irreducible_cubic_alphas(ctx: FieldCtx) -> set[FieldElement]:
-    """All alpha with X^3 + X + alpha irreducible, by exhaustive scan."""
-    image = cubic_image(ctx.elements())
-    return {
-        FieldElement(ctx, e) for e in range(ctx.order) if e not in image
-    }
+def irreducible_cubic_alphas(xs: list[FieldElement]) -> list[FieldElement]:
+    """The alpha among xs, the elements of one field, with X^3 + X + alpha
+    irreducible over it (degree 3: no root among xs), in xs order."""
+    image = cubic_image(xs)
+    return [x for x in xs if x.enc not in image]
 
 
 def alphas_from_noncubes(ctx: FieldCtx) -> set[FieldElement]:

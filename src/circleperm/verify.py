@@ -157,16 +157,14 @@ def verify_both(r: int, h: SparsePolynomial, f: SparsePolynomial, ext: QuadExten
     )
 
 
-def h_family_equivalence(kind: str, params, ext: QuadExtension) -> bool:
+def h_family_equivalence(params, ext: QuadExtension) -> bool:
     """Root-absence verdicts of h and every shifted h_i coincide on the circle.
 
     Valid parameters force all verdicts to "no root"; any mismatch between
     variants falsifies the shift structure.
     """
-    system = coeffs(kind, params, ext)
-    verdicts = [
-        h_no_circle_root(h, ext)[0] for h in h_variants(kind, system, ext)
-    ]
+    system = coeffs(params, ext)
+    verdicts = [h_no_circle_root(h, ext)[0] for h in h_variants(system, ext)]
     return all(v == verdicts[0] for v in verdicts)
 
 

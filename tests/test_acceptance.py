@@ -18,9 +18,9 @@ from circleperm.families import (
     GridLimits,
     build_family,
     param_grid,
-    _coeffs_raw,
     base_map,
     closed_form_rational,
+    coeffs,
     h_variants,
 )
 from circleperm.fields import field_create
@@ -46,7 +46,9 @@ from circleperm.verify import (
     is_permutation_exhaustive,
     verify_both,
 )
-from conftest import MOD_2_6, MOD_2_12, MOD_3_4, get_ext, get_field, qm_search_oracle
+from conftest import (
+    MOD_2_6, MOD_2_12, MOD_3_4, get_ext, get_field, qm_search_oracle,
+)
 
 
 def record(number, ok, message):
@@ -154,8 +156,7 @@ DUAL_PATH_PLAN = {
 
 
 def _dual_path_tuple(kind, params, ext):
-    system = _coeffs_raw(kind, params.beta, params.beta_t, params.delta,
-                         params.delta_t, params.aux, ext)
+    system = coeffs(params, ext)
     closed = closed_form_rational(system, params, ext).normalized()
     composed = compose_nfr(
         nu_map(ext, params.beta_t, params.delta_t),
@@ -181,10 +182,10 @@ def test_criterion_3_dual_path_identity():
         for params in sample:
             assert _dual_path_tuple(kind, params, ext_big), (kind, params)
             checked += 1
-    # a = 0 route used by the binomials
+    # the X^4 row of the binomials
     ext4 = get_ext(2, 2)
     for params in param_grid("B1", ext4):
-        assert _dual_path_tuple("quartic_binomial", params, ext4)
+        assert _dual_path_tuple("quartic", params, ext4)
         checked += 1
     elapsed = time.perf_counter() - t0
     record(
@@ -209,9 +210,7 @@ def test_criterion_4_root_absence_and_shifts():
         for i, params in enumerate(grid):
             if q not in (3, 4, 5) and i % 4:
                 continue  # thin the large-field subsample further
-            system = _coeffs_raw(spec.kind, params.beta, params.beta_t,
-                                 params.delta, params.delta_t, params.aux, ext)
-            hs = h_variants(spec.kind, system, ext)
+            hs = h_variants(coeffs(params, ext), ext)
             base_vals = [hs[0].eval(z) for z in mu]
             assert all(v.enc for v in base_vals), (family, q, params)
             for shift, h_i in enumerate(hs[1:], start=1):
@@ -232,7 +231,7 @@ def test_criterion_5_cubic_alpha_cross_check():
     sizes = {}
     for n in (2, 4):
         ctx = get_field(2, n)
-        scan = irreducible_cubic_alphas(ctx)
+        scan = set(irreducible_cubic_alphas(list(ctx.elements())))
         shifted = alphas_from_noncubes(ctx)
         sizes[2**n] = len(scan)
         assert scan == shifted, f"set mismatch over GF(2^{n})"

@@ -167,6 +167,19 @@ class TestCommands:
         assert "ValueError" in json.loads(capsys.readouterr().err)["error"]
         assert not out.exists()  # rejected before any output
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("operands", [
+        ["--delta", "g", "--delta-t", "g^3"],
+        ["--beta", "-1", "--delta", "g", "--delta-t", "g^3"],
+    ], ids=["no-beta", "excluded-delta-t"])
+    def test_rejected_single_leaves_out_file(self, capsys, tmp_path, fmt, operands):
+        out = tmp_path / f"kept.{fmt}"
+        out.write_bytes(b"earlier catalog\n")
+        rc = main(["construct", "--p", "5", "--m", "1", "--family", "Q1", *operands,
+                   "--format", fmt, "--out", str(out)])
+        assert rc == 2
+        assert out.read_bytes() == b"earlier catalog\n"
+
     def test_grid_worker_order_fixed(self, capsys):
         # catalog lines carry no timing: two runs print the same bytes
         argv = ["construct", "--p", "2", "--m", "2", "--family", "B2", "--grid"]

@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+from circleperm import families, polynomials
 from circleperm.errors import InvalidParams, LimitExceeded
 from circleperm.families import (
     FAMILIES,
     KIND_CUBIC,
     KIND_CUBIC_SHIFT,
+    KIND_QUARTIC,
     KIND_QUARTIC_BIN,
     KIND_QUARTIC_TRI,
     ConstructionParams,
@@ -15,16 +17,15 @@ from circleperm.families import (
     aux_candidates,
     base_map,
     build_family,
-    build_h,
     closed_form_rational,
     coeffs,
     derive_beta_t,
-    exclusion_set,
     h_variants,
     param_grid,
     validate_params,
-    _coeffs_raw,
+    _delta_rules,
 )
+from circleperm.fields import quad_extension
 from circleperm.polynomials import compose_nfr, nu_map, rho_map
 from conftest import get_ext
 
@@ -104,7 +105,7 @@ class TestValidation:
         v = validate_params("Q1", params, ext25)
         assert any("excluded set" in s for s in v)
         with pytest.raises(InvalidParams):
-            coeffs(KIND_CUBIC, params, ext25)
+            coeffs(params, ext25)
 
     def test_beta_relation_consistency(self, ext25):
         big = ext25.big
@@ -130,7 +131,7 @@ class TestCoefficientSystems:
         big = ext25.big
         g = big.generator
         params = ConstructionParams("Q1", -big.one(), big.one(), g, g, None)
-        sys = coeffs(KIND_CUBIC, params, ext25)
+        sys = coeffs(params, ext25)
         d0, d1, d2, d3 = sys.D
         assert d3 == 3 * (g + big.one())
         assert d2 == 3 * g
@@ -143,7 +144,7 @@ class TestCoefficientSystems:
         b = ext16.big.generator
         a = b**2 + b
         params = ConstructionParams("P4", b**3, b**3, b, b, a)
-        sys = coeffs(KIND_QUARTIC_BIN, params, ext16)
+        sys = coeffs(params, ext16)
 
         def r_map(x):
             return x**4 + a * x
@@ -152,20 +153,12 @@ class TestCoefficientSystems:
         assert sys.D[4] == r_map(params.delta) + params.delta_t
         assert sys.D[0] == params.beta**4 * (r_map(dq) + params.delta_t)
 
-    def test_kind_family_mismatch(self, ext25):
-        big = ext25.big
-        g = big.generator
-        params = ConstructionParams("Q1", -big.one(), big.one(), g, g, None)
-        with pytest.raises(InvalidParams):
-            coeffs(KIND_CUBIC_SHIFT, params, ext25)
-
 
 class TestDualPath:
     """compose(nu, base, rho) must equal the closed-form system exactly."""
 
     def _assert_tuple(self, kind, params, ext):
-        system = _coeffs_raw(kind, params.beta, params.beta_t, params.delta,
-                             params.delta_t, params.aux, ext)
+        system = coeffs(params, ext)
         closed = closed_form_rational(system, params, ext).normalized()
         rho = rho_map(ext, params.beta, params.delta)
         nu = nu_map(ext, params.beta_t, params.delta_t)
@@ -182,9 +175,9 @@ class TestDualPath:
             n += 1
         assert n > 0
 
-    def test_binomial_zero_aux_path(self, ext16):
+    def test_binomial_quartic_row(self, ext16):
         for params in param_grid("B1", ext16, GridLimits(max_count=60)):
-            self._assert_tuple(KIND_QUARTIC_BIN, params, ext16)
+            self._assert_tuple(KIND_QUARTIC, params, ext16)
 
     @pytest.mark.parametrize("kind", list(REPRESENTATIVE_FAMILY))
     def test_random_tuples_at_bigger_q(self, kind):
@@ -244,10 +237,21 @@ class TestBuildFamily:
             spec = FAMILIES[family]
             for params in param_grid(family, ext, GridLimits(max_count=150)):
                 built = build_family(family, params, ext)
-                if spec.aux == "square_or_zero" and params.aux.enc == 0:
+                if spec.kind == KIND_CUBIC_SHIFT and params.aux.enc == 0:
                     assert built.term_count == 2
                 else:
                     assert built.term_count == spec.advertised_terms
+
+    def test_q_computed_once_per_build(self, ext16, monkeypatch):
+        # one Q serves the exclusion check and D
+        calls = []
+        q_encs = families._q_encs
+        monkeypatch.setattr(families, "_q_encs", lambda *a: calls.append(a) or q_encs(*a))
+        for n, params in enumerate(param_grid("P4", ext16, GridLimits(max_count=20)), 1):
+            calls.clear()
+            build_family("P4", params, ext16)
+            assert len(calls) == 1
+        assert n == 20
 
     def test_zero_aux_collapse_is_tagged(self, ext9):
         big = ext9.big
@@ -269,11 +273,8 @@ class TestStructuralIdentities:
     )
     def test_h_shift_identities_on_circle(self, family, extspec):
         ext = _ext_for(extspec)
-        kind = FAMILIES[family].kind
         for params in self._grid(family, ext):
-            system = _coeffs_raw(kind, params.beta, params.beta_t, params.delta,
-                                 params.delta_t, params.aux, ext)
-            hs = h_variants(kind, system, ext)
+            hs = h_variants(coeffs(params, ext), ext)
             for z in ext.circle_members():
                 base_val = hs[0].eval(z)
                 for i, h_i in enumerate(hs[1:], start=1):
@@ -364,7 +365,7 @@ class TestParamGrid:
         nonsub = nonsubfield_members(ext25)
         expected = []
         for delta in nonsub[:: strides[0]]:
-            excl = {x.enc for x in exclusion_set(KIND_CUBIC, delta, ext25.big.zero(), ext25)}
+            excl = _delta_rules(KIND_CUBIC, delta, None, ext25)[1]
             expected += [(delta.enc, t.enc) for t in nonsub[:: strides[1]] if t.enc not in excl]
         limits = GridLimits(delta_stride=strides[0], delta_t_stride=strides[1],
                             beta_indices=[0])
@@ -390,6 +391,45 @@ class TestParamGrid:
         assert len(aux_candidates("P4", ext16)) == 2
         assert aux_candidates("B1", ext16) == [None]
 
+    def test_aux_set_built_once_per_extension(self, monkeypatch):
+        # the grid and the validator share one cubic-alpha set per extension
+        calls = []
+        image = polynomials.cubic_image
+        monkeypatch.setattr(polynomials, "cubic_image", lambda xs: calls.append(1) or image(xs))
+        ext = quad_extension(2, 4)  # fresh: no aux set cached yet
+        limits = GridLimits(delta_stride=30, delta_t_stride=24)
+        n = 0
+        for params in param_grid("P1", ext, limits):
+            assert validate_params("P1", params, ext) == []
+            n += 1
+        assert n > 1000 and len(calls) == 1
+
+    @pytest.mark.parametrize("family", ["Q1", "Q3", "P1", "P4", "B1"])
+    def test_grid_is_exactly_the_valid_product(self, family):
+        # the validator, run over the raw product (beta on the circle with its
+        # forced beta_t, aux in {None} + GF(q), delta and delta_t in GF(q^2)),
+        # accepts exactly the tuples the grid emits
+        ext = get_ext(*{"Q1": (5, 1), "Q3": (3, 1)}.get(family, (2, 2)))
+        no_aux = FAMILIES[family].aux is None
+
+        def key(p):
+            aux = None if p.aux is None or (no_aux and p.aux.enc == 0) else p.aux.enc
+            return p.beta.enc, p.delta.enc, p.delta_t.enc, aux
+
+        grid = [key(p) for p in param_grid(family, ext)]
+        whole = list(ext.big.elements())
+        accepted = {
+            key(params)
+            for beta in ext.circle_members()
+            for aux in [None, *ext.subfield_members()]
+            for delta in whole
+            for delta_t in whole
+            if not validate_params(family, params := ConstructionParams(
+                family, beta, derive_beta_t(family, beta), delta, delta_t, aux), ext)
+        }
+        assert len(set(grid)) == len(grid) == len(accepted)
+        assert set(grid) == accepted
+
     def test_noncube_empty_when_every_element_is_cube(self):
         ext = get_ext(2, 3, (1, 1, 0, 1, 1, 0, 1))  # q = 8, 3 does not divide 7
         assert aux_candidates("P4", ext) == []
@@ -401,8 +441,8 @@ class TestExclusionSets:
         big = ext25.big
         g = big.generator
         q = ext25.q
-        excl = exclusion_set(KIND_CUBIC, g, big.zero(), ext25)
-        assert excl == {g**3, g ** (q + 2), g ** (2 * q + 1), g ** (3 * q)}
+        excl = _delta_rules(KIND_CUBIC, g, None, ext25)[1]
+        assert excl == {x.enc for x in (g**3, g ** (q + 2), g ** (2 * q + 1), g ** (3 * q))}
 
     @pytest.mark.parametrize(
         "family,extspec",
@@ -427,7 +467,8 @@ class TestExclusionSets:
                     paper = {x**4 + x**2 + a * x for x in (delta, dq)}
                 else:
                     paper = {x**4 + a * x for x in (delta, dq)}
-                assert exclusion_set(kind, delta, a, ext) == paper, (family, aux, delta)
+                excl = _delta_rules(kind, delta, aux, ext)[1]
+                assert excl == {x.enc for x in paper}, (family, aux, delta)
 
     def test_quartic_tri_delta_condition(self, ext16):
         # delta with delta + delta^q + alpha = 0 must be skipped by the grid

@@ -7,13 +7,11 @@ import pytest
 from circleperm.errors import CapExceeded, InvalidParams
 from circleperm.families import (
     FAMILIES,
-    KIND_CUBIC,
-    KIND_QUARTIC_TRI,
     ConstructionParams,
     GridLimits,
     build_family,
+    coeffs,
     param_grid,
-    _coeffs_raw,
 )
 from circleperm.polynomials import SparsePolynomial
 from circleperm.verify import (
@@ -248,20 +246,20 @@ class TestCircleRoots:
 class TestFamilyEquivalence:
     def test_cubic_kind_at_q5(self, ext25):
         built = q1_worked_build(ext25)
-        assert h_family_equivalence(KIND_CUBIC, built.params, ext25)
+        assert h_family_equivalence(built.params, ext25)
 
     def test_quartic_kind_at_q4(self, ext16):
         b = ext16.big.generator
         one = ext16.big.one()
         params = ConstructionParams("P1", one, one, b**3, b**3, one)
-        assert h_family_equivalence(KIND_QUARTIC_TRI, params, ext16)
+        assert h_family_equivalence(params, ext16)
 
     def test_guarded_by_validation(self, ext25):
         big = ext25.big
         g = big.generator
         bad = ConstructionParams("Q1", -big.one(), big.one(), g, g**3, None)
         with pytest.raises(InvalidParams):
-            h_family_equivalence(KIND_CUBIC, bad, ext25)
+            h_family_equivalence(bad, ext25)
 
 
 class TestCircleMapIdentity:
@@ -269,8 +267,7 @@ class TestCircleMapIdentity:
         # z^3 h(z)^(q-1) = (D0^q z^3 + D1^q z^2 + D2^q z + D3^q) / h(z) on the circle
         q = ext25.q
         for params in param_grid("Q1", ext25, GridLimits(max_count=200)):
-            sys = _coeffs_raw(KIND_CUBIC, params.beta, params.beta_t, params.delta,
-                              params.delta_t, None, ext25)
+            sys = coeffs(params, ext25)
             d0, d1, d2, d3 = sys.D
             for z in ext25.circle_members():
                 h_val = d3 * z**3 + d2 * z**2 + d1 * z + d0
