@@ -7,13 +7,10 @@ exhaustive evaluation, and decides quasi-multiplicative equivalence.
 """
 
 from .errors import (
-    BetaNotOnCircle,
     CapExceeded,
     CirclepermError,
     CtxMismatch,
-    DeltaInSubfield,
     DivisionByZero,
-    IndeterminateForm,
     InvalidParams,
     InvariantViolation,
     LimitExceeded,
@@ -21,7 +18,6 @@ from .errors import (
     NotIrreducible,
     NotMonic,
     NotPrime,
-    SizeMismatch,
     ZeroInput,
 )
 from .fields import (
@@ -48,10 +44,6 @@ __all__ = [
     "DivisionByZero",
     "ZeroInput",
     "CapExceeded",
-    "SizeMismatch",
-    "BetaNotOnCircle",
-    "DeltaInSubfield",
-    "IndeterminateForm",
     "InvalidParams",
     "InvariantViolation",
     "LimitExceeded",

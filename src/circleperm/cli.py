@@ -31,6 +31,7 @@ from .families import (
     GridLimits,
     build_family,
     derive_beta_t,
+    field_violations,
     param_grid,
 )
 from .fields import EXHAUSTIVE_CAP, FieldElement, QuadExtension, field_create, quad_extension
@@ -102,8 +103,8 @@ def cmd_construct(args) -> int:
     ext = _field_from_args(args)
     if ext.big.order > args.cap:
         raise CapExceeded(f"field order {ext.big.order} above --cap {args.cap}")
-    # limits, operands and a single construction are checked before --out is
-    # opened, so that a rejected run leaves it as it was
+    # limits, operands, a grid's q and a single construction are checked
+    # before --out is opened, so that a rejected run leaves it as it was
     limits = GridLimits(
         cap_order=args.cap,
         max_count=args.max_count,
@@ -111,6 +112,9 @@ def cmd_construct(args) -> int:
         delta_t_stride=args.delta_t_stride,
     )
     if args.grid:
+        violations = field_violations(args.family, ext)
+        if violations:
+            raise InvalidParams(violations)
         entries = construct_grid_entries(ext, args.family, limits)
     else:
         if not (args.beta and args.delta and args.delta_t):

@@ -53,22 +53,6 @@ class CapExceeded(CirclepermError):
     pass
 
 
-class SizeMismatch(CirclepermError):
-    pass
-
-
-class BetaNotOnCircle(CirclepermError):
-    pass
-
-
-class DeltaInSubfield(CirclepermError):
-    pass
-
-
-class IndeterminateForm(CirclepermError):
-    """0/0 during projective evaluation; input was not gcd-reduced."""
-
-
 class InvalidParams(CirclepermError):
     """Construction parameters violate a family's constraint system.
 

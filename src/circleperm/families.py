@@ -31,9 +31,7 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidParams, InvariantViolation, LimitExceeded
 from .fields import EXHAUSTIVE_CAP, FieldElement, QuadExtension
-from .polynomials import (
-    RationalFunction, SparsePolynomial, irreducible_cubic_alphas, reduce_exponent,
-)
+from .polynomials import SparsePolynomial, irreducible_cubic_alphas, reduce_exponent
 
 KIND_CUBIC = "cubic"
 KIND_CUBIC_SHIFT = "cubic_shift"
@@ -132,8 +130,7 @@ class ConstructionParams:
 @dataclass
 class CoefficientSystem:
     """Denominator coefficients D = (D_0..D_d) of the conjugated base map:
-    h and every h_i are D on shifted exponents (build_h).  The numerator is
-    built only for the dual-path check (closed_form_rational)."""
+    h and every h_i are D on shifted exponents (build_h)."""
 
     kind: str
     D: tuple
@@ -157,13 +154,27 @@ def validate_params(family: str, params: ConstructionParams, ext: QuadExtension)
     return _check(FAMILIES[family], params, ext)[0]
 
 
+def field_violations(family: str, ext: QuadExtension) -> list[str]:
+    """The violations every tuple of the family over ext has: q outside the
+    base map's congruence, or an aux rule that no element of GF(q) meets."""
+    spec = FAMILIES[family]
+    v = [] if spec.admits(ext.q) else [_congruence_violation(spec, ext.q)]
+    if spec.aux is not None and not _aux_set(spec.aux, ext):
+        v.append(spec.aux.violation)
+    return v
+
+
+def _congruence_violation(spec: FamilySpec, q: int) -> str:
+    return f"q = {q} is not {_CONGRUENCES[spec.congruence][2]}"
+
+
 def _check(spec: FamilySpec, params: ConstructionParams, ext: QuadExtension):
     """(violations, Q_0..Q_d encodings at the tuple's delta and aux)."""
     base = _BASE_MAPS[spec.kind]
     q = ext.q
     v = []
     if not spec.admits(q):
-        v.append(f"q = {q} is not {_CONGRUENCES[base.congruence][2]}")
+        v.append(_congruence_violation(spec, q))
     beta, beta_t = params.beta, params.beta_t
     delta, delta_t = params.delta, params.delta_t
     if not ext.on_circle(beta):
@@ -203,7 +214,7 @@ def _delta_rules(kind: str, delta: FieldElement, aux: FieldElement | None, ext: 
     needs delta + delta^q + aux != 0 (aux None reads as zero)."""
     big = ext.big
     p = big.p
-    _, b, _ = _plan(kind, p, ext.q)
+    _, b, _, _ = _plan(kind, p, ext.q)
     qs = _q_encs(kind, delta, aux, ext)
     excluded = {big.mul_enc(qk, pow(bk, -1, p)) for qk, bk in zip(qs, b) if bk}
     a = aux if aux is not None else big.zero()
@@ -234,8 +245,9 @@ def aux_candidates(family: str, ext: QuadExtension):
 
 @functools.lru_cache(maxsize=None)
 def _plan(kind: str, p: int, q: int):
-    """(d, b, terms) of the kind's R over GF(q^2): b_k mod p, and the terms
-    (k, n, e, x) of Q_k = sum n * aux^e * delta^x, nonzero n mod p.
+    """(d, b, terms, top) of the kind's R over GF(q^2): b_k mod p, the terms
+    (k, n, e, x) of Q_k = sum n * aux^e * delta^x, nonzero n mod p, and the
+    largest aux exponent e.
 
     Q_k expands sum_i c_i * (delta*Y - delta^q)^i * (Y - 1)^(d-i): Y^j of the
     first factor times Y^l of the second gives k = j + l, x = j + q(i - j).
@@ -249,7 +261,7 @@ def _plan(kind: str, p: int, q: int):
         for l in range(d - i + 1)
         if (n := c * math.comb(i, j) * math.comb(d - i, l) * (-1) ** (d - j - l) % p)
     )
-    return d, b, terms
+    return d, b, terms, max(e for _, _, e in _BASE_MAPS[kind].terms)
 
 
 def _q_encs(kind: str, delta: FieldElement, aux: FieldElement | None, ext: QuadExtension
@@ -262,14 +274,15 @@ def _q_encs(kind: str, delta: FieldElement, aux: FieldElement | None, ext: QuadE
         big._own(aux)
         a = aux.enc
     mul, add, pw = big.mul_enc, big.add_enc, big.pow_enc
-    d, _, terms = _plan(kind, big.p, ext.q)
+    d, _, terms, top = _plan(kind, big.p, ext.q)
+    aux_pows = [pw(a, e) for e in range(top + 1)]
     out = [0] * (d + 1)
     for k, n, e, x in terms:
         t = pw(delta.enc, x)
         if n != 1:
             t = mul(n, t)  # the prime-subfield element n is encoded as n
         if e:
-            t = mul(a, t)
+            t = mul(aux_pows[e], t)
         out[k] = add(out[k], t)
     return out
 
@@ -282,35 +295,12 @@ def coeffs(params: ConstructionParams, ext: QuadExtension) -> CoefficientSystem:
         raise InvalidParams(violations)
     big = ext.big
     mul = big.mul_enc
-    d, b, _ = _plan(spec.kind, big.p, ext.q)
+    d, b, _, _ = _plan(spec.kind, big.p, ext.q)
     beta, delta_t = params.beta.enc, params.delta_t.enc
     return CoefficientSystem(spec.kind, tuple(
         FieldElement(big, mul(big.pow_enc(beta, d - k), big.sub_enc(qk, mul(bk, delta_t))))
         for k, (qk, bk) in enumerate(zip(qs, b))
     ))
-
-
-def base_map(kind: str, aux: FieldElement | None, ext: QuadExtension) -> RationalFunction:
-    """The inner projective-line map R the kind conjugates."""
-    big = ext.big
-    a = aux if aux is not None else big.zero()
-    num = SparsePolynomial(big, [(i, big.from_int(n) * a**e) for i, n, e in _BASE_MAPS[kind].terms])
-    return RationalFunction(num, SparsePolynomial.constant(big, big.one()))
-
-
-def closed_form_rational(system: CoefficientSystem, params: ConstructionParams,
-                         ext: QuadExtension) -> RationalFunction:
-    """N/D from the formula, for dual-path checks: the numerator is
-    N_k = beta_t * beta^(d-k) * (Q_k - delta_t^q*b_k)."""
-    big = ext.big
-    d, b, _ = _plan(system.kind, big.p, ext.q)
-    dtq = ext.frob_q(params.delta_t)
-    num = SparsePolynomial(big, [
-        (k, params.beta_t * params.beta ** (d - k) * (FieldElement(big, qk) - bk * dtq))
-        for k, (qk, bk) in enumerate(zip(_q_encs(system.kind, params.delta, params.aux, ext), b))
-    ])
-    den = SparsePolynomial(big, list(enumerate(system.D)))
-    return RationalFunction(num, den, reduce=False)
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +323,6 @@ def build_h(system: CoefficientSystem, index: int, ext: QuadExtension) -> Sparse
     )
 
 
-def h_variants(system: CoefficientSystem, ext: QuadExtension):
-    """All circle polynomials of the system: [h, h1..h3] or [h1..h5]."""
-    first = _BASE_MAPS[system.kind].first_h
-    return [build_h(system, i, ext) for i in range(first, first + len(system.D))]
-
-
 @dataclass
 class BuiltFamily:
     """A constructed polynomial with its structural decomposition."""
@@ -348,7 +332,6 @@ class BuiltFamily:
     r: int
     h: SparsePolynomial
     poly: SparsePolynomial  # expanded, exponents reduced into [1, q^2-1]
-    system: CoefficientSystem
     term_count: int = field(init=False)
 
     def __post_init__(self):
@@ -359,13 +342,12 @@ def build_family(family: str, params: ConstructionParams, ext: QuadExtension
                  ) -> BuiltFamily:
     """Expand X^r * h(X^(q-1)) for the family; raises InvalidParams."""
     spec = FAMILIES[family]
-    system = coeffs(params, ext)
-    h = build_h(system, spec.h_index, ext)
+    h = build_h(coeffs(params, ext), spec.h_index, ext)
     r = spec.r(ext.q)
     poly = expand_decomposition(r, h, ext)
     if len(poly.terms) != len(h.terms):
         raise InvariantViolation("exponent collision while expanding a family")
-    return BuiltFamily(family, params, r, h, poly, system)
+    return BuiltFamily(family, params, r, h, poly)
 
 
 def expand_decomposition(r: int, h: SparsePolynomial, ext: QuadExtension

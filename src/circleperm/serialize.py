@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import MalformedOperand, ZeroInput
 from .families import BuiltFamily, ConstructionParams
 from .fields import FieldCtx, FieldElement, QuadExtension, quad_extension
-from .polynomials import RationalFunction, SparsePolynomial
+from .polynomials import SparsePolynomial
 from .verify import PermutationReport
 
 
@@ -82,16 +82,6 @@ def poly_from_json(d: dict, ctx: FieldCtx) -> SparsePolynomial:
             raise MalformedOperand(f'polynomial must be {{"terms": [[exp, element], ...]}}, not {d!r}')
         pairs.append((t[0], element_from_json(t[1], ctx)))
     return SparsePolynomial(ctx, pairs)
-
-
-def rational_to_json(rf: RationalFunction) -> dict:
-    return {"num": poly_to_json(rf.num), "den": poly_to_json(rf.den)}
-
-
-def rational_from_json(d: dict, ctx: FieldCtx) -> RationalFunction:
-    return RationalFunction(
-        poly_from_json(d["num"], ctx), poly_from_json(d["den"], ctx)
-    )
 
 
 def report_to_json(rep: PermutationReport) -> dict:

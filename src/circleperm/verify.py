@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapExceeded, InvalidParams, InvariantViolation
 # expand_decomposition stays importable from here for existing callers
-from .families import coeffs, expand_decomposition, h_variants
+from .families import expand_decomposition
 from .fields import EXHAUSTIVE_CAP, FieldCtx, FieldElement, QuadExtension
 from .polynomials import SparsePolynomial
 
@@ -155,17 +155,6 @@ def verify_both(r: int, h: SparsePolynomial, f: SparsePolynomial, ext: QuadExten
         witness=exh.witness,
         detail=crit.detail,
     )
-
-
-def h_family_equivalence(params, ext: QuadExtension) -> bool:
-    """Root-absence verdicts of h and every shifted h_i coincide on the circle.
-
-    Valid parameters force all verdicts to "no root"; any mismatch between
-    variants falsifies the shift structure.
-    """
-    system = coeffs(params, ext)
-    verdicts = [h_no_circle_root(h, ext)[0] for h in h_variants(system, ext)]
-    return all(v == verdicts[0] for v in verdicts)
 
 
 def decompose(f: SparsePolynomial, ext: QuadExtension):

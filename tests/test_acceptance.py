@@ -18,20 +18,10 @@ from circleperm.families import (
     GridLimits,
     build_family,
     param_grid,
-    base_map,
-    closed_form_rational,
     coeffs,
-    h_variants,
 )
 from circleperm.fields import field_create
-from circleperm.polynomials import (
-    SparsePolynomial,
-    alphas_from_noncubes,
-    compose_nfr,
-    irreducible_cubic_alphas,
-    nu_map,
-    rho_map,
-)
+from circleperm.polynomials import SparsePolynomial, irreducible_cubic_alphas
 from circleperm.qm import (
     apply_qm,
     h1_form_instances,
@@ -49,6 +39,7 @@ from circleperm.verify import (
 from conftest import (
     MOD_2_6, MOD_2_12, MOD_3_4, get_ext, get_field, qm_search_oracle,
 )
+from symbolic import alphas_from_noncubes, closed_form, conjugate, h_variants
 
 
 def record(number, ok, message):
@@ -156,13 +147,8 @@ DUAL_PATH_PLAN = {
 
 
 def _dual_path_tuple(kind, params, ext):
-    system = coeffs(params, ext)
-    closed = closed_form_rational(system, params, ext).normalized()
-    composed = compose_nfr(
-        nu_map(ext, params.beta_t, params.delta_t),
-        base_map(kind, params.aux, ext),
-        rho_map(ext, params.beta, params.delta),
-    ).normalized()
+    closed = closed_form(params, ext).normalized()
+    composed = conjugate(kind, params, ext).normalized()
     return composed.num == closed.num and composed.den == closed.den
 
 

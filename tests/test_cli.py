@@ -21,10 +21,8 @@ from circleperm.serialize import (
     params_to_json,
     poly_from_json,
     poly_to_json,
-    rational_from_json,
-    rational_to_json,
 )
-from circleperm.polynomials import RationalFunction, SparsePolynomial
+from circleperm.polynomials import SparsePolynomial
 from circleperm.verify import verify_both
 from conftest import get_ext
 
@@ -60,14 +58,6 @@ class TestSerialization:
         d = poly_to_json(f)
         assert [t[0] for t in d["terms"]] == [15, 3]
         assert poly_from_json(d, big) == f
-
-    def test_rational_round_trip(self, ext25):
-        big = ext25.big
-        rf = RationalFunction(
-            SparsePolynomial.x_power(big, 3),
-            SparsePolynomial.from_coeff_list(big, [1, 1]),
-        )
-        assert rational_from_json(rational_to_json(rf), big) == rf
 
     def test_params_round_trip(self, ext25):
         big = ext25.big
@@ -179,6 +169,20 @@ class TestCommands:
                    "--format", fmt, "--out", str(out)])
         assert rc == 2
         assert out.read_bytes() == b"earlier catalog\n"
+
+    @pytest.mark.parametrize("p,m,family,violation", [
+        ("7", "1", "Q1", "q = 7 is not 2 mod 3"),
+        ("2", "3", "P4", "aux must be a nonzero non-cube in the subfield"),
+    ], ids=["Q1-q7", "P4-q8"])
+    def test_rejected_grid_q_leaves_out_file(self, capsys, tmp_path, p, m, family, violation):
+        # the row rejects every tuple at this q: exit 2 as a single construction does
+        out = tmp_path / "kept.jsonl"
+        out.write_bytes(b"earlier catalog\n")
+        rc = main(["construct", "--p", p, "--m", m, "--family", family, "--grid",
+                   "--out", str(out)])
+        assert rc == 2
+        assert out.read_bytes() == b"earlier catalog\n"
+        assert json.loads(capsys.readouterr().err) == {"violations": [violation]}
 
     def test_grid_worker_order_fixed(self, capsys):
         # catalog lines carry no timing: two runs print the same bytes

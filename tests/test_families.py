@@ -15,25 +15,23 @@ from circleperm.families import (
     ConstructionParams,
     GridLimits,
     aux_candidates,
-    base_map,
     build_family,
-    closed_form_rational,
     coeffs,
     derive_beta_t,
-    h_variants,
     param_grid,
     validate_params,
     _delta_rules,
 )
 from circleperm.fields import quad_extension
-from circleperm.polynomials import compose_nfr, nu_map, rho_map
 from conftest import get_ext
+from symbolic import base_map, closed_form, compose, conjugate, h_variants, mobius
 
 SMALLEST_Q_EXT = {
     KIND_CUBIC: (5, 1, None),
     KIND_CUBIC_SHIFT: (3, 1, None),
     KIND_QUARTIC_TRI: (2, 2, None),
     KIND_QUARTIC_BIN: (2, 2, None),
+    KIND_QUARTIC: (2, 2, None),
 }
 
 
@@ -153,16 +151,37 @@ class TestCoefficientSystems:
         assert sys.D[4] == r_map(params.delta) + params.delta_t
         assert sys.D[0] == params.beta**4 * (r_map(dq) + params.delta_t)
 
+    @staticmethod
+    def _assert_q(kind, ext, auxes):
+        # Q_k is the Y^k coefficient of the numerator of R((delta*Y - delta^q)/(Y - 1))
+        one = ext.big.one()
+        for aux in auxes:
+            for delta in nonsubfield_members(ext)[::2]:
+                y = mobius(delta, -ext.frob_q(delta), one, -one)
+                num = compose(base_map(kind, aux, ext), y).num
+                qs = families._q_encs(kind, delta, aux, ext)
+                assert qs == [num.coeff(k).enc for k in range(len(qs))], (kind, aux, delta)
+
+    @pytest.mark.parametrize("family", ["Q1", "Q3", "P1", "P4", "B1"])
+    def test_q_matches_composition(self, family):
+        kind = FAMILIES[family].kind
+        ext = _ext_for(SMALLEST_Q_EXT[kind])
+        self._assert_q(kind, ext, aux_candidates(family, ext))
+
+    def test_q_reads_aux_powers(self, monkeypatch):
+        # a row with an a^2 term: X^5 + a X^3 + a^2 X; a = 0, 1 would hide a^2 read as a
+        row = families.BaseMap(((5, 1, 0), (3, 1, 1), (1, 1, 2)), 1, "even", None)
+        monkeypatch.setitem(families._BASE_MAPS, "quintic_dickson", row)
+        ext = get_ext(2, 3)
+        self._assert_q("quintic_dickson", ext, [a for a in ext.subfield_members() if a.enc > 1])
+
 
 class TestDualPath:
     """compose(nu, base, rho) must equal the closed-form system exactly."""
 
     def _assert_tuple(self, kind, params, ext):
-        system = coeffs(params, ext)
-        closed = closed_form_rational(system, params, ext).normalized()
-        rho = rho_map(ext, params.beta, params.delta)
-        nu = nu_map(ext, params.beta_t, params.delta_t)
-        composed = compose_nfr(nu, base_map(kind, params.aux, ext), rho).normalized()
+        closed = closed_form(params, ext).normalized()
+        composed = conjugate(kind, params, ext).normalized()
         assert composed.num == closed.num and composed.den == closed.den
 
     @pytest.mark.parametrize("kind", list(REPRESENTATIVE_FAMILY))
