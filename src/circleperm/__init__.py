@@ -13,7 +13,6 @@ from .errors import (
     DivisionByZero,
     InvalidParams,
     InvariantViolation,
-    LimitExceeded,
     NotInstantiable,
     NotIrreducible,
     NotMonic,
@@ -46,7 +45,6 @@ __all__ = [
     "CapExceeded",
     "InvalidParams",
     "InvariantViolation",
-    "LimitExceeded",
     "NotInstantiable",
 ]
 

@@ -22,7 +22,6 @@ from .errors import (
     CirclepermError,
     InvalidParams,
     InvariantViolation,
-    LimitExceeded,
     MalformedOperand,
 )
 from .families import (
@@ -288,7 +287,7 @@ def main(argv=None) -> int:
     except InvalidParams as exc:
         print(json.dumps({"violations": exc.violations}), file=sys.stderr)
         return 2
-    except (CapExceeded, LimitExceeded) as exc:
+    except CapExceeded as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 3
     except InvariantViolation as exc:

@@ -65,9 +65,5 @@ class InvalidParams(CirclepermError):
         self.violations = list(violations)
 
 
-class LimitExceeded(CirclepermError):
-    pass
-
-
 class NotInstantiable(CirclepermError):
     pass

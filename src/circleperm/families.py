@@ -29,7 +29,7 @@ import weakref
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-from .errors import InvalidParams, InvariantViolation, LimitExceeded
+from .errors import CapExceeded, InvalidParams, InvariantViolation
 from .fields import EXHAUSTIVE_CAP, FieldElement, QuadExtension
 from .polynomials import SparsePolynomial, irreducible_cubic_alphas, reduce_exponent
 
@@ -55,13 +55,14 @@ _BASE_MAPS = {
     KIND_CUBIC: BaseMap(((3, 1, 0),), 0, "2mod3", None),
     KIND_CUBIC_SHIFT: BaseMap(((3, 1, 0), (1, -1, 1)), 0, "0mod3", AuxRule(
         "aux must be zero or a non-square in the subfield",
-        lambda ext: [s for s in ext.subfield_members() if not s.enc or not ext.is_square_sub(s)])),
+        lambda ext: [s for s in ext.subfield_members()
+                     if not s.enc or not ext.is_power_sub(s, 2)])),
     KIND_QUARTIC_TRI: BaseMap(((4, 1, 0), (2, 1, 0), (1, 1, 1)), 1, "even", AuxRule(
         "X^3 + X + aux has a root in the subfield",
         lambda ext: irreducible_cubic_alphas(ext.subfield_members()))),
     KIND_QUARTIC_BIN: BaseMap(((4, 1, 0), (1, 1, 1)), 1, "even", AuxRule(
         "aux must be a nonzero non-cube in the subfield",
-        lambda ext: [s for s in ext.subfield_members() if s.enc and not ext.is_cube_sub(s)])),
+        lambda ext: [s for s in ext.subfield_members() if s.enc and not ext.is_power_sub(s, 3)])),
     KIND_QUARTIC: BaseMap(((4, 1, 0),), 1, "even", None),
 }
 
@@ -155,26 +156,29 @@ def validate_params(family: str, params: ConstructionParams, ext: QuadExtension)
 
 
 def field_violations(family: str, ext: QuadExtension) -> list[str]:
-    """The violations every tuple of the family over ext has: q outside the
-    base map's congruence, or an aux rule that no element of GF(q) meets."""
+    """The violations every tuple of the family over ext has: those of q
+    itself, or an aux rule that no element of GF(q) meets."""
     spec = FAMILIES[family]
-    v = [] if spec.admits(ext.q) else [_congruence_violation(spec, ext.q)]
+    v = _q_violations(spec, ext.q)
     if spec.aux is not None and not _aux_set(spec.aux, ext):
         v.append(spec.aux.violation)
     return v
 
 
-def _congruence_violation(spec: FamilySpec, q: int) -> str:
-    return f"q = {q} is not {_CONGRUENCES[spec.congruence][2]}"
+def _q_violations(spec: FamilySpec, q: int) -> list[str]:
+    """q outside the base map's congruence, or q below its degree d: two
+    exponents of h collide mod q^2 - 1 iff d >= q + 1."""
+    v = [] if spec.admits(q) else [f"q = {q} is not {_CONGRUENCES[spec.congruence][2]}"]
+    d = _degree(spec.kind)
+    if q < d:
+        v.append(f"q = {q} is less than deg R = {d}")
+    return v
 
 
 def _check(spec: FamilySpec, params: ConstructionParams, ext: QuadExtension):
     """(violations, Q_0..Q_d encodings at the tuple's delta and aux)."""
     base = _BASE_MAPS[spec.kind]
-    q = ext.q
-    v = []
-    if not spec.admits(q):
-        v.append(_congruence_violation(spec, q))
+    v = _q_violations(spec, ext.q)
     beta, beta_t = params.beta, params.beta_t
     delta, delta_t = params.delta, params.delta_t
     if not ext.on_circle(beta):
@@ -218,7 +222,7 @@ def _delta_rules(kind: str, delta: FieldElement, aux: FieldElement | None, ext: 
     qs = _q_encs(kind, delta, aux, ext)
     excluded = {big.mul_enc(qk, pow(bk, -1, p)) for qk, bk in zip(qs, b) if bk}
     a = aux if aux is not None else big.zero()
-    delta_ok = kind != KIND_QUARTIC_TRI or (delta + ext.frob_q(delta) + a).enc != 0
+    delta_ok = kind != KIND_QUARTIC_TRI or (delta + delta**ext.q + a).enc != 0
     return qs, excluded, delta_ok
 
 
@@ -388,7 +392,7 @@ def param_grid(family: str, ext: QuadExtension, limits: GridLimits | None = None
     """
     limits = limits or GridLimits()
     if ext.big.order > limits.cap_order:
-        raise LimitExceeded(
+        raise CapExceeded(
             f"field order {ext.big.order} exceeds grid cap {limits.cap_order}"
         )
     spec = FAMILIES[family]

@@ -16,19 +16,26 @@ lookups.  p = 2 adds by xor, so only the exhaustive loop's multi-term log sum
 reads zech, and zech_table() builds it on first use.  The tables are filled
 by stepping x -> x*g: for the modulus root a step shifts the digits of x once
 and adds (top digit)*X^n mod the modulus, O(n) digit work.  Larger fields use
-table-free digit-wise and polynomial arithmetic; no order cap is enforced on
-arithmetic.  EXHAUSTIVE_CAP, the one cap on tables, exhaustive work and QM
-equivalence, is re-exported by verify; GridLimits.cap_order and the qm
-functions' caps default to it.
+table-free arithmetic: one digit-wise product mod the modulus and one
+square-and-multiply loop, which _Ring holds so that the modulus search can
+run them before a field exists; no order cap is enforced on arithmetic.
+EXHAUSTIVE_CAP, the one cap on tables, exhaustive work and QM equivalence,
+is re-exported by verify; GridLimits.cap_order and the qm functions' caps
+default to it.
 
-The quadratic-extension view GF(q^2)/GF(q) lives in QuadExtension, which
-exposes the subfield and the unit circle, i.e. the order-(q+1) subgroup
-{x : x^(q+1) = 1}.
+GF(p^n)* is cyclic of order m = p^n - 1, so every structural question is a
+question about it: an element is primitive iff x^m = 1 and x^(m/r) != 1 for
+each prime r | m, FieldCtx.subgroup(k) lists {x : x^k = 1} for k | m, and
+FieldCtx.is_power(x, k) tests x^(m/gcd(k, m)) = 1.  The quadratic-extension
+view GF(q^2)/GF(q) lives in QuadExtension: the unit circle is the
+order-(q+1) subgroup, GF(q)* the order-(q-1) one, and is_power_sub runs
+the power test in GF(q)*.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from array import array
 
 from .errors import (
@@ -78,34 +85,16 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-def least_primitive_root(p: int) -> int:
-    order = p - 1
-    facs = prime_factors(order)
-    for g in range(2, p):
-        if all(pow(g, order // f, p) != 1 for f in facs):
-            return g
-    return 1  # p == 2
-
-
 # ---------------------------------------------------------------------------
 # dense polynomial arithmetic over Z_p (coefficient lists, least degree first)
-# -- only used for modulus validation and generator search, never in the hot
-#    per-element paths.
+# -- the division that Euclid's gcd and the factor of a rejected modulus need;
+#    products mod a modulus run in _Ring.
 
 
 def _trim(c):
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _poly_mulmod(a, b, mod, p):
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_rem(prod, mod, p)
 
 
 def _poly_rem(a, mod, p):
@@ -122,17 +111,6 @@ def _poly_rem(a, mod, p):
             a[shift + j] = (a[shift + j] - coef * mj) % p
         _trim(a)
     return a
-
-
-def _poly_powmod(base, e, mod, p):
-    result = [1]
-    acc = _poly_rem(base, mod, p)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, acc, mod, p)
-        acc = _poly_mulmod(acc, acc, mod, p)
-        e >>= 1
-    return result
 
 
 def _poly_gcd(a, b, p):
@@ -152,22 +130,18 @@ def _poly_gcd(a, b, p):
 def is_irreducible(modulus, p) -> bool:
     """Monic modulus irreducible over Z_p.
 
-    Degree <= 3 uses the no-root scan; above that, f is irreducible iff
-    gcd(f, X^{p^d} - X) = 1 for every d <= deg(f)/2.
+    f is irreducible iff gcd(f, X^{p^d} - X) = 1 for every d <= deg(f)/2;
+    X^{p^d} is computed in Z_p[X]/(f).  For degree 2 and 3 that one d = 1
+    test is the no-root test.
     """
     deg = len(modulus) - 1
     if deg <= 0:
         return False
-    if deg == 1:
-        return True
-    if deg <= 3:
-        return all(_poly_eval_int(modulus, x, p) != 0 for x in range(p))
-    xp = [0, 1]
+    ring = _Ring(p, modulus)
+    xpd = ring._root_enc()  # X
     for _ in range(deg // 2):
-        xp = _poly_powmod(xp, p, modulus, p)
-        probe = list(xp)
-        while len(probe) < 2:
-            probe.append(0)
+        xpd = ring._pow(xpd, p)
+        probe = list(ring.enc_to_coords(xpd))
         probe[1] = (probe[1] - 1) % p  # X^{p^d} - X
         if len(_poly_gcd(modulus, probe, p)) > 1:
             return False
@@ -197,6 +171,95 @@ def _find_factor(modulus, p):
 
 
 # ---------------------------------------------------------------------------
+
+
+class _Ring:
+    """Z_p[X]/(modulus) for a monic modulus of degree n >= 1, irreducible or
+    not: encodings, the table-free product and square-and-multiply.  The
+    modulus search runs them on candidates before any field exists."""
+
+    def __init__(self, p: int, modulus):
+        self.p = p
+        self.n = len(modulus) - 1
+        self.modulus = tuple(modulus)
+        self.order = p**self.n
+        if p == 2:
+            self._modmask = sum(c << i for i, c in enumerate(modulus))
+        else:
+            # X^n == -(c_{n-1} X^{n-1} + ... + c_0)
+            self._head = tuple((-c) % p for c in modulus[:-1])
+
+    def enc_to_coords(self, enc: int) -> tuple[int, ...]:
+        p = self.p
+        out = []
+        for _ in range(self.n):
+            enc, r = divmod(enc, p)
+            out.append(r)
+        return tuple(out)
+
+    def coords_to_enc(self, coords) -> int:
+        if len(coords) > self.n:
+            raise ValueError("coordinate vector longer than extension degree")
+        p = self.p
+        enc = 0
+        for c in reversed(list(coords)):
+            enc = enc * p + c % p
+        return enc
+
+    def _mul_generic(self, a: int, b: int) -> int:
+        if self.p == 2:
+            n = self.n
+            mask = self._modmask
+            top = 1 << n
+            r = 0
+            while b:
+                if b & 1:
+                    r ^= a
+                b >>= 1
+                a <<= 1
+                if a & top:
+                    a ^= mask
+            return r
+        p = self.p
+        n = self.n
+        ca = self.enc_to_coords(a)
+        cb = self.enc_to_coords(b)
+        prod = [0] * (2 * n - 1)
+        for i, ai in enumerate(ca):
+            if ai:
+                for j, bj in enumerate(cb):
+                    prod[i + j] = (prod[i + j] + ai * bj) % p
+        head = self._head
+        for i in range(2 * n - 2, n - 1, -1):
+            c = prod[i]
+            if c:
+                prod[i] = 0
+                base = i - n
+                for j, hj in enumerate(head):
+                    prod[base + j] = (prod[base + j] + c * hj) % p
+        return self.coords_to_enc(prod[: n])
+
+    def _pow(self, a: int, e: int) -> int:
+        """a^e for e >= 0 on the table-free product."""
+        r = 1
+        while e:
+            if e & 1:
+                r = self._mul_generic(r, a)
+            a = self._mul_generic(a, a)
+            e >>= 1
+        return r
+
+    def _root_enc(self) -> int:
+        """The modulus root: the constant -c_0 when n = 1, else digits (0, 1)."""
+        return (-self.modulus[0]) % self.p if self.n == 1 else self.p
+
+    def _is_primitive(self, a: int) -> bool:
+        """a has multiplicative order m = p^n - 1: a^m = 1, and a^(m/r) != 1
+        for every prime r | m.  A ring that is not a field has fewer than m
+        units, so no element passes there, and a root that passes proves its
+        modulus irreducible (Lidl-Niederreiter, Finite Fields, Thm 3.16)."""
+        m = self.order - 1
+        return self._pow(a, m) == 1 and all(self._pow(a, m // r) != 1 for r in prime_factors(m))
 
 
 class FieldElement:
@@ -296,21 +359,8 @@ class FieldElement:
             raise DivisionByZero("inverse of zero")
         return FieldElement(self.ctx, self.ctx.pow_enc(self.enc, -1))
 
-    def frobenius(self, k: int = 1) -> "FieldElement":
-        """x^(p^k)."""
-        return self ** (self.ctx.p**k)
 
-    def multiplicative_order(self) -> int:
-        if self.enc == 0:
-            raise ZeroInput("zero has no multiplicative order")
-        order = self.ctx.order - 1
-        for f in prime_factors(order):
-            while order % f == 0 and self.ctx.pow_enc(self.enc, order // f) == 1:
-                order //= f
-        return order
-
-
-class FieldCtx:
+class FieldCtx(_Ring):
     """GF(p^n) = Z_p[X]/(modulus), with a distinguished primitive element.
 
     The generator is the modulus root when that root is primitive
@@ -331,16 +381,8 @@ class FieldCtx:
             raise NotIrreducible(
                 f"modulus {modulus} is reducible over GF({p})", factor=factor
             )
-        self.p = p
-        self.n = len(modulus) - 1
-        self.modulus = tuple(modulus)
-        self.order = p**self.n
+        super().__init__(p, modulus)
         self._pn_powers = [p**i for i in range(self.n + 1)]
-        if p == 2:
-            self._modmask = sum(c << i for i, c in enumerate(modulus))
-        else:
-            # X^n == -(c_{n-1} X^{n-1} + ... + c_0)
-            self._head = tuple((-c) % p for c in modulus[:-1])
         # every table path keys on _log; pow_enc runs table-free until it is set
         self._exp = self._log = self._zech = None
         gen_enc, self.generator_is_root = self._pick_generator(generator)
@@ -349,23 +391,6 @@ class FieldCtx:
             self._build_tables()
 
     # -- encoding -----------------------------------------------------------
-
-    def enc_to_coords(self, enc: int) -> tuple[int, ...]:
-        p = self.p
-        out = []
-        for _ in range(self.n):
-            enc, r = divmod(enc, p)
-            out.append(r)
-        return tuple(out)
-
-    def coords_to_enc(self, coords) -> int:
-        if len(coords) > self.n:
-            raise ValueError("coordinate vector longer than extension degree")
-        p = self.p
-        enc = 0
-        for c in reversed(list(coords)):
-            enc = enc * p + c % p
-        return enc
 
     def element(self, coords) -> FieldElement:
         return FieldElement(self, self.coords_to_enc(coords))
@@ -437,39 +462,6 @@ class FieldCtx:
             return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
         return self._mul_generic(a, b)
 
-    def _mul_generic(self, a: int, b: int) -> int:
-        if self.p == 2:
-            n = self.n
-            mask = self._modmask
-            top = 1 << n
-            r = 0
-            while b:
-                if b & 1:
-                    r ^= a
-                b >>= 1
-                a <<= 1
-                if a & top:
-                    a ^= mask
-            return r
-        p = self.p
-        n = self.n
-        ca = self.enc_to_coords(a)
-        cb = self.enc_to_coords(b)
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(ca):
-            if ai:
-                for j, bj in enumerate(cb):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        head = self._head
-        for i in range(2 * n - 2, n - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                base = i - n
-                for j, hj in enumerate(head):
-                    prod[base + j] = (prod[base + j] + c * hj) % p
-        return self.coords_to_enc(prod[: n])
-
     def pow_enc(self, a: int, e: int) -> int:
         if a == 0:
             if e == 0:
@@ -481,13 +473,7 @@ class FieldCtx:
         e %= m
         if self._log is not None:
             return self._exp[self._log[a] * e % m]
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_generic(r, a)
-            a = self._mul_generic(a, a)
-            e >>= 1
-        return r
+        return self._pow(a, e)
 
     def log_enc(self, a: int) -> int:
         if a == 0:
@@ -507,28 +493,19 @@ class FieldCtx:
 
     # -- construction internals ----------------------------------------------
 
-    def _enc_order_is_max(self, enc: int) -> bool:
-        m = self.order - 1
-        return all(self.pow_enc(enc, m // f) != 1 for f in prime_factors(m))
-
-    def _root_enc(self) -> int:
-        if self.n == 1:
-            return (-self.modulus[0]) % self.p
-        return self.p  # coords (0, 1, 0, ...)
-
     def _pick_generator(self, generator):
+        root = self._root_enc()
         if generator is not None:
             enc = generator.enc if isinstance(generator, FieldElement) else (
                 self.coords_to_enc(generator)
             )
-            if not self._enc_order_is_max(enc):
+            if not self._is_primitive(enc):
                 raise ZeroInput("supplied generator is not primitive")
-            return enc, enc == self._root_enc()
-        root = self._root_enc()
-        if root and self._enc_order_is_max(root):
+            return enc, enc == root
+        if self._is_primitive(root):
             return root, True
         for enc in range(1, self.order):
-            if self._enc_order_is_max(enc):
+            if self._is_primitive(enc):
                 return enc, False
         raise InvariantViolation("no primitive element found (unreachable)")
 
@@ -584,24 +561,23 @@ class FieldCtx:
                 for x in itertools.islice(self._exp, len(log) - 1)))
         return self._zech
 
-    # -- predicates ----------------------------------------------------------
+    # -- the cyclic group GF(p^n)* ---------------------------------------------
 
-    def is_square(self, x: FieldElement) -> bool:
-        """x != 0 a square: x^((order-1)/2) == 1 for odd p, always for p=2."""
-        self._own(x)
-        if x.enc == 0:
-            raise ZeroInput("square test needs a nonzero input")
-        if self.p == 2:
-            return True
-        return self.pow_enc(x.enc, (self.order - 1) // 2) == 1
+    def subgroup(self, k: int) -> list[FieldElement]:
+        """{x : x^k = 1} for k | order - 1, as [g^(j(order-1)/k) for j < k]."""
+        step = self.exp_enc((self.order - 1) // k)
+        out, x = [], 1
+        for _ in range(k):
+            out.append(FieldElement(self, x))
+            x = self.mul_enc(x, step)
+        if x != 1:
+            raise InvariantViolation(f"the order-{k} subgroup walk did not close")
+        return out
 
-    def is_cube(self, x: FieldElement) -> bool:
+    def is_power(self, x: FieldElement, k: int) -> bool:
+        """x != 0 a k-th power in GF(p^n)."""
         self._own(x)
-        if x.enc == 0:
-            raise ZeroInput("cube test needs a nonzero input")
-        if (self.order - 1) % 3 != 0:
-            return True
-        return self.pow_enc(x.enc, (self.order - 1) // 3) == 1
+        return _is_power(self, x, k, self.order - 1)
 
     def _own(self, x: FieldElement):
         if not isinstance(x, FieldElement) or x.ctx is not self:
@@ -619,6 +595,13 @@ def field_create(p: int, modulus, generator=None) -> FieldCtx:
     return FieldCtx(p, modulus, generator=generator)
 
 
+def _is_power(ctx: FieldCtx, x: FieldElement, k: int, m: int) -> bool:
+    """x in the cyclic group of order m is a k-th power: x^(m/gcd(k, m)) = 1."""
+    if x.enc == 0:
+        raise ZeroInput("power test needs a nonzero input")
+    return ctx.pow_enc(x.enc, m // math.gcd(k, m)) == 1
+
+
 def canonical_modulus(p: int, n: int) -> list[int]:
     """Deterministic default modulus for GF(p^n).
 
@@ -627,8 +610,13 @@ def canonical_modulus(p: int, n: int) -> list[int]:
     constant coefficient pinned so the root's norm to GF(p) is the least
     primitive root mod p.  This matches the generators the worked examples
     are expressed in for the small fields that ship without a modulus.
+    A candidate is kept when its root is primitive in Z_p[X]/(candidate),
+    which also proves the candidate irreducible.
     """
-    r = least_primitive_root(p)
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    zp = _Ring(p, [0, 1])  # Z_p, the integer k encoded as k
+    r = next(k for k in range(1, p) if zp._is_primitive(k))
     a0 = (-1) ** n * r % p
     for word in itertools.product(range(p), repeat=n - 1):
         coeffs = [a0]
@@ -637,31 +625,18 @@ def canonical_modulus(p: int, n: int) -> list[int]:
             w = word[n - 1 - i]
             coeffs.append((-1) ** (n - i) * w % p)
         coeffs.append(1)
-        if not is_irreducible(coeffs, p):
-            continue
-        root_order = _root_multiplicative_order(coeffs, p)
-        if root_order == p**n - 1:
+        ring = _Ring(p, coeffs)
+        if ring._is_primitive(ring._root_enc()):
             return coeffs
     raise InvariantViolation(f"no primitive polynomial of degree {n} over GF({p})")
-
-
-def _root_multiplicative_order(modulus, p):
-    group_order = p ** (len(modulus) - 1) - 1
-    x = [0, 1]
-    if len(modulus) == 2:
-        x = [(-modulus[0]) % p]
-        _trim(x)
-    order = group_order
-    for f in prime_factors(group_order):
-        while order % f == 0 and _poly_powmod(x, order // f, modulus, p) == [1]:
-            order //= f
-    return order
 
 
 class QuadExtension:
     """GF(q^2) over GF(q) with q = p^m: subfield and unit-circle structure."""
 
     def __init__(self, p: int, m: int, modulus=None, generator=None):
+        if m < 1:
+            raise ValueError(f"m = {m}: the subfield GF(p^m) needs m >= 1")
         if modulus is None:
             modulus = canonical_modulus(p, 2 * m)
         if len(modulus) - 1 != 2 * m:
@@ -688,57 +663,27 @@ class QuadExtension:
             return False
         return self.big.pow_enc(x.enc, self.q + 1) == 1
 
-    def frob_q(self, x: FieldElement) -> FieldElement:
-        return x**self.q
-
     # -- enumerations ----------------------------------------------------------
 
     def circle_members(self) -> list[FieldElement]:
-        """[g^(k(q-1)) for k = 0..q]; each satisfies x^(q+1) = 1."""
+        """The unit circle, the order-(q+1) subgroup: [g^(k(q-1)) for k = 0..q]."""
         if self._mu is None:
-            g_step = self.big.gen_pow(self.q - 1)
-            x = self.big.one()
-            out = []
-            for _ in range(self.q + 1):
-                out.append(x)
-                x = x * g_step
-            if x != self.big.one():
-                raise InvariantViolation("circle enumeration did not close")
-            self._mu = out
+            self._mu = self.big.subgroup(self.q + 1)
         return list(self._mu)
 
     def subfield_members(self) -> list[FieldElement]:
         """[0, gq^0, gq^1, ...] with gq = g^(q+1) generating GF(q)*."""
         if self._sub is None:
-            gq = self.big.gen_pow(self.q + 1)
-            out = [self.big.zero()]
-            x = self.big.one()
-            for _ in range(self.q - 1):
-                out.append(x)
-                x = x * gq
-            self._sub = out
+            self._sub = [self.big.zero(), *self.big.subgroup(self.q - 1)]
         return list(self._sub)
 
     # -- subfield-relative predicates -----------------------------------------
 
-    def is_square_sub(self, x: FieldElement) -> bool:
-        """x a square inside GF(q) (x must lie in the subfield, nonzero)."""
+    def is_power_sub(self, x: FieldElement, k: int) -> bool:
+        """x a k-th power inside GF(q) (x must lie in the subfield, nonzero)."""
         if not self.in_subfield(x):
             raise CtxMismatch("element is not in the subfield")
-        if x.enc == 0:
-            raise ZeroInput("square test needs a nonzero input")
-        if self.big.p == 2:
-            return True
-        return self.big.pow_enc(x.enc, (self.q - 1) // 2) == 1
-
-    def is_cube_sub(self, x: FieldElement) -> bool:
-        if not self.in_subfield(x):
-            raise CtxMismatch("element is not in the subfield")
-        if x.enc == 0:
-            raise ZeroInput("cube test needs a nonzero input")
-        if (self.q - 1) % 3 != 0:
-            return True
-        return self.big.pow_enc(x.enc, (self.q - 1) // 3) == 1
+        return _is_power(self.big, x, k, self.q - 1)
 
     def __repr__(self):
         return f"QuadExtension(GF({self.q}^2)/GF({self.q}))"

@@ -118,9 +118,7 @@ def h1_form_instances(ext, require_outside_subfield=True):
     big = ext.big
     q = ext.q
     m = big.order - 1
-    step = m // math.gcd(3 * (q - 1), m)
-    for k in range(0, m, step):
-        b = big.gen_pow(k)
+    for b in big.subgroup(math.gcd(3 * (q - 1), m)):
         if require_outside_subfield and ext.in_subfield(b):
             continue
         poly = SparsePolynomial(big, [(q + 2, big.one()), (1, b)])
@@ -141,10 +139,10 @@ def _h2_instances(ext):
             continue
         exp = (2**n - 1) // (2**t - 1) + 1
         omega = big.gen_pow(m // 3)  # order-3 element; exists since n is even
-        sub_step = m // (2**t - 1)
+        sub = big.subgroup(2**t - 1)
         for w in (omega, omega * omega):
-            for j in range(2**t - 1):
-                a = w * big.gen_pow(j * sub_step)
+            for c in sub:
+                a = w * c
                 poly = SparsePolynomial(big, [(exp, big.one()), (1, a)])
                 yield KnownInstance(
                     "H2", poly.reduce_exponents(), {"a": a, "s": s, "t": t}
@@ -166,7 +164,7 @@ def _h7_instances(ext):
         if math.gcd(dprime - 1, 2**k - 1) != 1 or math.gcd(r, 2**k - 1) != 1:
             continue
         m = big.order - 1
-        sub = {big.exp_enc(j * (m // (2**k - 1))) for j in range(2**k - 1)}
+        sub = {x.enc for x in big.subgroup(2**k - 1)}
         for y in range(m):
             a_enc = big.exp_enc(y)
             if a_enc in sub:
@@ -183,7 +181,7 @@ def _f1_instances(ext):
     q = ext.q
     minus_one = -big.one()
     for a in ext.subfield_members():
-        if a.enc == 0 or a == minus_one or not ext.is_square_sub(a):
+        if a.enc == 0 or a == minus_one or not ext.is_power_sub(a, 2):
             continue
         poly = SparsePolynomial(
             big, [(3, big.one()), (q + 2, a), (2 * q + 1, -a), (3 * q, a)]

@@ -80,20 +80,11 @@ def is_permutation_exhaustive(f: SparsePolynomial, ctx: FieldCtx,
     )
 
 
-def _circle(ext: QuadExtension):
-    """Encodings of z = g^(k(q-1)), k = 0..q: the unit circle, one mul_enc a step."""
-    mul, step = ext.big.mul_enc, ext.big.exp_enc(ext.q - 1)
-    z = 1
-    for _ in range(ext.q + 1):
-        yield z
-        z = mul(z, step)
-
-
 def h_no_circle_root(h: SparsePolynomial, ext: QuadExtension):
     """(True, None) when h vanishes nowhere on the unit circle, else the root."""
-    for z in _circle(ext):
-        if h.eval_enc(z) == 0:
-            return False, FieldElement(ext.big, z)
+    for z in ext.circle_members():
+        if h.eval_enc(z.enc) == 0:
+            return False, z
     return True, None
 
 
@@ -102,8 +93,9 @@ def criterion_check(r: int, h: SparsePolynomial, ext: QuadExtension) -> Permutat
 
     gcd_ok tests gcd(r, q-1) = 1; circle_ok tests that z -> z^r h(z)^(q-1)
     is injective on the circle (a circle root of h is a definite failure:
-    it maps that z to 0, which is off the circle).  z is walked as in
-    h_no_circle_root, and z^r steps along with it by g^(r(q-1)).
+    it maps that z to 0, which is off the circle).  z walks the circle in
+    circle_members order, z = g^(k(q-1)), and z^r steps along with it by
+    g^(r(q-1)).
     """
     if h.is_zero():
         raise InvalidParams(["h must be nonzero"])
@@ -115,16 +107,16 @@ def criterion_check(r: int, h: SparsePolynomial, ext: QuadExtension) -> Permutat
     seen = {}  # image enc -> the first circle point hitting it
     step_r = big.exp_enc(r * (q - 1))
     zr = 1
-    for z in _circle(ext):
-        v = h.eval_enc(z)
+    for z in ext.circle_members():
+        v = h.eval_enc(z.enc)
         if v == 0:
             circle_ok = False
-            detail["circle_root"] = FieldElement(big, z)
+            detail["circle_root"] = z
             break
         img = big.mul_enc(zr, big.pow_enc(v, q - 1))
         if img in seen:
             circle_ok = False
-            detail["circle_collision"] = (FieldElement(big, seen[img]), FieldElement(big, z))
+            detail["circle_collision"] = (seen[img], z)
             break
         seen[img] = z
         zr = big.mul_enc(zr, step_r)

@@ -92,7 +92,7 @@ def line(ext):
 def rho_map(ext, beta, delta):
     """(delta*X - beta*delta^q)/(X - beta), checked to send the unit circle onto
     the line (beta to infinity)."""
-    rho = mobius(delta, -(beta * ext.frob_q(delta)), ext.big.one(), -beta)
+    rho = mobius(delta, -(beta * delta**ext.q), ext.big.one(), -beta)
     assert bijects(rho, ext.circle_members(), line(ext)), "rho is not circle -> line"
     return rho
 
@@ -100,7 +100,7 @@ def rho_map(ext, beta, delta):
 def nu_map(ext, beta_t, delta_t):
     """beta_t*(X - delta_t^q)/(X - delta_t), checked to send the line onto the
     unit circle (infinity to beta_t)."""
-    nu = mobius(beta_t, -(beta_t * ext.frob_q(delta_t)), ext.big.one(), -delta_t)
+    nu = mobius(beta_t, -(beta_t * delta_t**ext.q), ext.big.one(), -delta_t)
     assert bijects(nu, line(ext), ext.circle_members()), "nu is not line -> circle"
     return nu
 
@@ -127,7 +127,7 @@ def closed_form(params, ext):
     big = ext.big
     d, b, _, _ = _plan(system.kind, big.p, ext.q)
     qs = _q_encs(system.kind, params.delta, params.aux, ext)
-    dtq = ext.frob_q(params.delta_t)
+    dtq = params.delta_t**ext.q
     num = SparsePolynomial(big, [
         (k, params.beta_t * params.beta ** (d - k) * (FieldElement(big, qk) - bk * dtq))
         for k, (qk, bk) in enumerate(zip(qs, b))
@@ -144,4 +144,4 @@ def h_variants(system, ext):
 def alphas_from_noncubes(ctx):
     """{a + a^{-1} : a nonzero non-cube}; needs 3 | order - 1 (even m for p=2)."""
     assert (ctx.order - 1) % 3 == 0, "no non-cubes: 3 does not divide the group order"
-    return {x + x.inverse() for x in ctx.elements() if x.enc and not ctx.is_cube(x)}
+    return {x + x.inverse() for x in ctx.elements() if x.enc and not ctx.is_power(x, 3)}

@@ -27,6 +27,10 @@ from circleperm.verify import verify_both
 from conftest import get_ext
 
 
+NON_CUBE = "aux must be a nonzero non-cube in the subfield"
+BELOW_DEGREE = {3: ["q = 2 is less than deg R = 3"], 4: ["q = 2 is less than deg R = 4"]}
+
+
 def q1_entry(ext25):
     big = ext25.big
     g = big.generator
@@ -170,11 +174,15 @@ class TestCommands:
         assert rc == 2
         assert out.read_bytes() == b"earlier catalog\n"
 
-    @pytest.mark.parametrize("p,m,family,violation", [
-        ("7", "1", "Q1", "q = 7 is not 2 mod 3"),
-        ("2", "3", "P4", "aux must be a nonzero non-cube in the subfield"),
-    ], ids=["Q1-q7", "P4-q8"])
-    def test_rejected_grid_q_leaves_out_file(self, capsys, tmp_path, p, m, family, violation):
+    @pytest.mark.parametrize("p,m,family,violations", [
+        ("7", "1", "Q1", ["q = 7 is not 2 mod 3"]),
+        ("2", "3", "P4", [NON_CUBE]),
+        *[("2", "1", family, BELOW_DEGREE[3]) for family in ("Q1", "Q2a", "Q2b", "Q2c")],
+        *[("2", "1", family, BELOW_DEGREE[4]) for family in ("P1", "P2", "P3", "B1", "B2")],
+        *[("2", "1", family, BELOW_DEGREE[4] + [NON_CUBE]) for family in ("P4", "P5", "P6")],
+    ], ids=["Q1-q7", "P4-q8", "Q1-q2", "Q2a-q2", "Q2b-q2", "Q2c-q2", "P1-q2", "P2-q2",
+            "P3-q2", "B1-q2", "B2-q2", "P4-q2", "P5-q2", "P6-q2"])
+    def test_rejected_grid_q_leaves_out_file(self, capsys, tmp_path, p, m, family, violations):
         # the row rejects every tuple at this q: exit 2 as a single construction does
         out = tmp_path / "kept.jsonl"
         out.write_bytes(b"earlier catalog\n")
@@ -182,7 +190,7 @@ class TestCommands:
                    "--out", str(out)])
         assert rc == 2
         assert out.read_bytes() == b"earlier catalog\n"
-        assert json.loads(capsys.readouterr().err) == {"violations": [violation]}
+        assert json.loads(capsys.readouterr().err) == {"violations": violations}
 
     def test_grid_worker_order_fixed(self, capsys):
         # catalog lines carry no timing: two runs print the same bytes
@@ -276,21 +284,38 @@ class TestCommands:
         assert "Traceback" not in err
         assert "disagree" in json.loads(err)["error"]
 
-    @pytest.mark.parametrize("argv", [
-        ["verify", "--p", "2", "--m", "2", "--poly", '{"terms": 5}'],
-        ["verify", "--p", "2", "--m", "2", "--poly", '{"terms": [[1, "x"]]}'],
-        ["field-info", "--p", "2", "--m", "2", "--modulus", "5"],
-        ["construct", "--p", "5", "--m", "1", "--family", "Q1",
-         "--beta", '[1, "a"]', "--delta", "g", "--delta-t", "g"],
-        ["field-info", "--field", '{"p": 5, "modulus": [2, 4, 1], "generator": "z"}'],
+    @pytest.mark.parametrize("argv,error", [
+        pytest.param(["verify", "--p", "2", "--m", "2", "--poly", '{"terms": 5}'],
+                     "MalformedOperand", id="argv0"),
+        pytest.param(["verify", "--p", "2", "--m", "2", "--poly", '{"terms": [[1, "x"]]}'],
+                     "MalformedOperand", id="argv1"),
+        pytest.param(["field-info", "--p", "2", "--m", "2", "--modulus", "5"],
+                     "MalformedOperand", id="argv2"),
+        pytest.param(["construct", "--p", "5", "--m", "1", "--family", "Q1",
+                      "--beta", '[1, "a"]', "--delta", "g", "--delta-t", "g"],
+                     "MalformedOperand", id="argv3"),
+        pytest.param(["field-info", "--field", '{"p": 5, "modulus": [2, 4, 1], "generator": "z"}'],
+                     "MalformedOperand", id="argv4"),
+        # p and m are checked before the modulus search
+        pytest.param(["field-info", "--p", "0", "--m", "1"], "NotPrime", id="p0"),
+        pytest.param(["field-info", "--p", "1", "--m", "1"], "NotPrime", id="p1"),
+        pytest.param(["field-info", "--p", "-3", "--m", "1"], "NotPrime", id="p-3"),
+        pytest.param(["construct", "--p", "1", "--m", "1", "--family", "Q1", "--grid"],
+                     "NotPrime", id="construct-p1"),
+        pytest.param(["verify", "--p", "1", "--m", "2", "--poly", '{"terms": [[5, {"pow": 0}]]}'],
+                     "NotPrime", id="verify-p1"),
+        pytest.param(["field-info", "--p", "2", "--m", "0"], "ValueError", id="m0"),
+        pytest.param(["field-info", "--field",
+                      '{"p": 5, "modulus": [2, 4, 1], "generator": [0, 0]}'],
+                     "ZeroInput", id="zero-generator"),
     ])
-    def test_malformed_operand_exits_2(self, argv, capsys):
+    def test_malformed_operand_exits_2(self, argv, error, capsys):
         # exit 1 means "not a permutation", so a bad operand must not reach it
         rc = main(argv)
         out, err = capsys.readouterr()
         assert rc == 2 and out == ""
         assert "Traceback" not in err
-        assert "MalformedOperand" in json.loads(err)["error"]
+        assert json.loads(err)["error"].startswith(f"{error}: ")
 
     def test_qm_cap_defaults(self):
         ap = build_parser()

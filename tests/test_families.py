@@ -4,7 +4,7 @@ import random
 import pytest
 
 from circleperm import families, polynomials
-from circleperm.errors import InvalidParams, LimitExceeded
+from circleperm.errors import CapExceeded, InvalidParams
 from circleperm.families import (
     FAMILIES,
     KIND_CUBIC,
@@ -18,6 +18,7 @@ from circleperm.families import (
     build_family,
     coeffs,
     derive_beta_t,
+    field_violations,
     param_grid,
     validate_params,
     _delta_rules,
@@ -147,7 +148,7 @@ class TestCoefficientSystems:
         def r_map(x):
             return x**4 + a * x
 
-        dq = ext16.frob_q(params.delta)
+        dq = params.delta**ext16.q
         assert sys.D[4] == r_map(params.delta) + params.delta_t
         assert sys.D[0] == params.beta**4 * (r_map(dq) + params.delta_t)
 
@@ -157,7 +158,7 @@ class TestCoefficientSystems:
         one = ext.big.one()
         for aux in auxes:
             for delta in nonsubfield_members(ext)[::2]:
-                y = mobius(delta, -ext.frob_q(delta), one, -one)
+                y = mobius(delta, -(delta**ext.q), one, -one)
                 num = compose(base_map(kind, aux, ext), y).num
                 qs = families._q_encs(kind, delta, aux, ext)
                 assert qs == [num.coeff(k).enc for k in range(len(qs))], (kind, aux, delta)
@@ -351,9 +352,16 @@ class TestParamGrid:
         assert list(param_grid("P1", ext25)) == []
         assert list(param_grid("Q1", ext9)) == []
 
+    def test_q_equal_to_degree_is_admitted(self):
+        # exponents of h collide iff d >= q + 1, so the row needs q >= d, not q > d
+        assert field_violations("Q3", get_ext(3, 1)) == []
+        assert field_violations("P1", get_ext(2, 2)) == []
+        assert field_violations("B1", get_ext(2, 2)) == []
+        assert next(param_grid("Q3", get_ext(3, 1)), None) is not None
+
     def test_cap_enforced(self):
         ext = get_ext(2, 2)
-        with pytest.raises(LimitExceeded):
+        with pytest.raises(CapExceeded):
             list(param_grid("B1", ext, GridLimits(cap_order=8)))
 
     def test_max_count_is_exact(self, ext16):

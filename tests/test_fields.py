@@ -15,6 +15,7 @@ from circleperm.errors import (
     ZeroInput,
 )
 from circleperm.fields import (
+    _Ring,
     canonical_modulus,
     field_create,
     is_irreducible,
@@ -55,6 +56,8 @@ class TestFieldCreate:
     def test_user_generator_checked(self):
         with pytest.raises(ZeroInput):
             field_create(5, [3, 1], generator=[1])  # 1 is not primitive
+        with pytest.raises(ZeroInput):
+            field_create(5, [3, 1], generator=[0])  # 0^m = 0, not 1
 
     def test_generator_order_is_max(self):
         for p, n in [(2, 4), (3, 2), (5, 2), (2, 6)]:
@@ -83,7 +86,7 @@ class TestArithmetic:
         for _ in range(6):  # g^(2^6) = g^64 = g * g^63
             acc = acc * acc
         assert acc == g  # so g^63 = 1
-        assert g.multiplicative_order() == 63
+        assert all((g ** (63 // r)).enc != 1 for r in (3, 7))
 
     def test_division_by_zero(self, ext25):
         big = ext25.big
@@ -96,18 +99,14 @@ class TestArithmetic:
         with pytest.raises(CtxMismatch):
             ext25.big.one() + ext9.big.one()
 
-    def test_frobenius_power(self, ext25):
-        g = ext25.big.generator
-        assert g.frobenius(1) == g**5
-
     @settings(max_examples=60, deadline=None)
     @given(a=st.integers(0, 24), b=st.integers(0, 24))
     def test_frobenius_is_additive_and_multiplicative(self, a, b):
         big = get_ext(5, 1).big
         x = big.from_enc(a)
         y = big.from_enc(b)
-        assert (x + y).frobenius() == x.frobenius() + y.frobenius()
-        assert (x * y).frobenius() == x.frobenius() * y.frobenius()
+        assert (x + y) ** 5 == x**5 + y**5
+        assert (x * y) ** 5 == x**5 * y**5
 
     @settings(max_examples=60, deadline=None)
     @given(a=st.integers(1, 80), e=st.integers(-5, 200))
@@ -179,27 +178,27 @@ class TestQuadExtension:
 class TestSquaresCubesTrace:
     def test_gf3_two_is_nonsquare(self):
         ctx = get_field(3, 1)
-        assert not ctx.is_square(ctx.from_int(2))
+        assert not ctx.is_power(ctx.from_int(2), 2)
 
     def test_norm_of_primitive_is_nonsquare_in_subfield(self, ext81):
         # subfield dlog of g^(q+1) is 1 (odd): exponent-parity oracle
         alpha = ext81.big.gen_pow(ext81.q + 1)
         assert ext81.in_subfield(alpha)
-        assert not ext81.is_square_sub(alpha)
+        assert not ext81.is_power_sub(alpha, 2)
 
     def test_gf4_generator_is_noncube(self):
         ctx = field_create(2, [1, 1, 1])
-        assert not ctx.is_cube(ctx.generator)
-        assert ctx.is_cube(ctx.one())
+        assert not ctx.is_power(ctx.generator, 3)
+        assert ctx.is_power(ctx.one(), 3)
 
     def test_even_q_all_squares(self, ext16):
         for x in ext16.big.elements():
             if x.enc:
-                assert ext16.big.is_square(x)
+                assert ext16.big.is_power(x, 2)
 
     def test_zero_input(self, ext25):
         with pytest.raises(ZeroInput):
-            ext25.big.is_square(ext25.big.zero())
+            ext25.big.is_power(ext25.big.zero(), 2)
 
 
 class TestCanonicalModulus:
@@ -315,6 +314,47 @@ class TestSteppedTables:
             assert ctx._exp[k] == x and ctx._log[x] == k, k
 
 
+GROUP_FIELDS = [(2, 2), (3, 2), (5, 1)]  # GF(2^4), GF(3^4) and GF(5^2) as GF(q^2)
+
+
+def both_paths(ext):
+    """ext, and a copy of it whose field runs on table-free arithmetic."""
+    off = copy.copy(ext)
+    off.big = tables_off(ext.big)
+    return ext, off
+
+
+class TestCyclicGroup:
+    @pytest.mark.parametrize("p,m", GROUP_FIELDS)
+    def test_subgroup_is_the_kth_roots_of_unity(self, p, m):
+        for ext in both_paths(get_ext(p, m)):
+            big = ext.big
+            order, g = big.order - 1, big.generator.enc
+            for k in (k for k in range(1, order + 1) if order % k == 0):
+                sub = [x.enc for x in big.subgroup(k)]
+                assert sub == [big.pow_enc(g, j * (order // k)) for j in range(k)], k
+                assert set(sub) == {x for x in range(1, big.order) if big.pow_enc(x, k) == 1}, k
+
+    @pytest.mark.parametrize("p,m", GROUP_FIELDS)
+    def test_is_power_is_membership_in_the_kth_powers(self, p, m):
+        for ext in both_paths(get_ext(p, m)):
+            units = list(ext.big.elements())[1:]
+            sub_units = [x for x in units if ext.in_subfield(x)]
+            for k in (2, 3):
+                powers = {(y**k).enc for y in units}
+                assert [ext.big.is_power(x, k) for x in units] == [
+                    x.enc in powers for x in units], k
+                powers = {(y**k).enc for y in sub_units}
+                assert [ext.is_power_sub(x, k) for x in sub_units] == [
+                    x.enc in powers for x in sub_units], k
+
+    def test_is_power_sub_input_checks(self, ext25):
+        with pytest.raises(CtxMismatch):
+            ext25.is_power_sub(ext25.big.generator, 2)  # not in GF(5)
+        with pytest.raises(ZeroInput):
+            ext25.is_power_sub(ext25.big.zero(), 3)
+
+
 class TestSympyCrossCheck:
     def test_is_irreducible_matches_sympy(self):
         pytest.importorskip("sympy")
@@ -326,6 +366,25 @@ class TestSympyCrossCheck:
                 for tail in itertools.product(range(p), repeat=deg):
                     monic = list(tail) + [1]  # least degree first; sympy wants most
                     assert is_irreducible(monic, p) == gf_irreducible_p(monic[::-1], p, ZZ), (p, monic)
+
+    def test_primitive_root_proves_modulus_irreducible(self):
+        # canonical_modulus keeps the first candidate whose root is primitive
+        # in Z_p[X]/(f): no reducible f may pass, and every primitive f does
+        pytest.importorskip("sympy")
+        from sympy import totient
+        from sympy.polys.domains import ZZ
+        from sympy.polys.galoistools import gf_irreducible_p
+
+        for p, max_deg in [(2, 6), (3, 4)]:
+            for deg in range(2, max_deg + 1):
+                passed = 0
+                for tail in itertools.product(range(p), repeat=deg):
+                    monic = list(tail) + [1]
+                    ring = _Ring(p, monic)
+                    if ring._is_primitive(ring._root_enc()):
+                        assert gf_irreducible_p(monic[::-1], p, ZZ), (p, monic)
+                        passed += 1
+                assert passed == totient(p**deg - 1) // deg, (p, deg)
 
     def test_canonical_modulus_is_primitive(self):
         pytest.importorskip("sympy")

@@ -241,7 +241,7 @@ class TestConjugateCubicScan:
         ext = get_ext(7, 1)
         big = ext.big
         d = big.generator
-        dq = ext.frob_q(d)
+        dq = d**ext.q
         zeta = mobius(big.one(), -dq, big.one(), -d)
         zeta_inv = mobius(d, -dq, big.one(), -big.one())
         cube = poly(SparsePolynomial.x_power(big, 3))
