@@ -5,15 +5,15 @@ over Z_p, read as digits base p, gives enc = sum(c_i * p**i).  For p = 2 the
 encoding coincides with the usual bitmask representation of GF(2)[x]:
 addition is xor and table-free multiplication runs on shift/xor.
 
-Fields of order up to EXHAUSTIVE_CAP (2^20) get three compact arrays, with
+Fields of order up to EXHAUSTIVE_CAP (2^20) get compact arrays, with
 m = order - 1 standing for the log of zero: exp (k -> g^k, and exp[m] = 0),
-log (enc -> k, and log[0] = m) and the Zech logarithms zech
+log (enc -> k, and log[0] = m), and for odd p the Zech logarithms zech
 (k -> log(1 + g^k)), typecode "H" up to order 2^16 (every entry is <= m) and
 "i" above.  Multiplication adds logs, and odd-p addition is
 g^a + g^b = g^(a + zech[b - a]) (K. Huber, "Some comments on Zech's
 logarithms", IEEE Trans. Inf. Theory 36(4), 1990), so both are O(1) table
-lookups.  p = 2 adds by xor, so only the exhaustive loop's multi-term log sum
-reads zech, and zech_table() builds it on first use.  The tables are filled
+lookups.  p = 2 adds by xor and needs no zech table: its exhaustive check
+reads exp in strided slices and xors whole runs.  The tables are filled
 by stepping x -> x*g: for the modulus root a step shifts the digits of x once
 and adds (top digit)*X^n mod the modulus, O(n) digit work.  Larger fields use
 table-free arithmetic: one digit-wise product mod the modulus and one
@@ -549,17 +549,12 @@ class FieldCtx(_Ring):
             raise InvariantViolation("generator orbit does not cover the field")
         self._exp, self._log = exp, log
         if self.p != 2:
-            self.zech_table()  # odd-p add_enc reads it
-
-    def zech_table(self):
-        """zech[k] = log(1 + g^k), built on first use; None without tables."""
-        if self._zech is None and self._log is not None:
-            p, log = self.p, self._log
-            # 1 + x only bumps digit 0 of x, so each entry costs O(1)
-            self._zech = array(log.typecode, (
+            # zech[k] = log(1 + g^k); 1 + x only bumps digit 0 of x, so each
+            # entry costs O(1)
+            p = self.p
+            self._zech = array(typecode, (
                 log[x + 1 - p if x % p == p - 1 else x + 1]
-                for x in itertools.islice(self._exp, len(log) - 1)))
-        return self._zech
+                for x in itertools.islice(exp, m)))
 
     # -- the cyclic group GF(p^n)* ---------------------------------------------
 

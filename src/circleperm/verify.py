@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field
 
@@ -34,6 +35,55 @@ class PermutationReport:
     detail: dict = field(default_factory=dict)
 
 
+# p = 2 evaluates f(g^k) for a chunk of k at a time: a non-permutation stops
+# within one chunk of its first collision, and a chunk's runs stay a few 16 KB
+_CHUNK_MIN, _CHUNK_MAX = 64, 4096
+
+
+def _stride(e: int, m: int, n: int) -> tuple[int, int]:
+    """(R, d) with 1 <= R <= n and e*R = d (mod m), minimising R + |d|*n/m."""
+    best = None
+    r0, t0, r1, t1 = m, 0, e % m, 1  # e*t = r (mod m) on every row
+    while abs(t1) <= n:
+        cost = abs(t1) * m + r1 * n
+        if best is None or cost < best[0]:
+            best = (cost, abs(t1), r1 if t1 > 0 else -r1)
+        if r1 == 0:
+            break
+        q = r0 // r1
+        r0, t0, r1, t1 = r1, t1, r0 - q * r1, t0 - q * t1
+    return best[1], best[2]
+
+
+def _gather(exp, m: int, lc: int, e: int, k0: int, n: int) -> array:
+    """[exp[(lc + e*k) % m] for k in range(k0, k0 + n)] by strided slices.
+
+    With e*R = d (mod m), the k in one class mod R read exp in steps of d,
+    so the run costs one slice assignment per class and one more per wrap
+    past m, about R + |d|*n/m in all.  Below the next denominator of the
+    extended Euclid rows of (m, e), |d| is at least the current remainder
+    (best approximation), so the least cost lies on one of those O(log m)
+    rows; d = 0 makes the run periodic in R, a constant when R = 1.  The
+    slices read exp[0:m] in place; exp[m] = 0, zero's entry, is never read.
+    """
+    R, d = _stride(e, m, n)
+    s = (lc + e * k0) % m
+    if d == 0:
+        period = array(exp.typecode, [exp[(s + e * b) % m] for b in range(R)])
+        return (period * -(-n // R))[:n]
+    out = array(exp.typecode, [0]) * n
+    for b in range(R):
+        p, j = (s + e * b) % m, b
+        while j < n:
+            # the class's next t points before p + t*d leaves [0, m)
+            t = min(-(-(n - j) // R), (m - p + d - 1) // d if d > 0 else p // -d + 1)
+            stop = p + t * d
+            out[j:j + t * R:R] = exp[p:stop if stop >= 0 else None:d]
+            j += t * R
+            p = stop % m
+    return out
+
+
 def is_permutation_exhaustive(f: SparsePolynomial, ctx: FieldCtx,
                               cap: int = EXHAUSTIVE_CAP) -> PermutationReport:
     """Evaluate f everywhere; witness = first collision in generator order."""
@@ -49,6 +99,30 @@ def is_permutation_exhaustive(f: SparsePolynomial, ctx: FieldCtx,
                 witness = (FieldElement(ctx, first_preimage[v]), x)
                 break
             first_preimage[v] = x.enc
+    elif ctx.p == 2:
+        # keyed by enc, storing k for x = g^k and m for zero: the term c*X^e
+        # is the run g^(log c + e*k), and addition is xor, so the runs of a
+        # chunk xor as packed integers and unpack once
+        m = ctx.order - 1
+        exp_t = ctx._exp
+        terms = [(e % m, ctx._log[c.enc]) for e, c in f.terms.items()]
+        first_preimage[f.coeff(0).enc] = m
+        k0, n = 0, _CHUNK_MIN
+        while witness is None and k0 < m:
+            n = min(n, m - k0)
+            acc = 0
+            for e, lc in terms:
+                acc ^= int.from_bytes(_gather(exp_t, m, lc, e, k0, n), sys.byteorder)
+            values = array(exp_t.typecode)
+            values.frombytes(acc.to_bytes(n * exp_t.itemsize, sys.byteorder))
+            for k, v in enumerate(values, k0):
+                prev = first_preimage[v]
+                if prev >= 0:
+                    witness = (FieldElement(ctx, exp_t[prev]), FieldElement(ctx, exp_t[k]))
+                    break
+                first_preimage[v] = k
+            k0 += n
+            n = min(2 * n, _CHUNK_MAX)
     else:
         # kept inline: yielding the values from a generator cost 20-23 % more
         # time on one-term polynomials at q = 243 and 256 (2-vCPU VM)
@@ -56,9 +130,8 @@ def is_permutation_exhaustive(f: SparsePolynomial, ctx: FieldCtx,
         # f(x) stays a log, g^acc + g^t = g^(acc + zech[t - acc]); the index
         # lies in (-m, m), so the array's negative indexing reduces it mod m
         m = ctx.order - 1
-        exp_t, log_t = ctx._exp, ctx._log
+        exp_t, log_t, zech = ctx._exp, ctx._log, ctx._zech
         (e0, l0), *rest = [(e, log_t[c.enc]) for e, c in f.terms.items()]
-        zech = ctx.zech_table() if rest else None
         first_preimage[log_t[f.coeff(0).enc]] = m
         for k in range(m):
             acc = (l0 + e0 * k) % m

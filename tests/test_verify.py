@@ -15,6 +15,7 @@ from circleperm.families import (
 )
 from circleperm.polynomials import SparsePolynomial
 from circleperm.verify import (
+    _gather,
     criterion_check,
     decompose,
     expand_decomposition,
@@ -22,7 +23,7 @@ from circleperm.verify import (
     is_permutation_exhaustive,
     verify_both,
 )
-from conftest import get_ext, get_field
+from conftest import MOD_2_16, get_ext, get_field
 from symbolic import pmul
 
 
@@ -75,11 +76,12 @@ class TestExhaustive:
             is_permutation_exhaustive(SparsePolynomial.x_power(ext25.big, 1), ext25.big, cap=10)
 
     def test_odd_char_table_free_path_agrees(self, ext25):
-        # the log-domain (Zech) loop and table-free arithmetic must produce
-        # identical reports, witness included, in every characteristic;
-        # exponents run over 0..m so constant terms and X^m occur
+        # the tabled loops (strided runs for p = 2, Zech logs for odd p) and
+        # table-free arithmetic must produce identical reports, witness
+        # included, in every characteristic; exponents run over 0..m so
+        # constant terms and X^m occur.  GF(2^10) spans five chunks.
         rnd = random.Random(11)
-        for ctx in (get_field(2, 4), get_field(3, 4), ext25.big):
+        for ctx in (get_field(2, 4), get_field(3, 4), ext25.big, get_field(2, 10)):
             m = ctx.order - 1
             one = ctx.one()
             polys = [
@@ -105,6 +107,14 @@ class TestExhaustive:
                 polys.append(SparsePolynomial(ctx, terms))
             if ctx is ext25.big:
                 polys.append(q1_worked_build(ext25).poly)
+            if ctx.order == 1024:
+                # first collisions after a chunk boundary: X^11 repeats at
+                # g^93, and X^3 and X^3 + g X^96 (X^3 then a GF(32)-linear
+                # bijection) at g^341
+                g = ctx.generator
+                polys += [SparsePolynomial(ctx, [(11, one)]),
+                          SparsePolynomial(ctx, [(3, one)]),
+                          SparsePolynomial(ctx, [(3, one), (96, g)])]
             fast = [is_permutation_exhaustive(poly, ctx) for poly in polys]
             with tables_off(ctx):
                 slow = [is_permutation_exhaustive(poly, ctx) for poly in polys]
@@ -112,12 +122,35 @@ class TestExhaustive:
             assert any(verdicts) and not all(verdicts)
             for poly, a, b in zip(polys, fast, slow):
                 assert (a.is_permutation, a.witness) == (b.is_permutation, b.witness), poly
+        # GF(2^10) ran last; its three late collisions end the list
+        assert [str(r.witness[1]) for r in fast[-3:]] == ["g^93", "g^341", "g^341"]
+
+    @pytest.mark.parametrize("degree", [16, 18])
+    def test_strided_gather_matches_indexing(self, degree):
+        # GF(2^16) has "H" tables and GF(2^18) "i" ones; e = m - 1 steps
+        # backwards (d < 0), and a run with k0 + n = m ends at the table's end.
+        # Runs that start n/2 from either end of exp wrap in the middle, so
+        # e = 1 and e = m - 1 land exactly on m and on -1 there, and e = m - 1
+        # started at n ends just above 0.  e = m/3 repeats with period 3.
+        ctx = get_field(2, 16, tuple(MOD_2_16)) if degree == 16 else get_ext(2, 9).big
+        exp, m = ctx._exp, ctx.order - 1
+        rnd = random.Random(5)
+        shared = next(e for e in range(3, m) if m % e == 0)
+        for e in [0, 1, 2, m - 1, shared, 3 * shared, m // shared, m, *rnd.sample(range(3, m), 6)]:
+            for n in (1, 4096):
+                for k0 in (0, rnd.randrange(m - n), m - n):
+                    for start in (rnd.randrange(m), n // 2, n, m - n // 2):
+                        lc = (start - e * k0) % m
+                        run = _gather(exp, m, lc, e, k0, n)
+                        assert run.typecode == exp.typecode
+                        want = [exp[(lc + e * k) % m] for k in range(k0, k0 + n)]
+                        assert list(run) == want, (e, n, k0, lc)
 
 
 class TestDefaultCap:
     def test_gf_2_18_both_ways(self):
-        # GF(2^18) is under the default cap and tabled: X^5 runs the one-term
-        # loop, X^q + g X the full Zech-log sum; it is GF(q)-linear with no
+        # GF(2^18) is under the default cap and tabled: X^5 is one strided
+        # run per chunk, X^q + g X the xor of two; it is GF(q)-linear with no
         # kernel, since x^(q-1) = g has no root for a primitive g
         ext = get_ext(2, 9)
         big, q = ext.big, ext.q
