@@ -2,7 +2,9 @@
 
 Subcommands: construct, verify, qm-test, qm-classify, repro, field-info.
 Exit codes: 0 success / true verdict, 1 false verdict, 2 input error,
-3 cap exceeded, 4 internal error (an invariant failed; never a verdict).
+3 field order above EXHAUSTIVE_CAP (2^20, fixed; field-info is the one
+command that runs above it), 4 internal error (an invariant failed; never a
+verdict).
 
 Field elements on the command line: "g^k" (generator power), plain integers
 (prime-subfield embedding, negatives allowed), or coordinate vectors
@@ -33,7 +35,7 @@ from .families import (
     field_violations,
     param_grid,
 )
-from .fields import EXHAUSTIVE_CAP, FieldElement, QuadExtension, field_create, quad_extension
+from .fields import FieldElement, QuadExtension, check_cap, field_create, quad_extension
 from .qm import classify_catalog, qm_equivalent
 from .serialize import (
     CSV_HEADER,
@@ -100,12 +102,10 @@ def _emit(stream, text):
 
 def cmd_construct(args) -> int:
     ext = _field_from_args(args)
-    if ext.big.order > args.cap:
-        raise CapExceeded(f"field order {ext.big.order} above --cap {args.cap}")
+    check_cap(ext.big)
     # limits, operands, a grid's q and a single construction are checked
     # before --out is opened, so that a rejected run leaves it as it was
     limits = GridLimits(
-        cap_order=args.cap,
         max_count=args.max_count,
         delta_stride=args.delta_stride,
         delta_t_stride=args.delta_t_stride,
@@ -128,7 +128,7 @@ def cmd_construct(args) -> int:
             parse_element(args.aux, ext) if args.aux else None,
         )
         built = build_family(args.family, params, ext)
-        report = verify_both(built.r, built.h, built.poly, ext, cap=args.cap)
+        report = verify_both(built.r, built.h, built.poly, ext)
         entries = [CatalogEntry(ext, built, report, "user")]
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
@@ -147,7 +147,7 @@ def construct_grid_entries(ext, family, limits: GridLimits):
     """CatalogEntry stream in grid order."""
     for params in param_grid(family, ext, limits):
         built = build_family(family, params, ext)
-        report = verify_both(built.r, built.h, built.poly, ext, cap=limits.cap_order)
+        report = verify_both(built.r, built.h, built.poly, ext)
         yield CatalogEntry(ext, built, report, "grid")
 
 
@@ -161,15 +161,14 @@ def cmd_verify(args) -> int:
     else:
         ext = _field_from_args(args)
         big = ext.big
-    if big.order > args.cap:
-        raise CapExceeded(f"field order {big.order} above --cap {args.cap}")
+    check_cap(big)
     poly = poly_from_json(_load_json_operand(args.poly), big)
     reduced = poly.reduce_exponents()
     dec = decompose(reduced, ext) if ext is not None else None
     if dec is None:
-        report = is_permutation_exhaustive(poly, big, cap=args.cap)
+        report = is_permutation_exhaustive(poly, big)
     else:
-        report = verify_both(dec[0], dec[1], reduced, ext, cap=args.cap)
+        report = verify_both(dec[0], dec[1], reduced, ext)
     _emit(sys.stdout, dumps_line(report_to_json(report)))
     return 0 if report.is_permutation else 1
 
@@ -178,7 +177,7 @@ def cmd_qm_test(args) -> int:
     ext = _field_from_args(args)
     f = poly_from_json(_load_json_operand(args.f), ext.big)
     g = poly_from_json(_load_json_operand(args.g), ext.big)
-    res = qm_equivalent(f, g, ext, cap=args.cap)
+    res = qm_equivalent(f, g, ext)
     out = {
         "equivalent": res.equivalent,
         "d_candidates_examined": res.d_candidates_examined,
@@ -203,7 +202,7 @@ def cmd_qm_classify(args) -> int:
         raise CirclepermError("catalog mixes field descriptors")
     ext = ext_from_json(desc)
     polys = [poly_from_json(e["poly"], ext.big) for e in lines]
-    part = classify_catalog(polys, ext, cap=args.cap)
+    part = classify_catalog(polys, ext)
     _emit(
         sys.stdout,
         dumps_line({"classes": part.classes, "representatives": part.representatives}),
@@ -249,25 +248,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta-t-stride", type=int, default=1)
     sp.add_argument("--out")
     sp.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
-    sp.add_argument("--cap", type=int, default=EXHAUSTIVE_CAP)
     sp.set_defaults(func=cmd_construct)
 
     sp = sub.add_parser("verify", help="permutation verdict for a polynomial")
     _add_field_args(sp)
     sp.add_argument("--poly", required=True, help="polynomial JSON (inline or path)")
-    sp.add_argument("--cap", type=int, default=EXHAUSTIVE_CAP)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("qm-test", help="quasi-multiplicative equivalence of f and g")
     _add_field_args(sp)
     sp.add_argument("--f", required=True)
     sp.add_argument("--g", required=True)
-    sp.add_argument("--cap", type=int, default=EXHAUSTIVE_CAP)
     sp.set_defaults(func=cmd_qm_test)
 
     sp = sub.add_parser("qm-classify", help="partition a catalog into QM classes")
     sp.add_argument("--catalog", required=True, help="JSONL catalog path")
-    sp.add_argument("--cap", type=int, default=EXHAUSTIVE_CAP)
     sp.set_defaults(func=cmd_qm_classify)
 
     sp = sub.add_parser("repro", help="rebuild the embedded worked examples")

@@ -18,15 +18,7 @@ class NotMonic(CirclepermError):
 
 
 class NotIrreducible(CirclepermError):
-    """Raised with a nontrivial factor of the rejected modulus.
-
-    Attributes:
-        factor: coefficient list (least degree first) of a proper divisor.
-    """
-
-    def __init__(self, message, factor=None):
-        super().__init__(message)
-        self.factor = factor
+    pass
 
 
 class CtxMismatch(CirclepermError):

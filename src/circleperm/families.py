@@ -29,8 +29,8 @@ import weakref
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-from .errors import CapExceeded, InvalidParams, InvariantViolation
-from .fields import EXHAUSTIVE_CAP, FieldElement, QuadExtension
+from .errors import InvalidParams, InvariantViolation
+from .fields import FieldElement, QuadExtension, check_cap
 from .polynomials import SparsePolynomial, irreducible_cubic_alphas, reduce_exponent
 
 KIND_CUBIC = "cubic"
@@ -370,7 +370,6 @@ def expand_decomposition(r: int, h: SparsePolynomial, ext: QuadExtension
 
 @dataclass
 class GridLimits:
-    cap_order: int = EXHAUSTIVE_CAP
     max_count: int | None = None
     delta_stride: int = 1
     delta_t_stride: int = 1
@@ -384,17 +383,14 @@ class GridLimits:
 
 
 def param_grid(family: str, ext: QuadExtension, limits: GridLimits | None = None):
-    """Yield every valid ConstructionParams tuple (optionally strided/capped).
+    """Yield every valid ConstructionParams tuple (optionally strided or cut short).
 
     beta ranges over the circle with beta_t forced by the family relation;
     delta/delta_t over GF(q^2) \\ GF(q) minus the exclusion sets; aux over
     its family-specific valid set.  Emission order is deterministic.
     """
+    check_cap(ext.big)
     limits = limits or GridLimits()
-    if ext.big.order > limits.cap_order:
-        raise CapExceeded(
-            f"field order {ext.big.order} exceeds grid cap {limits.cap_order}"
-        )
     spec = FAMILIES[family]
     if not spec.admits(ext.q):
         return

@@ -19,9 +19,9 @@ and adds (top digit)*X^n mod the modulus, O(n) digit work.  Larger fields use
 table-free arithmetic: one digit-wise product mod the modulus and one
 square-and-multiply loop, which _Ring holds so that the modulus search can
 run them before a field exists; no order cap is enforced on arithmetic.
-EXHAUSTIVE_CAP, the one cap on tables, exhaustive work and QM equivalence,
-is re-exported by verify; GridLimits.cap_order and the qm functions' caps
-default to it.
+EXHAUSTIVE_CAP is the one cap on tables, exhaustive work, parameter grids
+and QM equivalence, and check_cap is the one check of it: every field that
+passes has tables.  verify re-exports the constant.
 
 GF(p^n)* is cyclic of order m = p^n - 1, so every structural question is a
 question about it: an element is primitive iff x^m = 1 and x^(m/r) != 1 for
@@ -39,6 +39,7 @@ import math
 from array import array
 
 from .errors import (
+    CapExceeded,
     CtxMismatch,
     DivisionByZero,
     InvariantViolation,
@@ -49,6 +50,12 @@ from .errors import (
 )
 
 EXHAUSTIVE_CAP = 1 << 20
+
+
+def check_cap(ctx) -> None:
+    """Refuse exhaustive work, grids and QM on fields above EXHAUSTIVE_CAP."""
+    if ctx.order > EXHAUSTIVE_CAP:
+        raise CapExceeded(f"field order {ctx.order} above EXHAUSTIVE_CAP {EXHAUSTIVE_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +94,7 @@ def prime_factors(n: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # dense polynomial arithmetic over Z_p (coefficient lists, least degree first)
-# -- the division that Euclid's gcd and the factor of a rejected modulus need;
-#    products mod a modulus run in _Ring.
+# -- the division that Euclid's gcd needs; products mod a modulus run in _Ring.
 
 
 def _trim(c):
@@ -146,28 +152,6 @@ def is_irreducible(modulus, p) -> bool:
         if len(_poly_gcd(modulus, probe, p)) > 1:
             return False
     return True
-
-
-def _poly_eval_int(coeffs, x, p):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
-
-
-def _find_factor(modulus, p):
-    """A proper monic divisor of a reducible monic modulus (desk scale)."""
-    deg = len(modulus) - 1
-    for x in range(p):
-        if _poly_eval_int(modulus, x, p) == 0:
-            return [(-x) % p, 1]
-    # no linear factor: search low-degree divisors directly
-    for d in range(2, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            cand = list(tail) + [1]
-            if not _poly_rem(modulus, cand, p):
-                return cand
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +361,7 @@ class FieldCtx(_Ring):
         if modulus[-1] != 1:
             raise NotMonic("modulus must be monic")
         if not is_irreducible(modulus, p):
-            factor = _find_factor(modulus, p)
-            raise NotIrreducible(
-                f"modulus {modulus} is reducible over GF({p})", factor=factor
-            )
+            raise NotIrreducible(f"modulus {modulus} is reducible over GF({p})")
         super().__init__(p, modulus)
         self._pn_powers = [p**i for i in range(self.n + 1)]
         # every table path keys on _log; pow_enc runs table-free until it is set

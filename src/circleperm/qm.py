@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import CapExceeded, InvariantViolation, NotInstantiable, ZeroInput
-from .fields import EXHAUSTIVE_CAP, FieldElement, QuadExtension
+from .errors import InvariantViolation, NotInstantiable, ZeroInput
+from .fields import FieldElement, QuadExtension, check_cap
 from .polynomials import SparsePolynomial, reduce_exponent
 
 
@@ -33,9 +33,8 @@ class QmResult:
     prefilter_rejected: int = 0  # candidate d whose mapped support lost, both keys
 
 
-def _check_inputs(ext: QuadExtension, cap: int, polys):
-    if ext.big.order > cap:
-        raise CapExceeded(f"field order {ext.big.order} above qm search cap {cap}")
+def _check_inputs(ext: QuadExtension, polys):
+    check_cap(ext.big)
     if any(f.is_zero() for f in polys):
         raise ZeroInput("qm comparison needs nonzero polynomials")
 
@@ -49,8 +48,7 @@ def apply_qm(g: SparsePolynomial, u: FieldElement, v: FieldElement, d: int
     )
 
 
-def qm_equivalent(f: SparsePolynomial, g: SparsePolynomial, ext: QuadExtension,
-                  cap: int = EXHAUSTIVE_CAP) -> QmResult:
+def qm_equivalent(f: SparsePolynomial, g: SparsePolynomial, ext: QuadExtension) -> QmResult:
     """Decide f ~ g by comparing canonical keys; the witness maps g to f.
 
     With T(u, v, d) h = u*h(v X^d), maps compose as T_A(T_B h) =
@@ -59,7 +57,7 @@ def qm_equivalent(f: SparsePolynomial, g: SparsePolynomial, ext: QuadExtension,
     log u = a2 - a1 and log v = beta2 - beta1*d, where a_i = log u_i and
     beta_i = log v_i.  The counters add up both keys' candidate d.
     """
-    _check_inputs(ext, cap, (f, g))
+    _check_inputs(ext, (f, g))
     big = ext.big
     m = big.order - 1
     f = f.reduce_exponents()
@@ -277,8 +275,7 @@ def instantiate_known(family_id: str, ext: QuadExtension):
 # catalog classification
 
 
-def qm_canonical_key(f: SparsePolynomial, ext: QuadExtension,
-                     cap: int = EXHAUSTIVE_CAP) -> tuple:
+def qm_canonical_key(f: SparsePolynomial, ext: QuadExtension) -> tuple:
     """Least (support, coefficient logs) over the QM orbit of f.
 
     f ~ g iff their keys are equal.  A unit d fixes exponents 0 and m and
@@ -289,7 +286,7 @@ def qm_canonical_key(f: SparsePolynomial, ext: QuadExtension,
     the term at mapped exponent e, so a sets the first log to 0 and b
     minimises the second, leaving gcd(e2 - e1, m) choices of b compared.
     """
-    _check_inputs(ext, cap, (f,))
+    _check_inputs(ext, (f,))
     return _orbit_min(f.reduce_exponents(), ext.big)[0]
 
 
@@ -334,10 +331,9 @@ class QmPartition:
     representatives: list[int]  # index of the minimal polynomial per class
 
 
-def classify_catalog(polys: list[SparsePolynomial], ext: QuadExtension,
-                     cap: int = EXHAUSTIVE_CAP) -> QmPartition:
+def classify_catalog(polys: list[SparsePolynomial], ext: QuadExtension) -> QmPartition:
     """Group by qm_canonical_key; representatives minimal in degree-then-lex."""
-    _check_inputs(ext, cap, polys)
+    _check_inputs(ext, polys)
     reduced = [p.reduce_exponents() for p in polys]
     groups: dict[tuple, list[int]] = {}
     for i, f in enumerate(reduced):

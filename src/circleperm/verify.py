@@ -12,16 +12,15 @@ partitionings.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from array import array
 from dataclasses import dataclass, field
 
-from .errors import CapExceeded, InvalidParams, InvariantViolation
+from .errors import InvalidParams, InvariantViolation
 # expand_decomposition stays importable from here for existing callers
 from .families import expand_decomposition
-from .fields import EXHAUSTIVE_CAP, FieldCtx, FieldElement, QuadExtension
+from .fields import EXHAUSTIVE_CAP, FieldCtx, FieldElement, QuadExtension, check_cap
 from .polynomials import SparsePolynomial
 
 
@@ -84,26 +83,21 @@ def _gather(exp, m: int, lc: int, e: int, k0: int, n: int) -> array:
     return out
 
 
-def is_permutation_exhaustive(f: SparsePolynomial, ctx: FieldCtx,
-                              cap: int = EXHAUSTIVE_CAP) -> PermutationReport:
-    """Evaluate f everywhere; witness = first collision in generator order."""
-    if ctx.order > cap:
-        raise CapExceeded(f"field order {ctx.order} above exhaustive cap {cap}")
-    first_preimage = array("i", [-1]) * ctx.order  # value -> first x hitting it
+def is_permutation_exhaustive(f: SparsePolynomial, ctx: FieldCtx) -> PermutationReport:
+    """Evaluate f everywhere; witness = first collision in generator order.
+
+    check_cap passes only fields that have tables, so both loops run on them.
+    """
+    check_cap(ctx)
+    if f.is_zero():  # no first term to start from: 0 and g^0 collide
+        return PermutationReport(False, "exhaustive", witness=(ctx.zero(), ctx.one()))
+    m = ctx.order - 1
+    first_preimage = array("i", [-1]) * ctx.order  # value -> first k hitting it
     witness = None
-    if ctx._log is None or f.is_zero():  # the zero polynomial has no first term
-        first_preimage[f.coeff(0).enc] = 0  # keyed by enc
-        for x in itertools.islice(ctx.elements(), 1, None):
-            v = f.eval(x).enc
-            if first_preimage[v] >= 0:
-                witness = (FieldElement(ctx, first_preimage[v]), x)
-                break
-            first_preimage[v] = x.enc
-    elif ctx.p == 2:
+    if ctx.p == 2:
         # keyed by enc, storing k for x = g^k and m for zero: the term c*X^e
         # is the run g^(log c + e*k), and addition is xor, so the runs of a
         # chunk xor as packed integers and unpack once
-        m = ctx.order - 1
         exp_t = ctx._exp
         terms = [(e % m, ctx._log[c.enc]) for e, c in f.terms.items()]
         first_preimage[f.coeff(0).enc] = m
@@ -129,7 +123,6 @@ def is_permutation_exhaustive(f: SparsePolynomial, ctx: FieldCtx,
         # keyed by log, m standing for zero: x = g^k, and each partial sum of
         # f(x) stays a log, g^acc + g^t = g^(acc + zech[t - acc]); the index
         # lies in (-m, m), so the array's negative indexing reduces it mod m
-        m = ctx.order - 1
         exp_t, log_t, zech = ctx._exp, ctx._log, ctx._zech
         (e0, l0), *rest = [(e, log_t[c.enc]) for e, c in f.terms.items()]
         first_preimage[log_t[f.coeff(0).enc]] = m
@@ -204,9 +197,18 @@ def criterion_check(r: int, h: SparsePolynomial, ext: QuadExtension) -> Permutat
 
 def verify_both(r: int, h: SparsePolynomial, f: SparsePolynomial, ext: QuadExtension,
                 cap: int = EXHAUSTIVE_CAP) -> PermutationReport:
-    """Run both methods; agreement is a hard invariant, never a report."""
+    """Run both methods; agreement is a hard invariant, never a report.
+
+    The cap is EXHAUSTIVE_CAP alone.  The cap keyword stays for old callers
+    only: a value that would decide this field differently from
+    EXHAUSTIVE_CAP raises ValueError, so it can no longer move the limit.
+    """
+    if (ext.big.order <= cap) != (ext.big.order <= EXHAUSTIVE_CAP):
+        raise ValueError(f"cap {cap} decides order {ext.big.order} unlike "
+                         f"EXHAUSTIVE_CAP {EXHAUSTIVE_CAP}")
+    # the exhaustive check first: it refuses a field above the cap at once
+    exh = is_permutation_exhaustive(f, ext.big)
     crit = criterion_check(r, h, ext)
-    exh = is_permutation_exhaustive(f, ext.big, cap=cap)
     if crit.is_permutation != exh.is_permutation:
         raise InvariantViolation(
             "criterion and exhaustive verdicts disagree: "

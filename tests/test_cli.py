@@ -6,7 +6,7 @@ from circleperm import cli as cli_mod
 from circleperm import verify as verify_mod
 from circleperm.cli import build_parser, main, parse_element
 from circleperm.errors import ZeroInput
-from circleperm.families import ConstructionParams, GridLimits, build_family
+from circleperm.families import ConstructionParams, build_family
 from circleperm.fields import EXHAUSTIVE_CAP
 from circleperm.serialize import (
     CatalogEntry,
@@ -252,9 +252,11 @@ class TestCommands:
         # polynomial are still reported
         cat = tmp_path / "cat.jsonl"
         field = ext_to_json(get_ext(2, 2))
-        cat.write_text(dumps_line({"field": field, "poly": {"terms": [[1, {"pow": 0}]]}}))
+        x = {"terms": [[1, {"pow": 0}]]}
+        cat.write_text(dumps_line({"field": field, "poly": x}))
         assert main(["qm-classify", "--catalog", str(cat)]) == 0
-        assert main(["qm-classify", "--catalog", str(cat), "--cap", "8"]) == 3
+        cat.write_text(dumps_line({"field": ext_to_json(get_ext(2, 11)), "poly": x}))
+        assert main(["qm-classify", "--catalog", str(cat)]) == 3
         cat.write_text(dumps_line({"field": field, "poly": {"terms": []}}))
         assert main(["qm-classify", "--catalog", str(cat)]) == 2
         assert "ZeroInput" in capsys.readouterr().err
@@ -317,20 +319,41 @@ class TestCommands:
         assert "Traceback" not in err
         assert json.loads(err)["error"].startswith(f"{error}: ")
 
-    def test_qm_cap_defaults(self):
-        ap = build_parser()
-        assert ap.parse_args(["qm-test", "--f", "{}", "--g", "{}"]).cap == EXHAUSTIVE_CAP
-        assert ap.parse_args(["qm-classify", "--catalog", "cat.jsonl"]).cap == EXHAUSTIVE_CAP
-        assert ap.parse_args(["construct", "--family", "P1"]).cap == EXHAUSTIVE_CAP
-        assert ap.parse_args(["verify", "--poly", "{}"]).cap == EXHAUSTIVE_CAP
-        assert GridLimits().cap_order == EXHAUSTIVE_CAP
+    def test_qm_cap_defaults(self, capsys):
+        # the cap is a constant: no subcommand takes --cap any more
         assert verify_mod.EXHAUSTIVE_CAP == EXHAUSTIVE_CAP
+        ap = build_parser()
+        for argv in (["qm-test", "--f", "{}", "--g", "{}"],
+                     ["qm-classify", "--catalog", "cat.jsonl"],
+                     ["construct", "--family", "P1"],
+                     ["verify", "--poly", "{}"]):
+            with pytest.raises(SystemExit) as exc:
+                ap.parse_args(argv + ["--cap", "100"])
+            assert exc.value.code == 2
+            assert "--cap" in capsys.readouterr().err
 
-    def test_cap_exit_3(self, capsys):
-        rc = main(["verify", "--p", "2", "--m", "8",
-                   "--modulus", json.dumps([1, 0, 1, 1, 0, 1] + [0] * 10 + [1]),
-                   "--poly", '{"terms": [[1, {"pow": 0}]]}', "--cap", "100"])
-        assert rc == 3
+    def test_cap_exit_3(self, tmp_path, capsys):
+        # GF(2^22) is above EXHAUSTIVE_CAP: every command that would evaluate,
+        # enumerate or classify over it exits 3 with the one message, and a
+        # refused construct leaves an existing --out file as it was
+        x5 = '{"terms": [[5, {"pow": 0}]]}'
+        out, catalog = tmp_path / "out.jsonl", tmp_path / "cat.jsonl"
+        out.write_text("kept\n")
+        catalog.write_text(dumps_line({"field": ext_to_json(get_ext(2, 11)),
+                                       "poly": json.loads(x5)}))
+        big = ["--p", "2", "--m", "11"]
+        for argv in (["construct", *big, "--family", "B1", "--grid", "--out", str(out)],
+                     ["construct", *big, "--family", "P1", "--beta", "1", "--delta", "g",
+                      "--delta-t", "g"],
+                     ["verify", *big, "--poly", x5],
+                     ["qm-test", *big, "--f", x5, "--g", x5],
+                     ["qm-classify", "--catalog", str(catalog)]):
+            assert main(argv) == 3, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert json.loads(captured.err) == {
+                "error": f"field order {1 << 22} above EXHAUSTIVE_CAP {EXHAUSTIVE_CAP}"}
+        assert out.read_text() == "kept\n"
 
     def test_repro_reports_known_defect(self, capsys):
         rc = main(["repro"])

@@ -360,9 +360,9 @@ class TestParamGrid:
         assert next(param_grid("Q3", get_ext(3, 1)), None) is not None
 
     def test_cap_enforced(self):
-        ext = get_ext(2, 2)
+        ext = get_ext(2, 11)  # GF(2^22), above EXHAUSTIVE_CAP
         with pytest.raises(CapExceeded):
-            list(param_grid("B1", ext, GridLimits(cap_order=8)))
+            next(param_grid("B1", ext))
 
     def test_max_count_is_exact(self, ext16):
         for n in (0, 1, 5):

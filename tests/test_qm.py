@@ -147,9 +147,13 @@ class TestSearch:
 
         ext = get_ext(2, 6, tuple(MOD_2_12))  # order 4096
         f = SparsePolynomial.x_power(ext.big, 1)
-        assert qm_equivalent(f, f, ext).equivalent  # under the default cap: fine
+        assert qm_equivalent(f, f, ext).equivalent  # under the cap: fine
+        big = get_ext(2, 11)  # GF(2^22), above EXHAUSTIVE_CAP
+        f = SparsePolynomial.x_power(big.big, 1)
         with pytest.raises(CapExceeded):
-            qm_equivalent(f, f, ext, cap=1 << 11)
+            qm_equivalent(f, f, big)
+        with pytest.raises(CapExceeded):
+            qm_canonical_key(f, big)
 
     def test_constant_term_kept_fixed(self, ext16):
         # 1 + g*X^3: the constant term must map to itself under every d
@@ -281,10 +285,12 @@ class TestClassify:
 
         ext = get_ext(2, 6, tuple(MOD_2_12))
         f = SparsePolynomial.x_power(ext.big, 1)
-        assert classify_catalog([f], ext).classes == [[0]]  # under the default cap
+        assert classify_catalog([f], ext).classes == [[0]]  # under the cap
+        ext = get_ext(2, 11)  # GF(2^22), above EXHAUSTIVE_CAP
+        f = SparsePolynomial.x_power(ext.big, 1)
         for catalog in ([], [f], [f, f]):
             with pytest.raises(CapExceeded):
-                classify_catalog(catalog, ext, cap=1 << 11)
+                classify_catalog(catalog, ext)
 
     def test_zero_rejected_for_any_catalog_size(self, ext25):
         zero = SparsePolynomial.zero(ext25.big)

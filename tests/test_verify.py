@@ -5,6 +5,7 @@ import random
 import pytest
 
 from circleperm.errors import CapExceeded
+from circleperm.fields import EXHAUSTIVE_CAP
 from circleperm.families import (
     FAMILIES,
     ConstructionParams,
@@ -41,6 +42,18 @@ def tables_off(ctx):
         ctx._exp, ctx._log, ctx._zech = tables
 
 
+def exhaustive_oracle(f, ctx):
+    """(verdict, witness) from the definition: the first x, in the order of
+    ctx.elements(), whose value an earlier point already took, paired with
+    that earlier point."""
+    first = {}
+    for x in ctx.elements():
+        prev = first.setdefault(f.eval(x).enc, x)
+        if prev is not x:
+            return False, (prev, x)
+    return True, None
+
+
 def q1_worked_build(ext25):
     big = ext25.big
     g = big.generator
@@ -71,14 +84,15 @@ class TestExhaustive:
         }
         assert {n for n, v in verdicts.items() if v} == {1, 5}
 
-    def test_cap(self, ext25):
+    def test_cap(self):
+        big = get_ext(2, 11).big  # GF(2^22), above EXHAUSTIVE_CAP
         with pytest.raises(CapExceeded):
-            is_permutation_exhaustive(SparsePolynomial.x_power(ext25.big, 1), ext25.big, cap=10)
+            is_permutation_exhaustive(SparsePolynomial.x_power(big, 1), big)
 
     def test_odd_char_table_free_path_agrees(self, ext25):
-        # the tabled loops (strided runs for p = 2, Zech logs for odd p) and
-        # table-free arithmetic must produce identical reports, witness
-        # included, in every characteristic; exponents run over 0..m so
+        # the tabled loops (strided runs for p = 2, Zech logs for odd p) must
+        # give the verdict and witness of exhaustive_oracle run on table-free
+        # arithmetic, in every characteristic; exponents run over 0..m so
         # constant terms and X^m occur.  GF(2^10) spans five chunks.
         rnd = random.Random(11)
         for ctx in (get_field(2, 4), get_field(3, 4), ext25.big, get_field(2, 10)):
@@ -117,11 +131,11 @@ class TestExhaustive:
                           SparsePolynomial(ctx, [(3, one), (96, g)])]
             fast = [is_permutation_exhaustive(poly, ctx) for poly in polys]
             with tables_off(ctx):
-                slow = [is_permutation_exhaustive(poly, ctx) for poly in polys]
+                slow = [exhaustive_oracle(poly, ctx) for poly in polys]
             verdicts = [r.is_permutation for r in fast]
             assert any(verdicts) and not all(verdicts)
             for poly, a, b in zip(polys, fast, slow):
-                assert (a.is_permutation, a.witness) == (b.is_permutation, b.witness), poly
+                assert (a.is_permutation, a.witness) == b, poly
         # GF(2^10) ran last; its three late collisions end the list
         assert [str(r.witness[1]) for r in fast[-3:]] == ["g^93", "g^341", "g^341"]
 
@@ -148,6 +162,22 @@ class TestExhaustive:
 
 
 class TestDefaultCap:
+    def test_verify_both_cap_keyword_cannot_move_the_limit(self, ext25):
+        # the keyword is accepted only where it decides like EXHAUSTIVE_CAP
+        f = q1_worked_build(ext25).poly
+        r, h = decompose(f, ext25)
+        for cap in (EXHAUSTIVE_CAP, 1 << 18, ext25.big.order):
+            assert verify_both(r, h, f, ext25, cap=cap).is_permutation
+        with pytest.raises(ValueError):
+            verify_both(r, h, f, ext25, cap=ext25.big.order - 1)
+        ext = get_ext(2, 11)  # GF(2^22), above EXHAUSTIVE_CAP
+        f = SparsePolynomial.x_power(ext.big, 5)
+        r, h = decompose(f, ext)
+        with pytest.raises(CapExceeded):
+            verify_both(r, h, f, ext)
+        with pytest.raises(ValueError):
+            verify_both(r, h, f, ext, cap=ext.big.order)
+
     def test_gf_2_18_both_ways(self):
         # GF(2^18) is under the default cap and tabled: X^5 is one strided
         # run per chunk, X^q + g X the xor of two; it is GF(q)-linear with no
