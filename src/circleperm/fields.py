@@ -7,13 +7,16 @@ addition is xor and table-free multiplication runs on shift/xor.
 
 Fields of order up to EXHAUSTIVE_CAP (2^20) get compact arrays, with
 m = order - 1 standing for the log of zero: exp (k -> g^k, and exp[m] = 0),
-log (enc -> k, and log[0] = m), and for odd p the Zech logarithms zech
+log (enc -> k, and log[0] = m), for odd p the Zech logarithms zech
 (k -> log(1 + g^k)), typecode "H" up to order 2^16 (every entry is <= m) and
-"i" above.  Multiplication adds logs, and odd-p addition is
+"i" above, and lanes (k -> the digits of g^k, digit i in bits [w*i, w*i + w)
+with w = p.bit_length() + 1; lanes[m] = 0) in the smallest of "B", "H", "I",
+"Q" that holds n*w bits.  Multiplication adds logs, and odd-p addition is
 g^a + g^b = g^(a + zech[b - a]) (K. Huber, "Some comments on Zech's
 logarithms", IEEE Trans. Inf. Theory 36(4), 1990), so both are O(1) table
-lookups.  p = 2 adds by xor and needs no zech table: its exhaustive check
-reads exp in strided slices and xors whole runs.  The tables are filled
+lookups; p = 2 adds by xor and needs neither zech nor lanes.  verify's
+exhaustive check sums strided runs of exp (p = 2, by xor) or of lanes (odd
+p, lane-wise mod p) for many points at once.  The tables are filled
 by stepping x -> x*g: for the modulus root a step shifts the digits of x once
 and adds (top digit)*X^n mod the modulus, O(n) digit work.  Larger fields use
 table-free arithmetic: one digit-wise product mod the modulus and one
@@ -365,7 +368,7 @@ class FieldCtx(_Ring):
         super().__init__(p, modulus)
         self._pn_powers = [p**i for i in range(self.n + 1)]
         # every table path keys on _log; pow_enc runs table-free until it is set
-        self._exp = self._log = self._zech = None
+        self._exp = self._log = self._zech = self._lanes = None
         gen_enc, self.generator_is_root = self._pick_generator(generator)
         self.generator = FieldElement(self, gen_enc)
         if self.order <= EXHAUSTIVE_CAP:
@@ -536,6 +539,13 @@ class FieldCtx(_Ring):
             self._zech = array(typecode, (
                 log[x + 1 - p if x % p == p - 1 else x + 1]
                 for x in itertools.islice(exp, m)))
+            # lanes: x = lo + split*hi spreads through two ~sqrt(order)-entry tables
+            w, h = p.bit_length() + 1, self.n // 2
+            spread = [sum(c << w * i for i, c in enumerate(self.enc_to_coords(x)))
+                      for x in range(p ** (self.n - h))]
+            lo, hi, split = spread[:p**h], [s << w * h for s in spread], p**h
+            self._lanes = array(next(t for t in "BHIQ" if self.n * w <= 8 * array(t).itemsize),
+                                (lo[x % split] + hi[x // split] for x in exp))
 
     # -- the cyclic group GF(p^n)* ---------------------------------------------
 

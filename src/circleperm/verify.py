@@ -5,15 +5,18 @@ gcd(r, q-1) = 1 plus injectivity of z -> z^r * h(z)^(q-1) on the unit
 circle; the exhaustive route evaluates f at every field element.  The two
 must always agree; a disagreement raises instead of reporting.
 
-Exhaustive evaluation enumerates points in generator-power order
-(0, g^0, g^1, ...) so collision witnesses are reproducible across runs and
-partitionings.
+Exhaustive evaluation sums each term's run of table values over chunks of
+generator powers, in every characteristic, and reports the first collision
+in the order 0, g^0, g^1, ..., so witnesses do not depend on the chunking.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import sys
+import weakref
 from array import array
 from dataclasses import dataclass, field
 
@@ -34,116 +37,141 @@ class PermutationReport:
     detail: dict = field(default_factory=dict)
 
 
-# p = 2 evaluates f(g^k) for a chunk of k at a time: a non-permutation stops
+# f(g^k) is evaluated for a chunk of k at a time: a non-permutation stops
 # within one chunk of its first collision, and a chunk's runs stay a few 16 KB
 _CHUNK_MIN, _CHUNK_MAX = 64, 4096
+# run tables repeat a field's m values up to this many entries (_run_setup)
+_TILE_MAX = 1 << 16
 
 
-def _stride(e: int, m: int, n: int) -> tuple[int, int]:
-    """(R, d) with 1 <= R <= n and e*R = d (mod m), minimising R + |d|*n/m."""
-    best = None
+def _stride(e: int, m: int, span: int, n: int) -> tuple[int, int]:
+    """(R, d) with 1 <= R <= n and e*R = d (mod m), minimising R + |d|*n/span,
+    from the extended Euclid rows of (m, e) while R alone costs less."""
+    cost, R, d = math.inf, 1, 0
     r0, t0, r1, t1 = m, 0, e % m, 1  # e*t = r (mod m) on every row
-    while abs(t1) <= n:
-        cost = abs(t1) * m + r1 * n
-        if best is None or cost < best[0]:
-            best = (cost, abs(t1), r1 if t1 > 0 else -r1)
+    while abs(t1) <= n and abs(t1) * span < cost:
+        if abs(t1) * span + r1 * n < cost:
+            cost, R, d = abs(t1) * span + r1 * n, abs(t1), r1 if t1 > 0 else -r1
         if r1 == 0:
             break
         q = r0 // r1
         r0, t0, r1, t1 = r1, t1, r0 - q * r1, t0 - q * t1
-    return best[1], best[2]
+    return R, d
 
 
-def _gather(exp, m: int, lc: int, e: int, k0: int, n: int) -> array:
-    """[exp[(lc + e*k) % m] for k in range(k0, k0 + n)] by strided slices.
+def _gather(table, m: int, lc: int, e: int, k0: int, n: int) -> array:
+    """[table[(lc + e*k) % m] for k in range(k0, k0 + n)] by strided slices.
 
-    With e*R = d (mod m), the k in one class mod R read exp in steps of d,
-    so the run costs one slice assignment per class and one more per wrap
-    past m, about R + |d|*n/m in all.  Below the next denominator of the
-    extended Euclid rows of (m, e), |d| is at least the current remainder
-    (best approximation), so the least cost lies on one of those O(log m)
-    rows; d = 0 makes the run periodic in R, a constant when R = 1.  The
-    slices read exp[0:m] in place; exp[m] = 0, zero's entry, is never read.
+    table[0:span] repeats its first m entries (span: the largest multiple
+    of m in its length).  With e*R = d (mod m), the k in one class mod R
+    read table in steps of d: one slice per class and one more per wrap
+    past span, about R + |d|*n/span slices.  The best R lies on the
+    extended Euclid rows of (m, e) (best approximation); d = 0 makes the
+    run periodic in R.  A run needing more than one slice per 8 points is
+    read point by point.  exp[m], zero's entry, is never read.
     """
-    R, d = _stride(e, m, n)
+    span = len(table) - len(table) % m
+    R, d = _stride(e, m, span, n)
     s = (lc + e * k0) % m
     if d == 0:
-        period = array(exp.typecode, [exp[(s + e * b) % m] for b in range(R)])
+        period = array(table.typecode, [table[(s + e * b) % m] for b in range(R)])
         return (period * -(-n // R))[:n]
-    out = array(exp.typecode, [0]) * n
+    if 8 * (R + abs(d) * n // span) > n:
+        return array(table.typecode, [table[i % m] for i in range(s, s + e * n, e)])
+    top = span - m if d < 0 else 0  # a class stepping down starts in the last copy
+    last = s + top + d * (n - 1)
+    if R == 1 and 0 <= last < span:  # no wrap: one slice
+        return table[s + top:last + d if last + d >= 0 else None:d]
+    out = array(table.typecode, [0]) * n
     for b in range(R):
-        p, j = (s + e * b) % m, b
+        p, j = (s + e * b) % m + top, b
         while j < n:
-            # the class's next t points before p + t*d leaves [0, m)
-            t = min(-(-(n - j) // R), (m - p + d - 1) // d if d > 0 else p // -d + 1)
+            # the class's next t points before p + t*d leaves [0, span)
+            t = min(-(-(n - j) // R), (span - p + d - 1) // d if d > 0 else p // -d + 1)
             stop = p + t * d
-            out[j:j + t * R:R] = exp[p:stop if stop >= 0 else None:d]
+            out[j:j + t * R:R] = table[p:stop if stop >= 0 else None:d]
             j += t * R
-            p = stop % m
+            p = stop % m + top
     return out
+
+
+def _run_setup(ctx: FieldCtx):
+    """(run table, total) of a tabled field, kept in _RUNS while it lives.
+
+    The run table is exp (p = 2) or _lanes (odd p), its first m entries
+    repeated up to _TILE_MAX entries.  total(runs, points) sums runs of
+    that many words into packed encodings: by xor for p = 2, lane-wise for
+    odd p, where a lane is w = bit length of p plus one bits wide so that
+    two digits (< 2p) fit and (acc + C) & H sets its top bit where the sum
+    is >= p.  Radix round g = 1, 2, 4, ... folds pairs of g-digit groups
+    into low + high * p^g, the high mask only where the partner is one of
+    the n digits.
+    """
+    m, p, n = ctx.order - 1, ctx.p, ctx.n
+    copies = min(m, _CHUNK_MAX, _TILE_MAX // m)  # min(m, _CHUNK_MAX) make every run one slice
+    table = ctx._exp if p == 2 else ctx._lanes
+    table = table[:m] * copies if copies > 1 else table
+    if p == 2:
+        return table, lambda runs, points: functools.reduce(operator.xor, runs, 0)
+    bits, words = 8 * table.itemsize, min(m, _CHUNK_MAX)
+    rep = ((1 << bits * words) - 1) // ((1 << bits) - 1)  # 1 in every word
+    w = p.bit_length() + 1
+
+    def per_word(lane, digits=range(n)):  # lane in these digits of every word
+        return sum(lane << w * i for i in digits) * rep
+    rounds, g = [], 1
+    while g < n:
+        low = [i for i in range(n) if i // g % 2 == 0]
+        rounds.append((g * w, per_word((1 << w) - 1, low),
+                       per_word((1 << w) - 1, [i for i in low if i + g < n]), p**g))
+        g *= 2
+    c_all, h = per_word((1 << w - 1) - p), per_word(1 << w - 1)
+
+    def total(runs, points):
+        acc, c = 0, c_all >> (words - points) * bits
+        for run in runs:
+            acc += run
+            acc -= (((acc + c) & h) >> w - 1) * p
+        for gw, low, high, mult in rounds:
+            acc = (acc & low) + ((acc >> gw) & high) * mult
+        return acc
+    return table, total
+
+
+_RUNS = weakref.WeakKeyDictionary()
 
 
 def is_permutation_exhaustive(f: SparsePolynomial, ctx: FieldCtx) -> PermutationReport:
     """Evaluate f everywhere; witness = first collision in generator order.
 
-    check_cap passes only fields that have tables, so both loops run on them.
+    Each term c*X^e is the run g^(log c + e*k) over a chunk of k, read by
+    _gather and summed by the field's total, in every characteristic.
+    check_cap passes only fields that have tables.
     """
     check_cap(ctx)
-    if f.is_zero():  # no first term to start from: 0 and g^0 collide
-        return PermutationReport(False, "exhaustive", witness=(ctx.zero(), ctx.one()))
-    m = ctx.order - 1
-    first_preimage = array("i", [-1]) * ctx.order  # value -> first k hitting it
+    m, exp_t = ctx.order - 1, ctx._exp
+    table, total = _RUNS.get(ctx) or _RUNS.setdefault(ctx, _run_setup(ctx))
+    size, order = table.itemsize, sys.byteorder
+    # keyed by enc, storing k for x = g^k and m for zero
+    first_preimage = array("i", [-1]) * ctx.order
+    first_preimage[f.coeff(0).enc] = m
+    terms = [(e % m, ctx._log[c.enc]) for e, c in f.terms.items()]
     witness = None
-    if ctx.p == 2:
-        # keyed by enc, storing k for x = g^k and m for zero: the term c*X^e
-        # is the run g^(log c + e*k), and addition is xor, so the runs of a
-        # chunk xor as packed integers and unpack once
-        exp_t = ctx._exp
-        terms = [(e % m, ctx._log[c.enc]) for e, c in f.terms.items()]
-        first_preimage[f.coeff(0).enc] = m
-        k0, n = 0, _CHUNK_MIN
-        while witness is None and k0 < m:
-            n = min(n, m - k0)
-            acc = 0
-            for e, lc in terms:
-                acc ^= int.from_bytes(_gather(exp_t, m, lc, e, k0, n), sys.byteorder)
-            values = array(exp_t.typecode)
-            values.frombytes(acc.to_bytes(n * exp_t.itemsize, sys.byteorder))
-            for k, v in enumerate(values, k0):
-                prev = first_preimage[v]
-                if prev >= 0:
-                    witness = (FieldElement(ctx, exp_t[prev]), FieldElement(ctx, exp_t[k]))
-                    break
-                first_preimage[v] = k
-            k0 += n
-            n = min(2 * n, _CHUNK_MAX)
-    else:
-        # kept inline: yielding the values from a generator cost 20-23 % more
-        # time on one-term polynomials at q = 243 and 256 (2-vCPU VM)
-        # keyed by log, m standing for zero: x = g^k, and each partial sum of
-        # f(x) stays a log, g^acc + g^t = g^(acc + zech[t - acc]); the index
-        # lies in (-m, m), so the array's negative indexing reduces it mod m
-        exp_t, log_t, zech = ctx._exp, ctx._log, ctx._zech
-        (e0, l0), *rest = [(e, log_t[c.enc]) for e, c in f.terms.items()]
-        first_preimage[log_t[f.coeff(0).enc]] = m
-        for k in range(m):
-            acc = (l0 + e0 * k) % m
-            for e, lc in rest:
-                if acc == m:
-                    acc = (lc + e * k) % m
-                else:
-                    z = zech[(lc + e * k) % m - acc]
-                    acc = m if z == m else (acc + z) % m
-            prev = first_preimage[acc]
+    k0, n = 0, _CHUNK_MIN
+    while witness is None and k0 < m:
+        n = min(n, m - k0)
+        runs = (int.from_bytes(_gather(table, m, lc, e, k0, n), order) for e, lc in terms)
+        values = array(table.typecode)  # no runs (f = 0): 0 and g^0 collide
+        values.frombytes(total(runs, n).to_bytes(n * size, order))
+        for k, v in enumerate(values, k0):
+            prev = first_preimage[v]
             if prev >= 0:
                 witness = (FieldElement(ctx, exp_t[prev]), FieldElement(ctx, exp_t[k]))
                 break
-            first_preimage[acc] = k
-    return PermutationReport(
-        is_permutation=witness is None,
-        method="exhaustive",
-        witness=witness,
-    )
+            first_preimage[v] = k
+        k0 += n
+        n = min(2 * n, _CHUNK_MAX)
+    return PermutationReport(witness is None, "exhaustive", witness=witness)
 
 
 def h_no_circle_root(h: SparsePolynomial, ext: QuadExtension):

@@ -227,7 +227,7 @@ def tables_off(ctx):
     """A copy of ctx on table-free arithmetic: digit-wise add, shift/xor or
     schoolbook mul.  Encodings do not depend on the tables, so they compare."""
     off = copy.copy(ctx)
-    off._exp = off._log = off._zech = None
+    off._exp = off._log = off._zech = off._lanes = None
     return off
 
 
@@ -275,8 +275,9 @@ class TestZechArithmetic:
 
 
 def mul_generic_tables(ctx):
-    """exp, log and (odd p) Zech lists from x -> x*g through the schoolbook
-    product."""
+    """exp, log and (odd p) Zech and lanes lists from x -> x*g through the
+    schoolbook product; a lane word holds digit i of x in bits [w*i, w*i + w),
+    w = p.bit_length() + 1."""
     off = tables_off(ctx)
     m, g = ctx.order - 1, ctx.generator.enc
     exp, log = [], [m] * ctx.order
@@ -289,12 +290,14 @@ def mul_generic_tables(ctx):
     if ctx.p == 2:
         return exp + [0], log
     zech = [log[off.add_enc(1, x)] for x in exp]
-    return exp + [0], log, zech
+    w = ctx.p.bit_length() + 1
+    lanes = [sum(c << w * i for i, c in enumerate(off.enc_to_coords(x))) for x in exp]
+    return exp + [0], log, zech, lanes + [0]
 
 
 def stepped_tables(ctx):
-    """The field's own tables as lists; p = 2 has no Zech table."""
-    return tuple(list(t) for t in (ctx._exp, ctx._log, ctx._zech) if t is not None)
+    """The field's own tables as lists; p = 2 has no Zech or lanes table."""
+    return tuple(list(t) for t in (ctx._exp, ctx._log, ctx._zech, ctx._lanes) if t is not None)
 
 
 class TestSteppedTables:

@@ -1,6 +1,10 @@
+import bisect
 import contextlib
 import math
 import random
+import sys
+import types
+from array import array
 
 import pytest
 
@@ -17,6 +21,7 @@ from circleperm.families import (
 from circleperm.polynomials import SparsePolynomial
 from circleperm.verify import (
     _gather,
+    _run_setup,
     criterion_check,
     decompose,
     expand_decomposition,
@@ -34,12 +39,12 @@ def tables_off(ctx):
 
     Table-free multiplication is the polynomial product, so it does not
     share the generator stepping that builds the tables."""
-    tables = ctx._exp, ctx._log, ctx._zech
-    ctx._exp = ctx._log = ctx._zech = None
+    tables = ctx._exp, ctx._log, ctx._zech, ctx._lanes
+    ctx._exp = ctx._log = ctx._zech = ctx._lanes = None
     try:
         yield
     finally:
-        ctx._exp, ctx._log, ctx._zech = tables
+        ctx._exp, ctx._log, ctx._zech, ctx._lanes = tables
 
 
 def exhaustive_oracle(f, ctx):
@@ -52,6 +57,41 @@ def exhaustive_oracle(f, ctx):
         if prev is not x:
             return False, (prev, x)
     return True, None
+
+
+def odd_lane_shapes():
+    """Every odd (p, n) with n >= 2 and p^n <= EXHAUSTIVE_CAP; n = 1 for the
+    odd primes below 2^12 and the largest prime below 2^k, k = 13..20.  A
+    single lane has no radix round and depends on p only through its width,
+    so the other 82,000 primes up to 2^20 add time and no case."""
+    sieve = bytearray([1]) * (EXHAUSTIVE_CAP + 1)
+    for i in range(2, math.isqrt(EXHAUSTIVE_CAP) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, EXHAUSTIVE_CAP + 1, i)))
+    primes = [p for p in range(3, EXHAUSTIVE_CAP + 1, 2) if sieve[p]]
+    shapes = [(p, n) for p in primes for n in range(2, 20) if p**n <= EXHAUSTIVE_CAP]
+    ones = [p for p in primes if p < 1 << 12]
+    ones += [primes[bisect.bisect_left(primes, 1 << k) - 1] for k in range(13, 21)]
+    return shapes + [(p, 1) for p in ones]
+
+
+def lane_word(x, p, n):
+    """Digit i of the encoding x in bits [w*i, w*i + w), w = p.bit_length() + 1."""
+    w = p.bit_length() + 1
+    return sum(x // p**i % p << w * i for i in range(n))
+
+
+def digitwise_sum(xs, p, n):
+    """The encoding whose digits are the digit sums of xs mod p."""
+    return sum(sum(x // p**i for x in xs) % p * p**i for i in range(n))
+
+
+def run_total(total, columns, typecode):
+    """total over one run per column of lane words; the encodings it gives."""
+    runs = [int.from_bytes(array(typecode, col), sys.byteorder) for col in columns]
+    k = len(columns[0])
+    return list(array(typecode, total(runs, k).to_bytes(k * array(typecode).itemsize,
+                                                        sys.byteorder)))
 
 
 def q1_worked_build(ext25):
@@ -159,6 +199,103 @@ class TestExhaustive:
                         assert run.typecode == exp.typecode
                         want = [exp[(lc + e * k) % m] for k in range(k0, k0 + n)]
                         assert list(run) == want, (e, n, k0, lc)
+
+    def test_lanes_agree_with_oracle_past_chunk_boundaries(self):
+        # odd p on multi-digit lanes: GF(3^8) in "I" words, GF(7^4) in "H",
+        # GF(101^2) in "H" with 8-bit lanes.  L(y) = y^q + g y is a
+        # GF(q)-linear bijection (-g is off the unit circle), so L(X^d) and
+        # L(X^d) + g^5 first collide at g^0 and g^(m / gcd(d, m)): after
+        # the first chunk (64 points), past the boundary at 192 or 448.
+        # X + X^(1+m/2) cancels at every nonsquare.
+        rnd = random.Random(17)
+        late = {(3, 8): (41, 32), (7, 4): (32, 5), (101, 2): (51, 17)}
+        for (p, n), ds in late.items():
+            ctx = get_field(p, n)
+            m, q, g, one = ctx.order - 1, p ** (n // 2), ctx.generator, ctx.one()
+            polys = [
+                SparsePolynomial.zero(ctx),
+                SparsePolynomial.constant(ctx, ctx.gen_pow(4)),
+                SparsePolynomial(ctx, [(m, one)]),
+                SparsePolynomial(ctx, [(q, one), (1, g)]),
+                SparsePolynomial(ctx, [(1, one), (1 + m // 2, one)]),
+                SparsePolynomial(ctx, [(1, one), (1 + m // 2, one), (2, one)]),
+            ]
+            for _ in range(12):
+                exps = rnd.sample(range(m + 1), rnd.randint(1, 4))
+                polys.append(SparsePolynomial(ctx, [(e, ctx.gen_pow(rnd.randrange(m)))
+                                                    for e in exps]))
+            for d in ds:
+                polys += [SparsePolynomial(ctx, [(q * d, one), (d, g)]),
+                          SparsePolynomial(ctx, [(q * d, one), (d, g), (0, ctx.gen_pow(5))])]
+            fast = [is_permutation_exhaustive(poly, ctx) for poly in polys]
+            for poly, a in zip(polys, fast):
+                assert (a.is_permutation, a.witness) == exhaustive_oracle(poly, ctx), poly
+            assert fast[3].is_permutation
+            assert [str(r.witness[1]) for r in fast[-4:]] == [
+                f"g^{m // math.gcd(d, m)}" for d in ds for _ in range(2)]
+            assert all(m // math.gcd(d, m) > 64 for d in ds)
+
+    def test_repeated_run_tables_match_indexing(self):
+        # run tables repeat a field's m values: GF(3^4) 80 times, so every
+        # run is one slice; GF(2^10) 64 times and GF(5^6) 4 times, so long
+        # runs still wrap, and classes with d < 0 start in the last copy
+        rnd = random.Random(9)
+        for ctx in (get_field(3, 4), get_field(2, 10), get_ext(5, 3).big):
+            m, base = ctx.order - 1, ctx._exp if ctx.p == 2 else ctx._lanes
+            table = _run_setup(ctx)[0]
+            assert len(table) % m == 0 and len(table) > m
+            assert table.typecode == base.typecode and table[-m:] == base[:m]
+            for e in [1, 2, m - 1, m - 2, m // 2, *rnd.sample(range(3, m), 8)]:
+                for n in (1, 64, min(m, 4096)):
+                    for k0 in (0, rnd.randrange(m - n + 1), m - n):
+                        lc = rnd.randrange(m)
+                        want = [base[(lc + e * k) % m] for k in range(k0, k0 + n)]
+                        assert list(_gather(table, m, lc, e, k0, n)) == want, (e, n, k0, lc)
+
+
+class TestLanes:
+    def test_lane_sums_are_digitwise_sums(self):
+        # total (one run: lanes -> encodings; several: lane sums reduced
+        # mod p) on every odd lane shape and every word size that holds
+        # n*w bits, GF(3^11) and GF(3^12) only in 8-byte words; sampled
+        # encodings include 0 and p^n - 1 (every digit p - 1) and x + (-x)
+        rnd = random.Random(3)
+        for p, n in odd_lane_shapes():
+            w, order = p.bit_length() + 1, p**n
+            k = min(order - 1, 64)
+            xs = ([0, order - 1, order - 1] + [rnd.randrange(order) for _ in range(k)])[:k]
+            ys = ([order - 1, 0, order - 1] + [rnd.randrange(order) for _ in range(k)])[:k]
+            zs = [rnd.randrange(order) for _ in range(k)]
+            neg = [sum(-(x // p**i) % p * p**i for i in range(n)) for x in xs]
+            words = [t for t in "BHIQ" if n * w <= 8 * array(t).itemsize]
+            assert words and ((p, n) not in {(3, 11), (3, 12)} or words == ["Q"])
+            for typecode in words:
+                stand_in = types.SimpleNamespace(order=order, p=p, n=n, _lanes=array(typecode))
+                total = _run_setup(stand_in)[1]
+                lanes = [[lane_word(x, p, n) for x in col] for col in (xs, ys, zs, neg)]
+                assert run_total(total, lanes[:1], typecode) == xs, (p, n, typecode)
+                assert run_total(total, lanes[:3], typecode) == [
+                    digitwise_sum(t, p, n) for t in zip(xs, ys, zs)], (p, n, typecode)
+                assert run_total(total, [lanes[0], lanes[3]], typecode) == [0] * k
+
+    @pytest.mark.parametrize("p,n", [(3, 1), (13, 1), (3, 2), (5, 2), (3, 8), (7, 4),
+                                     (101, 2), (3, 11), (3, 12)])
+    def test_field_lane_sums_equal_add_enc(self, p, n):
+        # the field's own lanes, in the smallest word that holds n*w bits,
+        # summed by total, give add_enc
+        ctx = get_field(p, n)
+        w = p.bit_length() + 1
+        assert ctx._lanes.typecode == next(t for t in "BHIQ" if n * w <= 8 * array(t).itemsize)
+        assert ctx._lanes[ctx.order - 1] == 0
+        total = _run_setup(ctx)[1]
+        rnd = random.Random(p * n)
+        k = min(ctx.order - 1, 64)
+        xs = [0, 1] + [rnd.randrange(ctx.order) for _ in range(k - 2)]
+        ys = [rnd.randrange(ctx.order) for _ in range(k)]
+        lanes = [[ctx._lanes[ctx._log[x]] for x in col] for col in (xs, ys)]
+        assert [lane_word(x, p, n) for x in xs] == lanes[0]
+        assert run_total(total, lanes, ctx._lanes.typecode) == [
+            ctx.add_enc(x, y) for x, y in zip(xs, ys)]
 
 
 class TestDefaultCap:
