@@ -130,10 +130,11 @@ class TestExhaustive:
             is_permutation_exhaustive(SparsePolynomial.x_power(big, 1), big)
 
     def test_odd_char_table_free_path_agrees(self, ext25):
-        # the tabled loops (strided runs for p = 2, Zech logs for odd p) must
-        # give the verdict and witness of exhaustive_oracle run on table-free
-        # arithmetic, in every characteristic; exponents run over 0..m so
-        # constant terms and X^m occur.  GF(2^10) spans five chunks.
+        # the chunked check (strided runs of exp for p = 2, of lanes for
+        # odd p) must give the verdict and witness of exhaustive_oracle run
+        # on table-free arithmetic, in every characteristic; exponents run
+        # over 0..m so constant terms and X^m occur.  GF(2^10) spans five
+        # chunks.
         rnd = random.Random(11)
         for ctx in (get_field(2, 4), get_field(3, 4), ext25.big, get_field(2, 10)):
             m = ctx.order - 1
@@ -146,7 +147,7 @@ class TestExhaustive:
                 SparsePolynomial(ctx, [(0, ctx.gen_pow(5)), (1, ctx.gen_pow(2))]),
                 SparsePolynomial(ctx, [(0, one), (m + 1, one)]),
             ]
-            # partial sums that cancel, so the Zech "sum is zero" branch runs:
+            # partial sums that cancel to zero at some points:
             # X + X^(1+m/2) vanishes at every nonsquare (odd p), X^3 + X^5
             # at x = 1 (p = 2), and a third term then starts from zero
             if ctx.p == 2:
