@@ -95,17 +95,6 @@ def report_to_json(rep: PermutationReport) -> dict:
     return out
 
 
-def report_from_json(d: dict, ctx: FieldCtx) -> PermutationReport:
-    witness = d.get("witness")
-    return PermutationReport(
-        is_permutation=d["is_permutation"],
-        method=d["method"],
-        gcd_ok=d.get("gcd_ok"),
-        circle_ok=d.get("circle_ok"),
-        witness=tuple(element_from_json(w, ctx) for w in witness) if witness else None,
-    )
-
-
 def params_to_json(params: ConstructionParams) -> dict:
     out = {
         "family": params.family,
@@ -156,23 +145,6 @@ def entry_to_json(entry: CatalogEntry) -> dict:
         "term_count": built.term_count,
         "report": report_to_json(entry.report),
         "provenance": entry.provenance,
-    }
-
-
-def entry_from_json(d: dict):
-    """Parsed view of a catalog line: (ext, params, poly, r, h, report, meta)."""
-    ext = ext_from_json(d["field"])
-    big = ext.big
-    return {
-        "ext": ext,
-        "family": d["family"],
-        "params": params_from_json(d["params"], ext),
-        "poly": poly_from_json(d["poly"], big),
-        "r": d["r"],
-        "h": poly_from_json(d["h"], big),
-        "term_count": d["term_count"],
-        "report": report_from_json(d["report"], big),
-        "provenance": d["provenance"],
     }
 
 

@@ -8,6 +8,8 @@ must always agree; a disagreement raises instead of reporting.
 Exhaustive evaluation sums each term's run of table values over chunks of
 generator powers, in every characteristic, and reports the first collision
 in the order 0, g^0, g^1, ..., so witnesses do not depend on the chunking.
+A byte per value marks what f has taken; the collision's first preimage is
+looked up only once a marked value comes round.
 """
 
 from __future__ import annotations
@@ -141,45 +143,67 @@ def _run_setup(ctx: FieldCtx):
 _RUNS = weakref.WeakKeyDictionary()
 
 
+def _ladder(end: int):
+    """(k0, n) of the chunks that cover 0 <= k < end in order: _CHUNK_MIN
+    points first, doubling up to _CHUNK_MAX.  Only the last chunk is cut
+    short, so for a chunk start k0 of the ladder to m, the ladder to k0
+    gives the same chunks before it."""
+    k0, n = 0, _CHUNK_MIN
+    while k0 < end:
+        n = min(n, end - k0)
+        yield k0, n
+        k0 += n
+        n = min(2 * n, _CHUNK_MAX)
+
+
 def is_permutation_exhaustive(f: SparsePolynomial, ctx: FieldCtx) -> PermutationReport:
     """Evaluate f everywhere; witness = first collision in generator order.
 
     Each term c*X^e is the run g^(log c + e*k) over a chunk of k, read by
     _gather and summed by the field's total, in every characteristic.
-    check_cap passes only fields that have tables.
+    One byte per field element marks the values taken so far, f(0) first,
+    and the first point whose value is marked is the collision.  Only then
+    is its first preimage looked up: x = 0 when the value is f(0), else the
+    first point with that value, searched in the earlier chunks (gathered
+    again) and then in this one.  check_cap passes only fields that have
+    tables.
     """
     check_cap(ctx)
     m, exp_t = ctx.order - 1, ctx._exp
     table, total = _RUNS.get(ctx) or _RUNS.setdefault(ctx, _run_setup(ctx))
     size, order = table.itemsize, sys.byteorder
-    # keyed by enc, storing k for x = g^k and m for zero
-    first_preimage = array("i", [-1]) * ctx.order
-    first_preimage[f.coeff(0).enc] = m
     terms = [(e % m, ctx._log[c.enc]) for e, c in f.terms.items()]
-    witness = None
-    k0, n = 0, _CHUNK_MIN
-    while witness is None and k0 < m:
-        n = min(n, m - k0)
+
+    def chunk(k0, n):  # the encodings f(g^k) for k0 <= k < k0 + n
         runs = (int.from_bytes(_gather(table, m, lc, e, k0, n), order) for e, lc in terms)
         values = array(table.typecode)  # no runs (f = 0): 0 and g^0 collide
         values.frombytes(total(runs, n).to_bytes(n * size, order))
-        for k, v in enumerate(values, k0):
-            prev = first_preimage[v]
-            if prev >= 0:
-                witness = (FieldElement(ctx, exp_t[prev]), FieldElement(ctx, exp_t[k]))
-                break
-            first_preimage[v] = k
-        k0 += n
-        n = min(2 * n, _CHUNK_MAX)
-    return PermutationReport(witness is None, "exhaustive", witness=witness)
+        return values
 
+    def collision(v, k0, values):  # (prev, hit) as k of g^k, m for x = 0
+        # v is marked: f(0), a value of an earlier chunk, or one of this
+        # chunk's before the hit
+        i = values.index(v)
+        if v == f0:
+            return m, k0 + i
+        for j0, n in _ladder(k0):
+            earlier = chunk(j0, n)
+            if v in earlier:
+                return j0 + earlier.index(v), k0 + i
+        return k0 + i, k0 + values.index(v, i + 1)
 
-def h_no_circle_root(h: SparsePolynomial, ext: QuadExtension):
-    """(True, None) when h vanishes nowhere on the unit circle, else the root."""
-    for z in ext.circle_members():
-        if h.eval_enc(z.enc) == 0:
-            return False, z
-    return True, None
+    f0 = f.coeff(0).enc
+    seen = bytearray(ctx.order)
+    seen[f0] = 1
+    for k0, n in _ladder(m):
+        values = chunk(k0, n)
+        for v in values:
+            if seen[v]:
+                prev, hit = collision(v, k0, values)
+                witness = (FieldElement(ctx, exp_t[prev]), FieldElement(ctx, exp_t[hit]))
+                return PermutationReport(False, "exhaustive", witness=witness)
+            seen[v] = 1
+    return PermutationReport(True, "exhaustive")
 
 
 def criterion_check(r: int, h: SparsePolynomial, ext: QuadExtension) -> PermutationReport:

@@ -79,3 +79,11 @@ def qm_search_oracle(f, g, ext):
                    for e, c in g_terms[1:]):
                 return QmResult(True, (u, v, d))
     return QmResult(False)
+
+
+def h_no_circle_root(h, ext):
+    """(True, None) when h vanishes nowhere on the unit circle, else the root."""
+    for z in ext.circle_members():
+        if h.eval_enc(z.enc) == 0:
+            return False, z
+    return True, None

@@ -32,12 +32,11 @@ from circleperm.qm import (
 from circleperm.verify import (
     criterion_check,
     expand_decomposition,
-    h_no_circle_root,
     is_permutation_exhaustive,
     verify_both,
 )
 from conftest import (
-    MOD_2_6, MOD_2_12, MOD_3_4, get_ext, get_field, qm_search_oracle,
+    MOD_2_6, MOD_2_12, MOD_3_4, get_ext, get_field, h_no_circle_root, qm_search_oracle,
 )
 from symbolic import alphas_from_noncubes, closed_form, conjugate, h_variants
 

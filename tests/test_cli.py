@@ -11,7 +11,6 @@ from circleperm.fields import EXHAUSTIVE_CAP
 from circleperm.serialize import (
     CatalogEntry,
     dumps_line,
-    entry_from_json,
     entry_to_json,
     element_from_json,
     element_to_json,
@@ -23,7 +22,7 @@ from circleperm.serialize import (
     poly_to_json,
 )
 from circleperm.polynomials import SparsePolynomial
-from circleperm.verify import verify_both
+from circleperm.verify import PermutationReport, verify_both
 from conftest import get_ext
 
 
@@ -38,6 +37,34 @@ def q1_entry(ext25):
     built = build_family("Q1", params, ext25)
     report = verify_both(built.r, built.h, built.poly, ext25)
     return CatalogEntry(ext25, built, report, "user")
+
+
+def report_from_json(d, ctx):
+    witness = d.get("witness")
+    return PermutationReport(
+        is_permutation=d["is_permutation"],
+        method=d["method"],
+        gcd_ok=d.get("gcd_ok"),
+        circle_ok=d.get("circle_ok"),
+        witness=tuple(element_from_json(w, ctx) for w in witness) if witness else None,
+    )
+
+
+def entry_from_json(d):
+    """Parsed view of a catalog line: (ext, params, poly, r, h, report, meta)."""
+    ext = ext_from_json(d["field"])
+    big = ext.big
+    return {
+        "ext": ext,
+        "family": d["family"],
+        "params": params_from_json(d["params"], ext),
+        "poly": poly_from_json(d["poly"], big),
+        "r": d["r"],
+        "h": poly_from_json(d["h"], big),
+        "term_count": d["term_count"],
+        "report": report_from_json(d["report"], big),
+        "provenance": d["provenance"],
+    }
 
 
 class TestSerialization:

@@ -3,6 +3,7 @@ import contextlib
 import math
 import random
 import sys
+import tracemalloc
 import types
 from array import array
 
@@ -20,16 +21,17 @@ from circleperm.families import (
 )
 from circleperm.polynomials import SparsePolynomial
 from circleperm.verify import (
+    _RUNS,
     _gather,
+    _ladder,
     _run_setup,
     criterion_check,
     decompose,
     expand_decomposition,
-    h_no_circle_root,
     is_permutation_exhaustive,
     verify_both,
 )
-from conftest import MOD_2_16, get_ext, get_field
+from conftest import MOD_2_16, get_ext, get_field, h_no_circle_root
 from symbolic import pmul
 
 
@@ -179,6 +181,56 @@ class TestExhaustive:
                 assert (a.is_permutation, a.witness) == b, poly
         # GF(2^10) ran last; its three late collisions end the list
         assert [str(r.witness[1]) for r in fast[-3:]] == ["g^93", "g^341", "g^341"]
+
+    @pytest.mark.parametrize("p,n", [(2, 10), (3, 8)])
+    def test_witness_recovery_branches(self, p, n):
+        # a marked value's first preimage is x = 0 (the value is f(0)), a
+        # point of an earlier chunk (gathered again), or a point of the
+        # hit's own chunk; seeded trinomials and binomials, exponents 0..m,
+        # until each occurs with the hit past the first chunk, and the
+        # same-chunk case inside it.  Both fields have m > 64 + 128, so a
+        # call spans several chunks.
+        ctx = get_field(p, n)
+        m = ctx.order - 1
+        chunk_of = {k: c for c, (k0, size) in enumerate(_ladder(m))
+                    for k in range(k0, k0 + size)}
+        branches = {"x = 0, later chunk", "earlier chunk", "same later chunk",
+                    "same first chunk"}
+        rnd = random.Random(29)
+        reached = set()
+        for _ in range(2000):
+            exps = rnd.sample(range(m + 1), rnd.randint(2, 3))
+            f = SparsePolynomial(ctx, [(e, ctx.gen_pow(rnd.randrange(m))) for e in exps])
+            rep = is_permutation_exhaustive(f, ctx)
+            assert (rep.is_permutation, rep.witness) == exhaustive_oracle(f, ctx), f
+            if rep.is_permutation:
+                continue
+            prev, hit = rep.witness
+            c = chunk_of[hit.dlog()]
+            if prev.enc == 0:
+                reached.add("x = 0, later chunk" if c else "x = 0, first chunk")
+            elif chunk_of[prev.dlog()] < c:
+                reached.add("earlier chunk")
+            else:
+                reached.add("same later chunk" if c else "same first chunk")
+            if reached >= branches:
+                break
+        assert reached >= branches, reached
+
+    def test_one_call_keeps_about_a_byte_per_element(self):
+        # the marks are a bytearray of ctx.order and values are gathered one
+        # chunk at a time, so a call that checks every point of GF(2^18)
+        # peaks below 2 bytes per element once the run table is built
+        big = get_ext(2, 9).big
+        f = SparsePolynomial.x_power(big, 5)
+        assert is_permutation_exhaustive(f, big).is_permutation and big in _RUNS
+        tracemalloc.start()
+        try:
+            is_permutation_exhaustive(f, big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * big.order, peak / big.order
 
     @pytest.mark.parametrize("degree", [16, 18])
     def test_strided_gather_matches_indexing(self, degree):
