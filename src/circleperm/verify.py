@@ -5,11 +5,14 @@ gcd(r, q-1) = 1 plus injectivity of z -> z^r * h(z)^(q-1) on the unit
 circle; the exhaustive route evaluates f at every field element.  The two
 must always agree; a disagreement raises instead of reporting.
 
-Exhaustive evaluation sums each term's run of table values over chunks of
-generator powers, in every characteristic, and reports the first collision
+Both routes evaluate on tabled fields by one engine, _sums: a term c*X^e
+at x = g^(s*k) is g^(log c + e*s*k), a run of table values read by
+strided slices, and the runs are summed in every characteristic.  Exhaustive
+evaluation sums chunks of generator powers and reports the first collision
 in the order 0, g^0, g^1, ..., so witnesses do not depend on the chunking.
-A byte per value marks what f has taken; the collision's first preimage is
-looked up only once a marked value comes round.
+A byte per value marks the chunk that took it; the collision's first
+preimage is looked up only once a marked value comes round.  The criterion
+sums h's q + 1 circle values in one call (s = q - 1).
 """
 
 from __future__ import annotations
@@ -70,11 +73,14 @@ def _gather(table, m: int, lc: int, e: int, k0: int, n: int) -> array:
     past span, about R + |d|*n/span slices.  The best R lies on the
     extended Euclid rows of (m, e) (best approximation); d = 0 makes the
     run periodic in R.  A run needing more than one slice per 8 points is
-    read point by point.  exp[m], zero's entry, is never read.
+    read point by point, and one that ends below span without a wrap is
+    one slice, without _stride.  exp[m], zero's entry, is never read.
     """
     span = len(table) - len(table) % m
-    R, d = _stride(e, m, span, n)
     s = (lc + e * k0) % m
+    if s + e * (n - 1) < span:  # one forward slice without a wrap, or a constant
+        return table[s:s + e * (n - 1) + 1:e] if e else table[s:s + 1] * n
+    R, d = _stride(e, m, span, n)
     if d == 0:
         period = array(table.typecode, [table[(s + e * b) % m] for b in range(R)])
         return (period * -(-n // R))[:n]
@@ -156,53 +162,60 @@ def _ladder(end: int):
         n = min(2 * n, _CHUNK_MAX)
 
 
+def _sums(ctx: FieldCtx, terms, k0: int, n: int) -> array:
+    """The encodings of sum(g^(lc + e*k) for e, lc in terms), k0 <= k < k0 + n.
+
+    Each term's run is read by _gather from the field's run table and the
+    runs are summed by its total; no terms give zeros.  n is at most
+    min(m, _CHUNK_MAX), the words total is built for.
+    """
+    table, total = _RUNS.get(ctx) or _RUNS.setdefault(ctx, _run_setup(ctx))
+    m, order = ctx.order - 1, sys.byteorder
+    runs = (int.from_bytes(_gather(table, m, lc, e, k0, n), order) for e, lc in terms)
+    values = array(table.typecode)
+    values.frombytes(total(runs, n).to_bytes(n * table.itemsize, order))
+    return values
+
+
 def is_permutation_exhaustive(f: SparsePolynomial, ctx: FieldCtx) -> PermutationReport:
     """Evaluate f everywhere; witness = first collision in generator order.
 
-    Each term c*X^e is the run g^(log c + e*k) over a chunk of k, read by
-    _gather and summed by the field's total, in every characteristic.
-    One byte per field element marks the values taken so far, f(0) first,
-    and the first point whose value is marked is the collision.  Only then
-    is its first preimage looked up: x = 0 when the value is f(0), else the
-    first point with that value, searched in the earlier chunks (gathered
-    again) and then in this one.  check_cap passes only fields that have
-    tables.
+    f(g^k) is evaluated by _sums a chunk of k at a time.  One byte per field
+    element marks the values taken so far: f(0) first with 1, then each
+    value with 1 + (its chunk's index mod 255).  The first point whose value
+    is marked is the collision.  Only then is its first preimage looked up:
+    x = 0 when the value is f(0), else the first point with that value,
+    searched in the earlier chunks that carry its mark (gathered again) and
+    then in this one.  check_cap passes only fields that have tables.
     """
     check_cap(ctx)
     m, exp_t = ctx.order - 1, ctx._exp
-    table, total = _RUNS.get(ctx) or _RUNS.setdefault(ctx, _run_setup(ctx))
-    size, order = table.itemsize, sys.byteorder
     terms = [(e % m, ctx._log[c.enc]) for e, c in f.terms.items()]
 
-    def chunk(k0, n):  # the encodings f(g^k) for k0 <= k < k0 + n
-        runs = (int.from_bytes(_gather(table, m, lc, e, k0, n), order) for e, lc in terms)
-        values = array(table.typecode)  # no runs (f = 0): 0 and g^0 collide
-        values.frombytes(total(runs, n).to_bytes(n * size, order))
-        return values
-
     def collision(v, k0, values):  # (prev, hit) as k of g^k, m for x = 0
-        # v is marked: f(0), a value of an earlier chunk, or one of this
-        # chunk's before the hit
+        # v is marked: f(0), a value of an earlier chunk with its mark, or
+        # one of this chunk's before the hit
         i = values.index(v)
         if v == f0:
             return m, k0 + i
-        for j0, n in _ladder(k0):
-            earlier = chunk(j0, n)
-            if v in earlier:
-                return j0 + earlier.index(v), k0 + i
+        for j, (j0, n) in enumerate(_ladder(k0)):
+            if 1 + j % 255 == seen[v]:
+                earlier = _sums(ctx, terms, j0, n)
+                if v in earlier:
+                    return j0 + earlier.index(v), k0 + i
         return k0 + i, k0 + values.index(v, i + 1)
 
     f0 = f.coeff(0).enc
     seen = bytearray(ctx.order)
     seen[f0] = 1
-    for k0, n in _ladder(m):
-        values = chunk(k0, n)
+    for c, (k0, n) in enumerate(_ladder(m)):
+        values, mark = _sums(ctx, terms, k0, n), 1 + c % 255
         for v in values:
             if seen[v]:
                 prev, hit = collision(v, k0, values)
                 witness = (FieldElement(ctx, exp_t[prev]), FieldElement(ctx, exp_t[hit]))
                 return PermutationReport(False, "exhaustive", witness=witness)
-            seen[v] = 1
+            seen[v] = mark
     return PermutationReport(True, "exhaustive")
 
 
@@ -211,38 +224,45 @@ def criterion_check(r: int, h: SparsePolynomial, ext: QuadExtension) -> Permutat
 
     gcd_ok tests gcd(r, q-1) = 1; circle_ok tests that z -> z^r h(z)^(q-1)
     is injective on the circle (a circle root of h is a definite failure:
-    it maps that z to 0, which is off the circle).  z walks the circle in
-    circle_members order, z = g^(k(q-1)), and z^r steps along with it by
-    g^(r(q-1)).
+    it maps that z to 0, which is off the circle).  With z_k = g^(k(q-1)),
+    k = 0..q in circle_members order, h's values come from one _sums call
+    (a term c*X^e is the run g^(log c + e(q-1)k)); a field without tables
+    evaluates them one by one with eval_enc.  z_k^r h(z_k)^(q-1) is
+    g^((q-1)(rk + log v)), so (rk + log v) mod (q+1) names the image, and
+    one pass stops at the first root or repeated image.
     """
     if h.is_zero():
         raise InvalidParams(["h must be nonzero"])
-    q = ext.q
-    big = ext.big
+    q, big = ext.q, ext.big
     gcd_ok = math.gcd(r, q - 1) == 1
-    circle_ok = True
-    detail = {}
-    seen = {}  # image enc -> the first circle point hitting it
-    step_r = big.exp_enc(r * (q - 1))
-    zr = 1
-    for z in ext.circle_members():
-        v = h.eval_enc(z.enc)
+    if big._log is not None:
+        m = big.order - 1
+        values = _sums(big, [(e * (q - 1) % m, big._log[c.enc]) for e, c in h.terms.items()],
+                       0, q + 1)
+        log = big._log.__getitem__
+    else:
+        mu = ext.circle_members()
+        values = (h.eval_enc(z.enc) for z in mu)
+        index = {z.enc: k for k, z in enumerate(mu)}  # v^(q-1) = z_(log v mod (q+1))
+        log = lambda v: index[big.pow_enc(v, q - 1)]
+
+    def point(k):
+        return FieldElement(big, big.exp_enc(k * (q - 1)))
+
+    detail, seen = {}, {}  # image (rk + log v) mod (q+1) -> its first k
+    for k, v in enumerate(values):
         if v == 0:
-            circle_ok = False
-            detail["circle_root"] = z
+            detail["circle_root"] = point(k)
             break
-        img = big.mul_enc(zr, big.pow_enc(v, q - 1))
-        if img in seen:
-            circle_ok = False
-            detail["circle_collision"] = (seen[img], z)
+        prev = seen.setdefault((r * k + log(v)) % (q + 1), k)
+        if prev != k:
+            detail["circle_collision"] = (point(prev), point(k))
             break
-        seen[img] = z
-        zr = big.mul_enc(zr, step_r)
     return PermutationReport(
-        is_permutation=gcd_ok and circle_ok,
+        is_permutation=gcd_ok and not detail,
         method="criterion",
         gcd_ok=gcd_ok,
-        circle_ok=circle_ok,
+        circle_ok=not detail,
         detail=detail,
     )
 

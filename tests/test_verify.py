@@ -185,22 +185,35 @@ class TestExhaustive:
     @pytest.mark.parametrize("p,n", [(2, 10), (3, 8)])
     def test_witness_recovery_branches(self, p, n):
         # a marked value's first preimage is x = 0 (the value is f(0)), a
-        # point of an earlier chunk (gathered again), or a point of the
-        # hit's own chunk; seeded trinomials and binomials, exponents 0..m,
-        # until each occurs with the hit past the first chunk, and the
-        # same-chunk case inside it.  Both fields have m > 64 + 128, so a
-        # call spans several chunks.
+        # point of an earlier chunk (gathered again only if the chunk
+        # carries the value's mark), or a point of the hit's own chunk;
+        # seeded trinomials and binomials, exponents 0..m, until each occurs
+        # with the hit past the first chunk, and the same-chunk case inside
+        # it.  Both fields have m > 64 + 128, so a call spans several chunks.
+        # Random sparse maps collide within the first two chunks, so the
+        # first input is f = X + c*I, with I = 1 on g^b * mu_t and 0 elsewhere
+        # (t = m/T, T > b): f = X up to g^b, which it sends to f(g^a).  Its
+        # preimage g^300 lies in chunk 2, past chunks 0 and 1 and their marks.
         ctx = get_field(p, n)
         m = ctx.order - 1
         chunk_of = {k: c for c, (k0, size) in enumerate(_ladder(m))
                     for k in range(k0, k0 + size)}
-        branches = {"x = 0, later chunk", "earlier chunk", "same later chunk",
-                    "same first chunk"}
+        branches = {"x = 0, later chunk", "earlier chunk", "earlier chunk past skipped ones",
+                    "same later chunk", "same first chunk"}
+        a, b, T = 300, 500, {(2, 10): m, (3, 8): 820}[p, n]
+        y, t = ctx.gen_pow(b), m // T
+        coef = (ctx.gen_pow(a) - y) / ctx.from_int(T)  # I = (X^m + sum (X/y)^(tj)) / T
+        indicator = SparsePolynomial(ctx, [(1, ctx.one()), (m, coef)] + [
+            (t * j, coef * y ** (-t * j)) for j in range(1, T)])
         rnd = random.Random(29)
+
+        def inputs():
+            yield indicator
+            for _ in range(2000):
+                exps = rnd.sample(range(m + 1), rnd.randint(2, 3))
+                yield SparsePolynomial(ctx, [(e, ctx.gen_pow(rnd.randrange(m))) for e in exps])
         reached = set()
-        for _ in range(2000):
-            exps = rnd.sample(range(m + 1), rnd.randint(2, 3))
-            f = SparsePolynomial(ctx, [(e, ctx.gen_pow(rnd.randrange(m))) for e in exps])
+        for f in inputs():
             rep = is_permutation_exhaustive(f, ctx)
             assert (rep.is_permutation, rep.witness) == exhaustive_oracle(f, ctx), f
             if rep.is_permutation:
@@ -210,12 +223,14 @@ class TestExhaustive:
             if prev.enc == 0:
                 reached.add("x = 0, later chunk" if c else "x = 0, first chunk")
             elif chunk_of[prev.dlog()] < c:
-                reached.add("earlier chunk")
+                reached.add("earlier chunk past skipped ones" if chunk_of[prev.dlog()] >= 2
+                            else "earlier chunk")
             else:
                 reached.add("same later chunk" if c else "same first chunk")
             if reached >= branches:
                 break
         assert reached >= branches, reached
+        assert is_permutation_exhaustive(indicator, ctx).witness == (ctx.gen_pow(a), y)
 
     def test_one_call_keeps_about_a_byte_per_element(self):
         # the marks are a bytearray of ctx.order and values are gathered one
@@ -304,6 +319,25 @@ class TestExhaustive:
                         lc = rnd.randrange(m)
                         want = [base[(lc + e * k) % m] for k in range(k0, k0 + n)]
                         assert list(_gather(table, m, lc, e, k0, n)) == want, (e, n, k0, lc)
+        # a run is one forward slice while its last index s + e*(n - 1) stays
+        # below span (a constant for e = 0); at span it wraps.  With e < m and
+        # n <= m no run of GF(2^8) or GF(3^4) reaches span, so e runs past m.
+        for ctx in (get_field(2, 8), get_field(3, 4)):
+            m, base = ctx.order - 1, ctx._exp if ctx.p == 2 else ctx._lanes
+            table = _run_setup(ctx)[0]
+            span = len(table) - len(table) % m
+            runs = [(0, n, rnd.randrange(m)) for n in (1, 64, m)]  # e = 0 from s
+            for last in (span - 1, span):
+                for n in (2, 64, m):
+                    for e in ((last - m + 1) // (n - 1) + 1, last // (n - 1)):
+                        runs.append((e, n, last - e * (n - 1)))
+            assert {s + e * (n - 1) for e, n, s in runs} >= {span - 1, span}
+            for e, n, s in runs:
+                assert 0 <= s < m
+                for k0 in (1, rnd.randrange(1, m), m - 1):
+                    lc = (s - e * k0) % m
+                    want = [base[(lc + e * k) % m] for k in range(k0, k0 + n)]
+                    assert list(_gather(table, m, lc, e, k0, n)) == want, (e, n, k0, lc)
 
 
 class TestLanes:
@@ -466,6 +500,80 @@ class TestCriterion:
             assert any("circle_root" in d for d in details)
             assert any("circle_collision" in d for d in details)
             assert any(v for (v, _, _, _), _ in expected)
+
+    @pytest.mark.parametrize("p,m", [(2, 6), (5, 3), (2, 8), (3, 6), (2, 10)])
+    def test_circle_walk_on_largest_fields(self, p, m):
+        # criterion_check sums h's circle values by gathered runs (GF(2^16)
+        # reads exp in place, so runs wrap; GF(3^12) packs 8-byte lanes) and
+        # names images by log; with and without tables it must equal the
+        # definition over ext.circle_members() in FieldElement arithmetic.
+        # On the circle (X - w)^(q-1) = -1/(wX) for w on it, so X - w gives
+        # z -> -z^(r-1)/w off the root: injective iff gcd(r - 1, q + 1) = 1,
+        # constant for r = q + 2, and so is the product of two such factors
+        # for r = q + 3.  For w off the circle and r = 1 it is a Moebius map,
+        # so f permutes.
+        ext = get_ext(p, m)
+        big, q = ext.big, ext.q
+        mu = ext.circle_members()
+        one, g = big.one(), big.generator
+        rnd = random.Random(q)
+        bad_r = next(r for r in range(q + 2, q * q, q + 1) if math.gcd(r, q - 1) > 1)
+
+        def linear(w, shift=0):  # X^shift * (X - w); X^(q+1) is 1 on the circle
+            return SparsePolynomial(big, [(1 + shift, one), (shift, -w)])
+        cases = [
+            (2, linear(mu[0])),  # a root at the first point
+            (2, linear(mu[-1])),  # no collision, then a root at the last point
+            (q + 2, linear(mu[-1])),  # a collision at z_1, long before the root
+            (q + 2, linear(mu[1])),  # the root at z_1 comes before its collision
+            (q + 3, pmul(linear(mu[3]), linear(mu[-2]))),  # two roots, a collision first
+            (1, linear(g)),  # permutes
+            (1, linear(g, q + 1)),  # permutes, exponents q+1 and q+2
+            (bad_r, linear(g)),  # the circle map of r = 1, but gcd(r, q-1) > 1
+        ]
+        for _ in range(16):
+            exps = rnd.sample(range(3 * q + 1), rnd.randint(1, 6))
+            exps[0] = (q + 1) * rnd.randint(0, 2)
+            h = SparsePolynomial(big, [(e, big.gen_pow(rnd.randrange(big.order - 1)))
+                                       for e in exps])
+            cases.append((rnd.randint(1, 3 * q), h))
+
+        def oracle(r, h):
+            detail, seen = {}, {}
+            for z in mu:
+                hz = sum((c * z**e for e, c in h.terms.items()), big.zero())
+                if hz.enc == 0:
+                    detail["circle_root"] = z
+                    break
+                img = z**r * hz ** (q - 1)
+                if img in seen:
+                    detail["circle_collision"] = (seen[img], z)
+                    break
+                seen[img] = z
+            gcd_ok = math.gcd(r, q - 1) == 1
+            return gcd_ok and not detail, gcd_ok, not detail, detail
+
+        def walked(cases):
+            return [(rep.is_permutation, rep.gcd_ok, rep.circle_ok, rep.detail)
+                    for rep in (criterion_check(r, h, ext) for r, h in cases)]
+
+        expected = [oracle(r, h) for r, h in cases]
+        assert walked(cases) == expected
+        details = [d for _, _, _, d in expected]
+        assert details[0] == {"circle_root": mu[0]} and details[1] == {"circle_root": mu[-1]}
+        assert details[2] == {"circle_collision": (mu[0], mu[1])}
+        assert details[3] == {"circle_root": mu[1]}
+        assert details[4] == {"circle_collision": (mu[0], mu[1])}
+        assert [v for v, _, _, _ in expected[5:8]] == [True, True, False]
+        assert expected[7][1:3] == (False, True)
+        assert any(gcd for _, gcd, _, _ in expected[8:]) and not all(
+            gcd for _, gcd, _, _ in expected[8:])
+        # table-free odd-p products cost tens of microseconds, so GF(3^12)
+        # leaves out its whole-circle walks without tables
+        slow = {1, 5, 6, 7} if p > 2 and q > 256 else set()
+        with tables_off(big):
+            kept = [i for i in range(len(cases)) if i not in slow]
+            assert walked([cases[i] for i in kept]) == [expected[i] for i in kept]
 
     def test_agreement_over_small_grids(self):
         # both verdicts on every emitted (r, h) at q in {3, 4, 5}; zero mismatches
