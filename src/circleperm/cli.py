@@ -41,6 +41,7 @@ from .serialize import (
     CSV_HEADER,
     CatalogEntry,
     dumps_line,
+    element_to_json,
     entry_to_csv_row,
     entry_to_json,
     ext_from_json,
@@ -185,7 +186,7 @@ def cmd_qm_test(args) -> int:
     }
     if res.witness:
         u, v, d = res.witness
-        out["witness"] = {"u": {"pow": u.dlog()}, "v": {"pow": v.dlog()}, "d": d}
+        out["witness"] = {"u": element_to_json(u), "v": element_to_json(v), "d": d}
     _emit(sys.stdout, dumps_line(out))
     return 0 if res.equivalent else 1
 

@@ -43,31 +43,6 @@ class SparsePolynomial:
                         clean.pop(e, None)
         self.terms = clean
 
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def zero(cls, ctx):
-        return cls(ctx)
-
-    @classmethod
-    def constant(cls, ctx, c: FieldElement):
-        return cls(ctx, {0: c})
-
-    @classmethod
-    def x_power(cls, ctx, e: int, coeff: FieldElement | None = None):
-        return cls(ctx, {e: ctx.one() if coeff is None else coeff})
-
-    @classmethod
-    def from_coeff_list(cls, ctx, coeffs):
-        """Dense coefficient list, least degree first; FieldElements or ints."""
-        terms = {}
-        for e, c in enumerate(coeffs):
-            if isinstance(c, int):
-                c = ctx.from_int(c)
-            if c.enc:
-                terms[e] = c
-        return cls(ctx, terms)
-
     # -- structure -----------------------------------------------------------
 
     def is_zero(self) -> bool:

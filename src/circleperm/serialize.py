@@ -11,23 +11,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import MalformedOperand, ZeroInput
+from .errors import InvariantViolation, MalformedOperand, ZeroInput
 from .families import BuiltFamily, ConstructionParams
 from .fields import FieldCtx, FieldElement, QuadExtension, quad_extension
 from .polynomials import SparsePolynomial
 from .verify import PermutationReport
 
 
-def field_to_json(ctx: FieldCtx) -> dict:
-    return {
-        "p": ctx.p,
-        "modulus": list(ctx.modulus),
-        "generator": list(ctx.generator.coords()),
-    }
-
-
 def ext_to_json(ext: QuadExtension) -> dict:
-    return field_to_json(ext.big)
+    big = ext.big
+    return {
+        "p": big.p,
+        "modulus": list(big.modulus),
+        "generator": list(big.generator.coords()),
+    }
 
 
 def int_list(v, what: str) -> list[int]:
@@ -130,7 +127,8 @@ class CatalogEntry:
 
     def __post_init__(self):
         if self.report.method != "both" or not self.report.is_permutation:
-            raise ZeroInput("catalog entries must verify as permutations by both methods")
+            # a tuple that passed validation permutes: failing here is a defect
+            raise InvariantViolation("catalog entries must verify as permutations by both methods")
 
 
 def entry_to_json(entry: CatalogEntry) -> dict:

@@ -26,7 +26,7 @@ from array import array
 from dataclasses import dataclass, field
 
 from .errors import InvalidParams, InvariantViolation
-# expand_decomposition stays importable from here for existing callers
+# re-exported for bench/pin.py, its last caller
 from .families import expand_decomposition
 from .fields import EXHAUSTIVE_CAP, FieldCtx, FieldElement, QuadExtension, check_cap
 from .polynomials import SparsePolynomial

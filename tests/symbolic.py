@@ -50,7 +50,7 @@ class Rational(namedtuple("Rational", "num den")):
 
 
 def poly(f):
-    return Rational(f, SparsePolynomial.constant(f.ctx, f.ctx.one()))
+    return Rational(f, SparsePolynomial(f.ctx, {0: f.ctx.one()}))
 
 
 def mobius(a, b, c, d):
@@ -66,7 +66,7 @@ def compose(outer, inner):
     lowest terms give a map in lowest terms, so nothing needs cancelling."""
     (a, b), d = inner, outer.degree()
     ctx = a.ctx
-    one = SparsePolynomial.constant(ctx, ctx.one())
+    one = SparsePolynomial(ctx, {0: ctx.one()})
     a_pows, b_pows = [one], [one]
     for _ in range(d):
         a_pows.append(pmul(a_pows[-1], a))

@@ -17,8 +17,9 @@ from circleperm.families import (
     FAMILIES,
     GridLimits,
     build_family,
-    param_grid,
     coeffs,
+    expand_decomposition,
+    param_grid,
 )
 from circleperm.fields import field_create
 from circleperm.polynomials import SparsePolynomial, irreducible_cubic_alphas
@@ -31,7 +32,6 @@ from circleperm.qm import (
 )
 from circleperm.verify import (
     criterion_check,
-    expand_decomposition,
     is_permutation_exhaustive,
     verify_both,
 )

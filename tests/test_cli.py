@@ -5,7 +5,7 @@ import pytest
 from circleperm import cli as cli_mod
 from circleperm import verify as verify_mod
 from circleperm.cli import build_parser, main, parse_element
-from circleperm.errors import ZeroInput
+from circleperm.errors import InvariantViolation
 from circleperm.families import ConstructionParams, build_family
 from circleperm.fields import EXHAUSTIVE_CAP
 from circleperm.serialize import (
@@ -119,7 +119,7 @@ class TestSerialization:
     def test_entry_requires_both_verified(self, ext25):
         entry = q1_entry(ext25)
         bad_report = entry.report.__class__(is_permutation=True, method="exhaustive")
-        with pytest.raises(ZeroInput):
+        with pytest.raises(InvariantViolation):
             CatalogEntry(ext25, entry.built, bad_report, "user")
 
 
@@ -312,6 +312,21 @@ class TestCommands:
         assert rc == 4 and out == ""
         assert "Traceback" not in err
         assert "disagree" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("grid", [[], ["--grid", "--max-count", "1"]], ids=["single", "grid"])
+    def test_construct_non_permutation_exits_4(self, monkeypatch, capsys, grid):
+        # a tuple that passed validation and fails to permute is a package
+        # defect, not an input error
+        def refuted(r, h, f, ext):
+            return PermutationReport(is_permutation=False, method="both", gcd_ok=True,
+                                     circle_ok=False)
+
+        monkeypatch.setattr(cli_mod, "verify_both", refuted)
+        single = ["--beta", "-1", "--delta", "g", "--delta-t", "g"]
+        rc = main(["construct", "--p", "5", "--m", "1", "--family", "Q1", *(grid or single)])
+        out, err = capsys.readouterr()
+        assert rc == 4 and out == ""
+        assert "internal error" in json.loads(err)["error"]
 
     @pytest.mark.parametrize("argv,error", [
         pytest.param(["verify", "--p", "2", "--m", "2", "--poly", '{"terms": 5}'],
