@@ -25,6 +25,7 @@ from .errors import (
     InvalidParams,
     InvariantViolation,
     MalformedOperand,
+    ZeroInput,
 )
 from .families import (
     FAMILIES,
@@ -44,7 +45,6 @@ from .serialize import (
     element_to_json,
     entry_to_csv_row,
     entry_to_json,
-    ext_from_json,
     ext_to_json,
     field_desc,
     int_list,
@@ -80,14 +80,26 @@ def _load_json_operand(text: str) -> dict:
         return json.load(fh)
 
 
-def _field_from_args(args) -> QuadExtension:
+def _field_spec(args):
+    """(p, n, modulus or None, generator or None) of --field or
+    --p/--m/--modulus: GF(p^n) and its order are known before it is built."""
     if getattr(args, "field", None):
-        return ext_from_json(_load_json_operand(args.field))
+        return field_desc(_load_json_operand(args.field))
     if args.p is None or args.m is None:
         raise CirclepermError("need --field or both --p and --m")
     modulus = (int_list(json.loads(args.modulus), "--modulus")
                if getattr(args, "modulus", None) else None)
-    return quad_extension(args.p, args.m, modulus)
+    return args.p, 2 * args.m, modulus, None
+
+
+def _quad(p, n, modulus, gen, capped=True) -> QuadExtension:
+    """GF(p^n) as GF(q^2), q = p^(n/2); unless capped is False, an order
+    above EXHAUSTIVE_CAP is refused before the field is built."""
+    if capped:
+        check_cap(p**n)
+    if n % 2:
+        raise ZeroInput("quadratic-extension descriptor needs even degree")
+    return quad_extension(p, n // 2, modulus, gen)
 
 
 def _add_field_args(sp):
@@ -102,8 +114,7 @@ def _emit(stream, text):
 
 
 def cmd_construct(args) -> int:
-    ext = _field_from_args(args)
-    check_cap(ext.big)
+    ext = _quad(*_field_spec(args))
     # limits, operands, a grid's q and a single construction are checked
     # before --out is opened, so that a rejected run leaves it as it was
     limits = GridLimits(
@@ -153,16 +164,11 @@ def construct_grid_entries(ext, family, limits: GridLimits):
 
 
 def cmd_verify(args) -> int:
-    if args.field:
-        p, modulus, gen = field_desc(_load_json_operand(args.field))
-        n = len(modulus) - 1
-        # odd-degree descriptors run the exhaustive check only (no quad structure)
-        ext = None if n % 2 else quad_extension(p, n // 2, modulus, gen)
-        big = field_create(p, modulus, gen) if n % 2 else ext.big
-    else:
-        ext = _field_from_args(args)
-        big = ext.big
-    check_cap(big)
+    p, n, modulus, gen = _field_spec(args)
+    check_cap(p**n)
+    # odd-degree descriptors run the exhaustive check only (no quad structure)
+    ext = None if n % 2 else quad_extension(p, n // 2, modulus, gen)
+    big = field_create(p, modulus, gen) if n % 2 else ext.big
     poly = poly_from_json(_load_json_operand(args.poly), big)
     reduced = poly.reduce_exponents()
     dec = decompose(reduced, ext) if ext is not None else None
@@ -175,7 +181,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_qm_test(args) -> int:
-    ext = _field_from_args(args)
+    ext = _quad(*_field_spec(args))
     f = poly_from_json(_load_json_operand(args.f), ext.big)
     g = poly_from_json(_load_json_operand(args.g), ext.big)
     res = qm_equivalent(f, g, ext)
@@ -201,7 +207,7 @@ def cmd_qm_classify(args) -> int:
     desc = lines[0]["field"]
     if any(e["field"] != desc for e in lines):
         raise CirclepermError("catalog mixes field descriptors")
-    ext = ext_from_json(desc)
+    ext = _quad(*field_desc(desc))
     polys = [poly_from_json(e["poly"], ext.big) for e in lines]
     part = classify_catalog(polys, ext)
     _emit(
@@ -220,7 +226,7 @@ def cmd_repro(_args) -> int:
 
 
 def cmd_field_info(args) -> int:
-    ext = _field_from_args(args)
+    ext = _quad(*_field_spec(args), capped=False)
     info = ext_to_json(ext)
     info["q"] = ext.q
     info["order"] = ext.big.order

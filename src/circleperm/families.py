@@ -389,7 +389,7 @@ def param_grid(family: str, ext: QuadExtension, limits: GridLimits | None = None
     delta/delta_t over GF(q^2) \\ GF(q) minus the exclusion sets; aux over
     its family-specific valid set.  Emission order is deterministic.
     """
-    check_cap(ext.big)
+    check_cap(ext.big.order)
     limits = limits or GridLimits()
     spec = FAMILIES[family]
     if not spec.admits(ext.q):

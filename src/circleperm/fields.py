@@ -19,12 +19,17 @@ exhaustive check sums strided runs of exp (p = 2, by xor) or of lanes (odd
 p, lane-wise mod p) for many points at once.  The tables are filled
 by stepping x -> x*g: for the modulus root a step shifts the digits of x once
 and adds (top digit)*X^n mod the modulus, O(n) digit work.  Larger fields use
-table-free arithmetic: one digit-wise product mod the modulus and one
-square-and-multiply loop, which _Ring holds so that the modulus search can
-run them before a field exists; no order cap is enforced on arithmetic.
-EXHAUSTIVE_CAP is the one cap on tables, exhaustive work, parameter grids
-and QM equivalence, and check_cap is the one check of it: every field that
-passes has tables.  verify re-exports the constant.
+table-free arithmetic: one digit codec (enc_to_coords, coords_to_enc), a
+digit-wise sum, one product mod the modulus and one square-and-multiply
+loop, which _Ring holds so that the modulus search can run them before a
+field exists; no order cap is enforced on arithmetic.  Irreducibility
+comes from the same powers in Z_p[X]/(f), with no division or gcd: a
+primitive modulus root (or supplied generator) proves it, and only one
+that is not primitive runs Rabin's test (is_irreducible).  EXHAUSTIVE_CAP
+is the one cap on tables, exhaustive work, parameter grids and QM
+equivalence, and check_cap is the one check of it; it takes the order, so
+a command refuses before it builds a field.  Every field that passes has
+tables.  verify re-exports it.
 
 GF(p^n)* is cyclic of order m = p^n - 1, so every structural question is a
 question about it: an element is primitive iff x^m = 1 and x^(m/r) != 1 for
@@ -55,10 +60,10 @@ from .errors import (
 EXHAUSTIVE_CAP = 1 << 20
 
 
-def check_cap(ctx) -> None:
+def check_cap(order: int) -> None:
     """Refuse exhaustive work, grids and QM on fields above EXHAUSTIVE_CAP."""
-    if ctx.order > EXHAUSTIVE_CAP:
-        raise CapExceeded(f"field order {ctx.order} above EXHAUSTIVE_CAP {EXHAUSTIVE_CAP}")
+    if order > EXHAUSTIVE_CAP:
+        raise CapExceeded(f"field order {order} above EXHAUSTIVE_CAP {EXHAUSTIVE_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -95,66 +100,26 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# dense polynomial arithmetic over Z_p (coefficient lists, least degree first)
-# -- the division that Euclid's gcd needs; products mod a modulus run in _Ring.
-
-
-def _trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_rem(a, mod, p):
-    a = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        _trim(a)
-        if len(a) - 1 < dm:
-            break
-        coef = a[-1] * inv_lead % p
-        shift = len(a) - 1 - dm
-        for j, mj in enumerate(mod):
-            a[shift + j] = (a[shift + j] - coef * mj) % p
-        _trim(a)
-    return a
-
-
-def _poly_gcd(a, b, p):
-    a, b = list(a), list(b)
-    _trim(a)
-    _trim(b)
-    while b:
-        a = _poly_rem(a, b, p)
-        a, b = b, a
-        _trim(b)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
 def is_irreducible(modulus, p) -> bool:
-    """Monic modulus irreducible over Z_p.
+    """Monic modulus f of degree n irreducible over Z_p, by Rabin's test on
+    powers in R = Z_p[X]/(f) (M. O. Rabin, "Probabilistic algorithms in
+    finite fields", SIAM J. Comput. 9(2), 1980).
 
-    f is irreducible iff gcd(f, X^{p^d} - X) = 1 for every d <= deg(f)/2;
-    X^{p^d} is computed in Z_p[X]/(f).  For degree 2 and 3 that one d = 1
-    test is the no-root test.
+    X^(p^n) = X makes R a product of fields GF(p^d) with d | n.  Then f is
+    irreducible iff, for each prime r | n, u = X^(p^(n/r)) - X is a unit of
+    R, i.e. u^(p^n - 1) = 1: Rabin's gcd(u, f) = 1 without a division.
     """
-    deg = len(modulus) - 1
-    if deg <= 0:
+    n = len(modulus) - 1
+    if n <= 0:
         return False
     ring = _Ring(p, modulus)
-    xpd = ring._root_enc()  # X
-    for _ in range(deg // 2):
-        xpd = ring._pow(xpd, p)
-        probe = list(ring.enc_to_coords(xpd))
-        probe[1] = (probe[1] - 1) % p  # X^{p^d} - X
-        if len(_poly_gcd(modulus, probe, p)) > 1:
-            return False
-    return True
+    frob = [ring._root_enc()]  # X^(p^k) for k = 0..n
+    for _ in range(n):
+        frob.append(ring._pow(frob[-1], p))
+    if frob[n] != frob[0]:
+        return False
+    return all(ring._pow(ring._add(frob[n // r], frob[0], -1), ring.order - 1) == 1
+               for r in prime_factors(n))
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +127,8 @@ def is_irreducible(modulus, p) -> bool:
 
 class _Ring:
     """Z_p[X]/(modulus) for a monic modulus of degree n >= 1, irreducible or
-    not: encodings, the table-free product and square-and-multiply.  The
-    modulus search runs them on candidates before any field exists."""
+    not: encodings, the table-free sum and product, and square-and-multiply.
+    The modulus search and is_irreducible run them before a field exists."""
 
     def __init__(self, p: int, modulus):
         self.p = p
@@ -192,6 +157,11 @@ class _Ring:
         for c in reversed(list(coords)):
             enc = enc * p + c % p
         return enc
+
+    def _add(self, a: int, b: int, s: int = 1) -> int:
+        """a + s*b, digit by digit."""
+        return self.coords_to_enc([x + s * y for x, y in zip(self.enc_to_coords(a),
+                                                             self.enc_to_coords(b))])
 
     def _mul_generic(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -350,9 +320,11 @@ class FieldElement:
 class FieldCtx(_Ring):
     """GF(p^n) = Z_p[X]/(modulus), with a distinguished primitive element.
 
-    The generator is the modulus root when that root is primitive
-    (generator_is_root records which); otherwise the smallest primitive
-    element in encoding order is used.
+    The generator is the supplied one, else the modulus root when that root
+    is primitive (generator_is_root records which), else the smallest
+    primitive element in encoding order.  A reducible modulus raises
+    NotIrreducible, also with a supplied generator; a supplied generator
+    that is not primitive raises ZeroInput.
     """
 
     def __init__(self, p: int, modulus, generator=None):
@@ -363,10 +335,7 @@ class FieldCtx(_Ring):
             raise NotMonic("modulus must have degree >= 1")
         if modulus[-1] != 1:
             raise NotMonic("modulus must be monic")
-        if not is_irreducible(modulus, p):
-            raise NotIrreducible(f"modulus {modulus} is reducible over GF({p})")
         super().__init__(p, modulus)
-        self._pn_powers = [p**i for i in range(self.n + 1)]
         # every table path keys on _log; pow_enc runs table-free until it is set
         self._exp = self._log = self._zech = self._lanes = None
         gen_enc, self.generator_is_root = self._pick_generator(generator)
@@ -413,13 +382,7 @@ class FieldCtx(_Ring):
             la = self._log[a]
             z = self._zech[(self._log[b] - la) % m]
             return 0 if z == m else self._exp[(la + z) % m]
-        p = self.p
-        enc = 0
-        for w in reversed(self._pn_powers[:-1]):
-            da, a = divmod(a, w) if w > 1 else (a, 0)
-            db, b = divmod(b, w) if w > 1 else (b, 0)
-            enc += (da + db) % p * w
-        return enc
+        return self._add(a, b)
 
     def sub_enc(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -432,12 +395,7 @@ class FieldCtx(_Ring):
         if self._log is not None:
             m = self.order - 1  # -1 = g^(m/2)
             return self._exp[(self._log[a] + m // 2) % m] if a else 0
-        p = self.p
-        enc = 0
-        for w in reversed(self._pn_powers[:-1]):
-            d, a = divmod(a, w) if w > 1 else (a, 0)
-            enc += (-d) % p * w
-        return enc
+        return self._add(0, a, -1)
 
     def mul_enc(self, a: int, b: int) -> int:
         if self._log is not None:
@@ -478,16 +436,17 @@ class FieldCtx(_Ring):
     # -- construction internals ----------------------------------------------
 
     def _pick_generator(self, generator):
+        """A primitive first choice (the supplied generator, else the root)
+        proves the modulus irreducible; only otherwise does is_irreducible run."""
         root = self._root_enc()
-        if generator is not None:
-            enc = generator.enc if isinstance(generator, FieldElement) else (
-                self.coords_to_enc(generator)
-            )
-            if not self._is_primitive(enc):
-                raise ZeroInput("supplied generator is not primitive")
+        enc = root if generator is None else (generator.enc if isinstance(generator, FieldElement)
+                                              else self.coords_to_enc(generator))
+        if self._is_primitive(enc):
             return enc, enc == root
-        if self._is_primitive(root):
-            return root, True
+        if not is_irreducible(self.modulus, self.p):
+            raise NotIrreducible(f"modulus {list(self.modulus)} is reducible over GF({self.p})")
+        if generator is not None:
+            raise ZeroInput("supplied generator is not primitive")
         for enc in range(1, self.order):
             if self._is_primitive(enc):
                 return enc, False
@@ -510,11 +469,12 @@ class FieldCtx(_Ring):
         else:
             # x*X: shift the digits up one, then add t*X^n = t*head, t the
             # digit shifted out; only the nonzero digits of head change
-            p, w = self.p, self._pn_powers
-            head = [(w[i], h) for i, h in enumerate(self._head) if h]
+            p = self.p
+            top = p ** (self.n - 1)
+            head = [(p**i, h) for i, h in enumerate(self._head) if h]
             while True:
                 yield x
-                t, x = divmod(x, w[-2])
+                t, x = divmod(x, top)
                 x *= p
                 for wi, h in head:
                     d = x // wi % p

@@ -34,7 +34,7 @@ class QmResult:
 
 
 def _check_inputs(ext: QuadExtension, polys):
-    check_cap(ext.big)
+    check_cap(ext.big.order)
     if any(f.is_zero() for f in polys):
         raise ZeroInput("qm comparison needs nonzero polynomials")
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import InvariantViolation, MalformedOperand, ZeroInput
+from .errors import InvariantViolation, MalformedOperand
 from .families import BuiltFamily, ConstructionParams
-from .fields import FieldCtx, FieldElement, QuadExtension, quad_extension
+from .fields import FieldCtx, FieldElement, QuadExtension
 from .polynomials import SparsePolynomial
 from .verify import PermutationReport
 
@@ -35,20 +35,13 @@ def int_list(v, what: str) -> list[int]:
 
 
 def field_desc(d: dict):
-    """(p, modulus, generator or None) of a field descriptor, shape-checked."""
+    """(p, n, modulus, generator or None) of a field descriptor of GF(p^n),
+    shape-checked."""
     if not isinstance(d, dict) or not isinstance(d.get("p"), int):
         raise MalformedOperand(f"field descriptor needs an integer p: {d!r}")
     gen = d.get("generator")
-    return (d["p"], int_list(d.get("modulus"), "modulus"),
-            None if gen is None else int_list(gen, "generator"))
-
-
-def ext_from_json(d: dict) -> QuadExtension:
-    p, modulus, gen = field_desc(d)
-    n = len(modulus) - 1
-    if n % 2 != 0:
-        raise ZeroInput("quadratic-extension descriptor needs even degree")
-    return quad_extension(p, n // 2, modulus, generator=gen)
+    modulus = int_list(d.get("modulus"), "modulus")
+    return d["p"], len(modulus) - 1, modulus, None if gen is None else int_list(gen, "generator")
 
 
 def element_to_json(x: FieldElement) -> dict:

@@ -188,7 +188,7 @@ def is_permutation_exhaustive(f: SparsePolynomial, ctx: FieldCtx) -> Permutation
     searched in the earlier chunks that carry its mark (gathered again) and
     then in this one.  check_cap passes only fields that have tables.
     """
-    check_cap(ctx)
+    check_cap(ctx.order)
     m, exp_t = ctx.order - 1, ctx._exp
     terms = [(e % m, ctx._log[c.enc]) for e, c in f.terms.items()]
 

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import math
 
@@ -27,6 +28,20 @@ def get_field(p, n, modulus=None):
 
     mod = list(modulus) if modulus else canonical_modulus(p, n)
     return field_create(p, mod)
+
+
+@contextlib.contextmanager
+def tables_off(ctx):
+    """Run ctx on its table-free arithmetic, as fields above EXHAUSTIVE_CAP
+    do: digit-wise add through the one digit codec, shift/xor or schoolbook
+    mul.  Encodings do not depend on the tables, so the two paths compare.
+    ctx is changed in place (cached fields are shared) and restored."""
+    tables = ctx._exp, ctx._log, ctx._zech, ctx._lanes
+    ctx._exp = ctx._log = ctx._zech = ctx._lanes = None
+    try:
+        yield
+    finally:
+        ctx._exp, ctx._log, ctx._zech, ctx._lanes = tables
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ from circleperm.serialize import (
     entry_to_json,
     element_from_json,
     element_to_json,
-    ext_from_json,
+    field_desc,
     ext_to_json,
     params_from_json,
     params_to_json,
@@ -50,6 +50,11 @@ def report_from_json(d, ctx):
     )
 
 
+def ext_from_json(d):
+    """The field of a descriptor, read as qm-classify reads a catalog's."""
+    return cli_mod._quad(*field_desc(d))
+
+
 def entry_from_json(d):
     """Parsed view of a catalog line: (ext, params, poly, r, h, report, meta)."""
     ext = ext_from_json(d["field"])
@@ -77,11 +82,12 @@ class TestSerialization:
         z = big.zero()
         assert element_to_json(z) == {"coords": [0, 0]}
 
-    def test_field_round_trip(self, ext25):
+    def test_field_round_trip(self, ext25, capsys):
         desc = ext_to_json(ext25)
-        back = ext_from_json(desc)
-        assert ext_to_json(back) == desc
-        assert back.q == 5
+        assert ext_to_json(ext_from_json(desc)) == desc
+        assert main(["field-info", "--field", json.dumps(desc)]) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert {k: info[k] for k in desc} == desc and info["q"] == 5
 
     def test_poly_round_trip_sorted_desc(self, ext25):
         big = ext25.big

@@ -1,4 +1,3 @@
-import copy
 import itertools
 import random
 
@@ -6,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circleperm import fields as fields_mod
+from circleperm import repro
 from circleperm.errors import (
     CtxMismatch,
     DivisionByZero,
@@ -22,7 +23,7 @@ from circleperm.fields import (
     prime_factors,
     quad_extension,
 )
-from conftest import MOD_2_16, MOD_5_6, get_ext, get_field
+from conftest import MOD_2_16, MOD_5_6, get_ext, get_field, tables_off
 
 
 class TestFieldCreate:
@@ -44,6 +45,33 @@ class TestFieldCreate:
         # irreducibility test can reject it, and it must do so at once
         with pytest.raises(NotIrreducible):
             field_create(101, [1, 2, 7, 11, 16, 17, 12, 5, 1])
+
+    def test_irreducibility_tested_only_without_a_primitive_root(self, monkeypatch):
+        # a primitive modulus root proves the modulus irreducible, so
+        # is_irreducible runs only when the root (or a supplied generator)
+        # is not primitive
+        calls = []
+        def counted(modulus, p):
+            calls.append((p, modulus))
+            return is_irreducible(modulus, p)
+
+        monkeypatch.setattr(fields_mod, "is_irreducible", counted)
+        for p, n in [(2, 2), (2, 8), (2, 20), (3, 2), (3, 8), (5, 4), (7, 2), (13, 2)]:
+            assert field_create(p, canonical_modulus(p, n)).generator_is_root
+        for case in repro.CASES:
+            quad_extension(case.p, case.m, case.modulus)
+        assert calls == []
+        # the field-info pin's two moduli whose root is not primitive
+        for p, modulus in [(3, [1, 0, 1]), (2, [1, 1, 1, 1, 1])]:
+            assert not field_create(p, modulus).generator_is_root
+            assert calls == [(p, tuple(modulus))]
+            calls.clear()
+        # a supplied generator does not bypass the test on a reducible modulus
+        with pytest.raises(NotIrreducible):
+            field_create(2, [1, 0, 1], generator=[0, 1])  # (X + 1)^2
+        with pytest.raises(NotIrreducible):
+            field_create(101, [1, 2, 7, 11, 16, 17, 12, 5, 1], generator=[0, 1])
+        assert len(calls) == 2
 
     def test_not_prime(self):
         with pytest.raises(NotPrime):
@@ -223,28 +251,23 @@ class TestCanonicalModulus:
         assert str(ext25.big.generator ** 7) == "g^7"
 
 
-def tables_off(ctx):
-    """A copy of ctx on table-free arithmetic: digit-wise add, shift/xor or
-    schoolbook mul.  Encodings do not depend on the tables, so they compare."""
-    off = copy.copy(ctx)
-    off._exp = off._log = off._zech = off._lanes = None
-    return off
-
-
 TABLE_FIELDS = [(2, 4), (3, 3), (3, 4), (5, 2)]
 
 
 class TestZechArithmetic:
     @pytest.mark.parametrize("p,n", TABLE_FIELDS)
     def test_matches_digitwise_on_every_pair(self, p, n):
+        # encodings do not depend on the tables, so the two paths compare
         ctx = get_field(p, n)
         assert ctx._log is not None
-        off = tables_off(ctx)
-        for a in range(ctx.order):
-            assert ctx.neg_enc(a) == off.neg_enc(a), a
-            for b in range(ctx.order):
-                assert ctx.add_enc(a, b) == off.add_enc(a, b), (a, b)
-                assert ctx.sub_enc(a, b) == off.sub_enc(a, b), (a, b)
+
+        def ops():
+            return [(a, b, ctx.neg_enc(a), ctx.add_enc(a, b), ctx.sub_enc(a, b))
+                    for a in range(ctx.order) for b in range(ctx.order)]
+
+        tabled = ops()
+        with tables_off(ctx):
+            assert ops() == tabled
 
     @pytest.mark.parametrize("p,n", TABLE_FIELDS)
     def test_zech_table_is_log_of_one_plus(self, p, n):
@@ -254,44 +277,49 @@ class TestZechArithmetic:
         if p == 2:
             assert zech is None
             return
-        off = tables_off(ctx)
         m = ctx.order - 1
         assert len(zech) == m
-        for k in range(m):
-            s = off.add_enc(1, off.exp_enc(k))
-            assert zech[k] == (off.log_enc(s) if s else m), k
+        with tables_off(ctx):
+            for k in range(m):
+                s = ctx.add_enc(1, ctx.exp_enc(k))
+                assert zech[k] == (ctx.log_enc(s) if s else m), k
 
     @settings(max_examples=200, deadline=None)
     @given(field=st.sampled_from(TABLE_FIELDS), data=st.data())
     def test_field_laws_on_both_paths(self, field, data):
         ctx = get_field(*field)
         a, b, c = (data.draw(st.integers(0, ctx.order - 1)) for _ in range(3))
-        for f in (ctx, tables_off(ctx)):
-            add, mul = f.add_enc, f.mul_enc
+        add, mul = ctx.add_enc, ctx.mul_enc
+
+        def laws():
             assert add(add(a, b), c) == add(a, add(b, c))
             assert mul(mul(a, b), c) == mul(a, mul(b, c))
             assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
-            assert f.sub_enc(add(a, b), b) == a
+            assert ctx.sub_enc(add(a, b), b) == a
+
+        laws()
+        with tables_off(ctx):
+            laws()
 
 
 def mul_generic_tables(ctx):
     """exp, log and (odd p) Zech and lanes lists from x -> x*g through the
     schoolbook product; a lane word holds digit i of x in bits [w*i, w*i + w),
     w = p.bit_length() + 1."""
-    off = tables_off(ctx)
     m, g = ctx.order - 1, ctx.generator.enc
     exp, log = [], [m] * ctx.order
     x = 1
     for k in range(m):
         exp.append(x)
         log[x] = k
-        x = off._mul_generic(x, g)
+        x = ctx._mul_generic(x, g)
     assert x == 1
     if ctx.p == 2:
         return exp + [0], log
-    zech = [log[off.add_enc(1, x)] for x in exp]
+    with tables_off(ctx):
+        zech = [log[ctx.add_enc(1, x)] for x in exp]
     w = ctx.p.bit_length() + 1
-    lanes = [sum(c << w * i for i, c in enumerate(off.enc_to_coords(x))) for x in exp]
+    lanes = [sum(c << w * i for i, c in enumerate(ctx.enc_to_coords(x))) for x in exp]
     return exp + [0], log, zech, lanes + [0]
 
 
@@ -320,28 +348,29 @@ class TestSteppedTables:
 
     def test_typecode_i_above_2_16(self):
         ctx = get_field(2, 18)
-        off = tables_off(ctx)
-        assert ctx._exp.typecode == ctx._log.typecode == "i"
+        exp, log = ctx._exp, ctx._log
+        assert exp.typecode == log.typecode == "i"
         g = ctx.generator.enc
-        for k in random.Random(18).sample(range(ctx.order - 1), 2000):
-            x = off.pow_enc(g, k)
-            assert ctx._exp[k] == x and ctx._log[x] == k, k
+        with tables_off(ctx):
+            for k in random.Random(18).sample(range(ctx.order - 1), 2000):
+                x = ctx.pow_enc(g, k)
+                assert exp[k] == x and log[x] == k, k
 
 
 GROUP_FIELDS = [(2, 2), (3, 2), (5, 1)]  # GF(2^4), GF(3^4) and GF(5^2) as GF(q^2)
 
 
-def both_paths(ext):
-    """ext, and a copy of it whose field runs on table-free arithmetic."""
-    off = copy.copy(ext)
-    off.big = tables_off(ext.big)
-    return ext, off
+def on_both_paths(check, ext):
+    """check(ext) with tables, then again on table-free arithmetic."""
+    check(ext)
+    with tables_off(ext.big):
+        check(ext)
 
 
 class TestCyclicGroup:
     @pytest.mark.parametrize("p,m", GROUP_FIELDS)
     def test_subgroup_is_the_kth_roots_of_unity(self, p, m):
-        for ext in both_paths(get_ext(p, m)):
+        def check(ext):
             big = ext.big
             order, g = big.order - 1, big.generator.enc
             for k in (k for k in range(1, order + 1) if order % k == 0):
@@ -349,9 +378,11 @@ class TestCyclicGroup:
                 assert sub == [big.pow_enc(g, j * (order // k)) for j in range(k)], k
                 assert set(sub) == {x for x in range(1, big.order) if big.pow_enc(x, k) == 1}, k
 
+        on_both_paths(check, get_ext(p, m))
+
     @pytest.mark.parametrize("p,m", GROUP_FIELDS)
     def test_is_power_is_membership_in_the_kth_powers(self, p, m):
-        for ext in both_paths(get_ext(p, m)):
+        def check(ext):
             units = list(ext.big.elements())[1:]
             sub_units = [x for x in units if ext.in_subfield(x)]
             for k in (2, 3):
@@ -361,6 +392,8 @@ class TestCyclicGroup:
                 powers = {(y**k).enc for y in sub_units}
                 assert [ext.is_power_sub(x, k) for x in sub_units] == [
                     x.enc in powers for x in sub_units], k
+
+        on_both_paths(check, get_ext(p, m))
 
     def test_is_power_sub_input_checks(self, ext25):
         with pytest.raises(CtxMismatch):
@@ -375,11 +408,17 @@ class TestSympyCrossCheck:
         from sympy.polys.domains import ZZ
         from sympy.polys.galoistools import gf_irreducible_p
 
-        for p, max_deg in [(2, 4), (3, 4), (5, 3)]:
+        # n = 6 and n = 10 hold products such as an irreducible quadratic
+        # times an irreducible cubic: X^(p^n) = X holds for them, and only
+        # the unit test on X^(p^(n/r)) - X rejects them
+        count = 0
+        for p, max_deg in [(2, 10), (3, 6), (5, 4)]:
             for deg in range(1, max_deg + 1):
                 for tail in itertools.product(range(p), repeat=deg):
                     monic = list(tail) + [1]  # least degree first; sympy wants most
                     assert is_irreducible(monic, p) == gf_irreducible_p(monic[::-1], p, ZZ), (p, monic)
+                    count += 1
+        assert count == 3918
 
     def test_primitive_root_proves_modulus_irreducible(self):
         # canonical_modulus keeps the first candidate whose root is primitive

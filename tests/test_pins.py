@@ -122,6 +122,11 @@ PINS = [
     refused(3, "construct --p 2 --m 11 --grid --family B1"),
     refused(3, """qm-test --p 2 --m 11 --f '{"terms": [[5, {"pow": 0}]]}' --g '{"terms": [[5, {"pow": 0}]]}'"""),
     refused(2, "field-info --p 101 --m 4 --modulus '[1,2,7,11,16,17,12,5,1]'"),
+    # GF(2^62): the order is refused before the modulus search, which would
+    # factor 2^62 - 1 by trial division
+    refused(3, """verify --p 2 --m 31 --poly '{"terms": [[5, {"pow": 0}]]}'"""),
+    refused(3, "construct --p 2 --m 31 --grid --family B1"),
+    refused(3, """qm-test --p 2 --m 31 --f '{"terms": [[5, {"pow": 0}]]}' --g '{"terms": [[5, {"pow": 0}]]}'"""),
 ]
 
 SRC = str(Path(circleperm.__file__).resolve().parent.parent)

@@ -1,5 +1,4 @@
 import bisect
-import contextlib
 import math
 import random
 import sys
@@ -31,22 +30,8 @@ from circleperm.verify import (
     is_permutation_exhaustive,
     verify_both,
 )
-from conftest import MOD_2_16, get_ext, get_field, h_no_circle_root
+from conftest import MOD_2_16, get_ext, get_field, h_no_circle_root, tables_off
 from symbolic import pmul
-
-
-@contextlib.contextmanager
-def tables_off(ctx):
-    """Run ctx on its table-free arithmetic, as fields above EXHAUSTIVE_CAP do.
-
-    Table-free multiplication is the polynomial product, so it does not
-    share the generator stepping that builds the tables."""
-    tables = ctx._exp, ctx._log, ctx._zech, ctx._lanes
-    ctx._exp = ctx._log = ctx._zech = ctx._lanes = None
-    try:
-        yield
-    finally:
-        ctx._exp, ctx._log, ctx._zech, ctx._lanes = tables
 
 
 def exhaustive_oracle(f, ctx):
