@@ -142,8 +142,8 @@ def _degree(kind: str) -> int:
 
 
 def derive_beta_t(family: str, beta: FieldElement) -> FieldElement:
-    """The beta_t forced by the family: beta_t = -beta^(-d), d = deg R."""
-    return -(beta ** -_degree(FAMILIES[family].kind))
+    """The beta_t forced by the family: -beta^(-d), d = deg R; zero for beta = 0."""
+    return beta if beta.enc == 0 else -(beta ** -_degree(FAMILIES[family].kind))
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ the power test in GF(q)*.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from array import array
@@ -85,8 +86,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime divisors of n, ascending (trial division; desk scale)."""
+@functools.lru_cache(maxsize=None)
+def prime_factors(n: int) -> tuple[int, ...]:
+    """Distinct prime divisors of n, ascending (trial division, once per n)."""
     out = []
     f = 2
     while f * f <= n:
@@ -97,7 +99,7 @@ def prime_factors(n: int) -> list[int]:
         f += 1 if f == 2 else 2
     if n > 1:
         out.append(n)
-    return out
+    return tuple(out)
 
 
 def is_irreducible(modulus, p) -> bool:

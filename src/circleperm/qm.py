@@ -5,10 +5,10 @@ f ~ g over GF(q^2) iff f(X) = u * g(v * X^d) for units u, v and some
 (support, coefficient-log) key over a polynomial's orbit is an exact class
 invariant: f ~ g iff their keys are equal.  The key tries only the d that
 can give the least support: those sending an exponent of least gcd g* with
-q^2-1 to g* itself, at most g* per exponent.  Catalogs are classified by
-grouping on the key, in time linear in the catalog, and a pair is decided by
-comparing two keys.  The witness composes the maps that reach them: the
-inverse of f's map after g's.
+q^2-1 to g* itself, at most g* per exponent; u and v are then fixed term by
+term.  Catalogs are classified by grouping on the key, in time linear in
+the catalog, and a pair is decided by comparing two keys.  The witness
+composes the maps that reach them: the inverse of f's map after g's.
 
 Functional comparison happens on exponent-reduced polynomials: the
 fixpoint convention of reduce_exponents keeps positive exponents positive,
@@ -77,9 +77,8 @@ def qm_equivalent(f: SparsePolynomial, g: SparsePolynomial, ext: QuadExtension) 
 def qm_verify_witness(f, g, witness, ext) -> bool:
     """Re-expand u*g(vX^d) and compare reduced polynomials coefficient-wise."""
     u, v, d = witness
-    if not (1 <= d < ext.big.order - 1 and math.gcd(d, ext.big.order - 1) == 1):
-        return False
-    if u.enc == 0 or v.enc == 0:
+    m = ext.big.order - 1
+    if not (1 <= d < m and math.gcd(d, m) == 1) or u.enc == 0 or v.enc == 0:
         return False
     return apply_qm(g.reduce_exponents(), u, v, d) == f.reduce_exponents()
 
@@ -161,9 +160,8 @@ def _h7_instances(ext):
         dprime = (2**n - 1) // (2**k - 1)
         if math.gcd(dprime - 1, 2**k - 1) != 1 or math.gcd(r, 2**k - 1) != 1:
             continue
-        m = big.order - 1
         sub = {x.enc for x in big.subgroup(2**k - 1)}
-        for y in range(m):
+        for y in range(big.order - 1):
             a_enc = big.exp_enc(y)
             if a_enc in sub:
                 continue
@@ -284,7 +282,8 @@ def qm_canonical_key(f: SparsePolynomial, ext: QuadExtension) -> tuple:
     the unit lifts of (e/g*)^-1 mod m/g*.  For each such d the mapped support
     is sorted; u and v then add a + b*e (mod m, any a and b) to the log of
     the term at mapped exponent e, so a sets the first log to 0 and b
-    minimises the second, leaving gcd(e2 - e1, m) choices of b compared.
+    minimises the others in turn: on the coset b + s*Z_m that keeps the
+    earlier logs least, the next runs over a class mod gcd(s*(e - e1), m).
     """
     _check_inputs(ext, (f,))
     return _orbit_min(f.reduce_exponents(), ext.big)[0]
@@ -310,17 +309,16 @@ def _orbit_min(f: SparsePolynomial, big) -> tuple:
             skipped += 1
             continue
         examined += 1
-        # a monomial pairs its term with itself: t = m and every b is tried
-        (e1, l1), (e2, l2) = mapped[0], mapped[min(1, len(mapped) - 1)]
-        t = math.gcd(e2 - e1, m)
-        step = m // t
-        b0 = -((l2 - l1) // t) * pow((e2 - e1) // t, -1, step) % step
-        logs = [tuple((log - l1 + b * (e - e1)) % m for e, log in mapped)
-                for b in range(b0, m, step)]
-        key = (supp, min(logs))
+        # b runs over a coset b + s*Z_m; each term in turn takes its least log
+        (e1, l1), b, s = mapped[0], 0, 1
+        for e, log in mapped[1:]:
+            t = math.gcd(s * (e - e1), m)
+            k = -((log - l1 + b * (e - e1)) % m // t) * pow(s * (e - e1) // t, -1, m // t)
+            b, s = (b + s * k) % m, s * m // t
+        b %= s  # the coset's least b
+        key = (supp, tuple((log - l1 + b * (e - e1)) % m for e, log in mapped))
         if best is None or key < best:
             best = key
-            b = b0 + logs.index(key[1]) * step
             best_map = ((-l1 - b * e1) % m, b * d % m, d)
     return best, best_map, examined, skipped
 

@@ -162,6 +162,18 @@ class TestCommands:
         err = json.loads(capsys.readouterr().err)
         assert err["violations"]
 
+    @pytest.mark.parametrize("family,p,m,aux,d", [("Q1", "5", "1", [], 3),
+                                                  ("P1", "2", "2", ["--aux", "1"], 4)])
+    def test_construct_zero_beta_reports_violations(self, capsys, family, p, m, aux, d):
+        # beta = 0 has no inverse: beta_t is zero, and validation names both
+        rc = main(["construct", "--p", p, "--m", m, "--family", family, "--beta", "0",
+                   "--delta", "g", "--delta-t", "g", *aux])
+        assert rc == 2
+        violations = json.loads(capsys.readouterr().err)["violations"]
+        assert violations[:3] == [
+            "beta is not on the unit circle", "beta_t is not on the unit circle",
+            f"beta relation 1 + beta_t*beta^{d} = 0 fails"]
+
     def test_construct_grid_stream(self, capsys):
         rc = main([
             "construct", "--p", "2", "--m", "2", "--family", "B1",

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +73,25 @@ class TestFieldCreate:
         with pytest.raises(NotIrreducible):
             field_create(101, [1, 2, 7, 11, 16, 17, 12, 5, 1], generator=[0, 1])
         assert len(calls) == 2
+
+    def test_unit_group_order_factored_once_per_field(self):
+        # the primitivity tests of every canonical_modulus candidate and of
+        # the generator share one trial division of m = p^n - 1
+        factored = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is prime_factors.__wrapped__.__code__:
+                factored.append(frame.f_locals["n"])
+
+        for p, m in [(2, 10), (3, 6)]:
+            prime_factors.cache_clear()
+            sys.setprofile(profile)
+            try:
+                quad_extension(p, m)
+            finally:
+                sys.setprofile(None)
+            assert factored.count(p ** (2 * m) - 1) == 1
+        assert prime_factors(3**12 - 1) == (2, 5, 7, 13, 73)  # a tuple: shared, so immutable
 
     def test_not_prime(self):
         with pytest.raises(NotPrime):

@@ -115,7 +115,16 @@ PINS = [
     # g = g^3 * f(g^11 * X^7) over GF(2^16), so qm-test finds them equivalent
     Pin("qm-test twist q=256",
         ("""qm-test --p 2 --m 8 --f '{"terms": [[4, {"pow": 0}], [259, {"pow": 5}], [514, {"pow": 9}]]}' --g '{"terms": [[28, {"pow": 47}], [1813, {"pow": 2857}], [3598, {"pow": 5666}]]}'""",),
-        0, None),
+        0, "01bd514cf1b89eb576524e0cffe784aedaedef50406cef470720c57320bb409c"),
+    # monomials over GF(2^16): g^3 X^7 = g^-2 * g^5 (X^(2^15))^14; the key's
+    # b loop has no second term to fix
+    Pin("qm-test monomial q=256",
+        ("""qm-test --p 2 --m 8 --f '{"terms": [[7, {"pow": 3}]]}' --g '{"terms": [[14, {"pow": 5}]]}'""",),
+        0, "1ed7515ece8ba2cd8b4084b10d3fafb55ba26caf785cb68a28130378302775fd"),
+    # the CSV catalog format
+    Pin("grid csv --family P4 --p 2 --m 2",
+        ("construct --grid --family P4 --p 2 --m 2 --format csv",),
+        0, "e825679cb666a0b790d840f525784f97feeaef22d7e59dd5f191ccb914497376"),
     # GF(2^22) is above EXHAUSTIVE_CAP, so verify, a grid and qm-test exit 3;
     # a reducible modulus (two quartics over GF(101)) exits 2
     refused(3, """verify --p 2 --m 11 --poly '{"terms": [[5, {"pow": 0}]]}'"""),

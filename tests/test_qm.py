@@ -362,9 +362,11 @@ class TestCanonicalKey:
         assert sorted(map(tuple, part.classes)) == sorted(oracle)
 
 
-def all_units_key(f, ext):
-    """The canonical key by walking every unit d mod m: the oracle for the
-    candidate-d key."""
+def all_units_key(f, ext, every_b=True):
+    """The canonical key by walking every unit d mod m and, for each, every b
+    mod m: the oracle for the candidate-d key and its b loop.  Without
+    `every_b`, only the b that make the second log least are tried, for
+    fields too large to try them all."""
     big = ext.big
     m = big.order - 1
     terms = [(e, big.log_enc(c.enc)) for e, c in f.reduce_exponents().terms.items()]
@@ -377,11 +379,13 @@ def all_units_key(f, ext):
         if best is not None and supp > best[0]:
             continue
         (e1, l1), (e2, l2) = mapped[0], mapped[min(1, len(mapped) - 1)]
-        t = math.gcd(e2 - e1, m)
-        step = m // t
-        b0 = -((l2 - l1) // t) * pow((e2 - e1) // t, -1, step) % step
+        bs = range(m)
+        if not every_b:
+            t = math.gcd(e2 - e1, m)
+            step = m // t
+            bs = range(-((l2 - l1) // t) * pow((e2 - e1) // t, -1, step) % step, m, step)
         key = (supp, min(tuple((log - l1 + b * (e - e1)) % m for e, log in mapped)
-                         for b in range(b0, m, step)))
+                         for b in bs))
         if best is None or key < best:
             best = key
     return best
@@ -437,7 +441,7 @@ class TestKeyAgainstAllUnits:
         polys = [build_family("P1", p, ext).poly for p in param_grid("P1", ext, limits)]
         polys += [apply_qm(polys[0], big.gen_pow(7), big.gen_pow(11), 13),
                   apply_qm(polys[2], big.gen_pow(5), big.one(), 29)]
-        return ext, polys, [all_units_key(f, ext) for f in polys]
+        return ext, polys, [all_units_key(f, ext, every_b=False) for f in polys]
 
     def test_p1_at_q256(self, p1_at_256):
         ext, polys, keys = p1_at_256
