@@ -9,27 +9,23 @@ Fields of order up to EXHAUSTIVE_CAP (2^20) get compact arrays, with
 m = order - 1 standing for the log of zero: exp (k -> g^k, and exp[m] = 0),
 log (enc -> k, and log[0] = m), for odd p the Zech logarithms zech
 (k -> log(1 + g^k)), typecode "H" up to order 2^16 (every entry is <= m) and
-"i" above, and lanes (k -> the digits of g^k, digit i in bits [w*i, w*i + w)
-with w = p.bit_length() + 1; lanes[m] = 0) in the smallest of "B", "H", "I",
-"Q" that holds n*w bits.  Multiplication adds logs, and odd-p addition is
-g^a + g^b = g^(a + zech[b - a]) (K. Huber, "Some comments on Zech's
-logarithms", IEEE Trans. Inf. Theory 36(4), 1990), so both are O(1) table
-lookups; p = 2 adds by xor and needs neither zech nor lanes.  verify's
-exhaustive check sums strided runs of exp (p = 2, by xor) or of lanes (odd
-p, lane-wise mod p) for many points at once.  The tables are filled
-by stepping x -> x*g: for the modulus root a step shifts the digits of x once
-and adds (top digit)*X^n mod the modulus, O(n) digit work.  Larger fields use
-table-free arithmetic: one digit codec (enc_to_coords, coords_to_enc), a
-digit-wise sum, one product mod the modulus and one square-and-multiply
-loop, which _Ring holds so that the modulus search can run them before a
-field exists; no order cap is enforced on arithmetic.  Irreducibility
-comes from the same powers in Z_p[X]/(f), with no division or gcd: a
-primitive modulus root (or supplied generator) proves it, and only one
-that is not primitive runs Rabin's test (is_irreducible).  EXHAUSTIVE_CAP
-is the one cap on tables, exhaustive work, parameter grids and QM
-equivalence, and check_cap is the one check of it; it takes the order, so
-a command refuses before it builds a field.  Every field that passes has
-tables.  verify re-exports it.
+"i" above: only what the field's own arithmetic reads.  Multiplication adds
+logs, and odd-p addition is g^a + g^b = g^(a + zech[b - a]) (K. Huber,
+"Some comments on Zech's logarithms", IEEE Trans. Inf. Theory 36(4), 1990),
+so both are O(1) table lookups; p = 2 adds by xor and needs no zech.  The
+tables are filled by stepping x -> x*g: for the modulus root a step shifts
+the digits of x once and adds (top digit)*X^n mod the modulus, O(n) digit
+work.  Larger fields use table-free arithmetic: one digit codec
+(enc_to_coords, coords_to_enc), a digit-wise sum, one product mod the
+modulus and one square-and-multiply loop, which _Ring holds so that the
+modulus search can run them before a field exists; no order cap is
+enforced on arithmetic.  Irreducibility comes from the same powers in
+Z_p[X]/(f), with no division or gcd: a primitive modulus root (or supplied
+generator) proves it, and only one that is not primitive runs Rabin's test
+(is_irreducible).  EXHAUSTIVE_CAP is the one cap on tables, exhaustive
+work, parameter grids and QM equivalence, and check_cap is the one check
+of it; it takes the order, so a command refuses before it builds a field.
+Every field that passes has tables.  verify re-exports EXHAUSTIVE_CAP.
 
 GF(p^n)* is cyclic of order m = p^n - 1, so every structural question is a
 question about it: an element is primitive iff x^m = 1 and x^(m/r) != 1 for
@@ -339,7 +335,7 @@ class FieldCtx(_Ring):
             raise NotMonic("modulus must be monic")
         super().__init__(p, modulus)
         # every table path keys on _log; pow_enc runs table-free until it is set
-        self._exp = self._log = self._zech = self._lanes = None
+        self._exp = self._log = self._zech = None
         gen_enc, self.generator_is_root = self._pick_generator(generator)
         self.generator = FieldElement(self, gen_enc)
         if self.order <= EXHAUSTIVE_CAP:
@@ -501,13 +497,6 @@ class FieldCtx(_Ring):
             self._zech = array(typecode, (
                 log[x + 1 - p if x % p == p - 1 else x + 1]
                 for x in itertools.islice(exp, m)))
-            # lanes: x = lo + split*hi spreads through two ~sqrt(order)-entry tables
-            w, h = p.bit_length() + 1, self.n // 2
-            spread = [sum(c << w * i for i, c in enumerate(self.enc_to_coords(x)))
-                      for x in range(p ** (self.n - h))]
-            lo, hi, split = spread[:p**h], [s << w * h for s in spread], p**h
-            self._lanes = array(next(t for t in "BHIQ" if self.n * w <= 8 * array(t).itemsize),
-                                (lo[x % split] + hi[x // split] for x in exp))
 
     # -- the cyclic group GF(p^n)* ---------------------------------------------
 

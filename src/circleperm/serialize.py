@@ -116,7 +116,7 @@ class CatalogEntry:
     ext: QuadExtension
     built: BuiltFamily
     report: PermutationReport
-    provenance: str  # "paper-example" | "grid" | "user"
+    provenance: str  # "grid" | "user"
 
     def __post_init__(self):
         if self.report.method != "both" or not self.report.is_permutation:

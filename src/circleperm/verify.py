@@ -6,18 +6,19 @@ circle; the exhaustive route evaluates f at every field element.  The two
 must always agree; a disagreement raises instead of reporting.
 
 Both routes evaluate on tabled fields by one engine, _sums: a term c*X^e
-at x = g^(s*k) is g^(log c + e*s*k), a run of table values read by
-strided slices, and the runs are summed in every characteristic.  Exhaustive
-evaluation sums chunks of generator powers and reports the first collision
-in the order 0, g^0, g^1, ..., so witnesses do not depend on the chunking.
-A byte per value marks the chunk that took it; the collision's first
-preimage is looked up only once a marked value comes round.  The criterion
-sums h's q + 1 circle values in one call (s = q - 1).
+at x = g^(s*k) is g^(log c + e*s*k), a run of a table built here from exp,
+read by strided slices, and the runs are summed in every characteristic.
+Exhaustive evaluation sums chunks of generator powers and reports the
+first collision in the order 0, g^0, g^1, ..., so witnesses do not depend
+on the chunking.  A byte per value marks the chunk that took it; the
+collision's first preimage is looked up only once a marked value comes
+round.  The criterion sums h's q + 1 circle values in one call (s = q - 1).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import sys
@@ -87,9 +88,6 @@ def _gather(table, m: int, lc: int, e: int, k0: int, n: int) -> array:
     if 8 * (R + abs(d) * n // span) > n:
         return array(table.typecode, [table[i % m] for i in range(s, s + e * n, e)])
     top = span - m if d < 0 else 0  # a class stepping down starts in the last copy
-    last = s + top + d * (n - 1)
-    if R == 1 and 0 <= last < span:  # no wrap: one slice
-        return table[s + top:last + d if last + d >= 0 else None:d]
     out = array(table.typecode, [0]) * n
     for b in range(R):
         p, j = (s + e * b) % m + top, b
@@ -106,22 +104,34 @@ def _gather(table, m: int, lc: int, e: int, k0: int, n: int) -> array:
 def _run_setup(ctx: FieldCtx):
     """(run table, total) of a tabled field, kept in _RUNS while it lives.
 
-    The run table is exp (p = 2) or _lanes (odd p), its first m entries
-    repeated up to _TILE_MAX entries.  total(runs, points) sums runs of
-    that many words into packed encodings: by xor for p = 2, lane-wise for
-    odd p, where a lane is w = bit length of p plus one bits wide so that
-    two digits (< 2p) fit and (acc + C) & H sets its top bit where the sum
-    is >= p.  Radix round g = 1, 2, 4, ... folds pairs of g-digit groups
-    into low + high * p^g, the high mask only where the partner is one of
-    the n digits.
+    The run table holds exp's first m entries, repeated up to _TILE_MAX
+    entries: as they are for p = 2, and for odd p as lane words (digit i
+    of g^k in bits [w*i, w*i + w), w = p.bit_length() + 1, in the smallest
+    of "B", "H", "I", "Q" that holds n*w bits).  total(runs, points) sums
+    runs of that many words into encodings: by xor, or by _lane_total.
     """
-    m, p, n = ctx.order - 1, ctx.p, ctx.n
+    m, p, n, exp = ctx.order - 1, ctx.p, ctx.n, ctx._exp
     copies = min(m, _CHUNK_MAX, _TILE_MAX // m)  # min(m, _CHUNK_MAX) make every run one slice
-    table = ctx._exp if p == 2 else ctx._lanes
-    table = table[:m] * copies if copies > 1 else table
     if p == 2:
-        return table, lambda runs, points: functools.reduce(operator.xor, runs, 0)
-    bits, words = 8 * table.itemsize, min(m, _CHUNK_MAX)
+        return (exp[:m] * copies if copies > 1 else exp,
+                lambda runs, points: functools.reduce(operator.xor, runs, 0))
+    w, h = p.bit_length() + 1, n // 2  # x = lo + split*hi: two ~sqrt(order)-entry tables
+    spread = [sum(c << w * i for i, c in enumerate(ctx.enc_to_coords(x)))
+              for x in range(p ** (n - h))]
+    lo, hi, split = spread[:p**h], [s << w * h for s in spread], p**h
+    table = array(next(t for t in "BHIQ" if n * w <= 8 * array(t).itemsize),
+                  (lo[x % split] + hi[x // split] for x in itertools.islice(exp, m)))
+    table *= max(copies, 1)
+    return table, _lane_total(p, n, min(m, _CHUNK_MAX), 8 * table.itemsize)
+
+
+def _lane_total(p: int, n: int, words: int, bits: int):
+    """total(runs, points) sums runs of up to `words` lane words of `bits`
+    bits lane-wise mod p into packed encodings.  Two digits (< 2p) fit in a
+    lane, and (acc + C) & H sets its top bit where the sum is >= p.  Radix
+    round g = 1, 2, 4, ... folds pairs of g-digit groups into
+    low + high * p^g, the high mask only where the partner is one of the n
+    digits."""
     rep = ((1 << bits * words) - 1) // ((1 << bits) - 1)  # 1 in every word
     w = p.bit_length() + 1
 
@@ -143,7 +153,7 @@ def _run_setup(ctx: FieldCtx):
         for gw, low, high, mult in rounds:
             acc = (acc & low) + ((acc >> gw) & high) * mult
         return acc
-    return table, total
+    return total
 
 
 _RUNS = weakref.WeakKeyDictionary()

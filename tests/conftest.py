@@ -36,12 +36,12 @@ def tables_off(ctx):
     do: digit-wise add through the one digit codec, shift/xor or schoolbook
     mul.  Encodings do not depend on the tables, so the two paths compare.
     ctx is changed in place (cached fields are shared) and restored."""
-    tables = ctx._exp, ctx._log, ctx._zech, ctx._lanes
-    ctx._exp = ctx._log = ctx._zech = ctx._lanes = None
+    tables = ctx._exp, ctx._log, ctx._zech
+    ctx._exp = ctx._log = ctx._zech = None
     try:
         yield
     finally:
-        ctx._exp, ctx._log, ctx._zech, ctx._lanes = tables
+        ctx._exp, ctx._log, ctx._zech = tables
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import circleperm
 from circleperm import cli as cli_mod
 from circleperm import verify as verify_mod
 from circleperm.cli import build_parser, main, parse_element
@@ -438,3 +442,20 @@ class TestCommands:
         odd.write_text('{"p": 5, "modulus": [3, 1]}')
         assert main(["verify", "--field", str(odd), "--poly", str(poly)]) == 0
         assert loads == [str(field), str(poly), str(odd), str(poly)]
+
+
+def test_package_needs_only_the_standard_library():
+    # no runtime dependencies: under -S (no site-packages) and -I (no
+    # PYTHONPATH, no script directory), with only src added to sys.path,
+    # every circleperm module imports and field-info runs
+    pkg = Path(circleperm.__file__).resolve().parent
+    modules = ["circleperm"] + [f"circleperm.{path.stem}" for path in sorted(pkg.glob("*.py"))
+                                if path.stem != "__init__"]
+    code = (f"import importlib, sys; sys.path.insert(0, {str(pkg.parent)!r}); "
+            f"[importlib.import_module(name) for name in {modules!r}]; "
+            "from circleperm import cli; "
+            "sys.exit(cli.main(['field-info', '--p', '2', '--m', '2']))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["p"] == 2

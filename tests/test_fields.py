@@ -323,9 +323,8 @@ class TestZechArithmetic:
 
 
 def mul_generic_tables(ctx):
-    """exp, log and (odd p) Zech and lanes lists from x -> x*g through the
-    schoolbook product; a lane word holds digit i of x in bits [w*i, w*i + w),
-    w = p.bit_length() + 1."""
+    """exp, log and (odd p) Zech lists from x -> x*g through the schoolbook
+    product."""
     m, g = ctx.order - 1, ctx.generator.enc
     exp, log = [], [m] * ctx.order
     x = 1
@@ -338,14 +337,12 @@ def mul_generic_tables(ctx):
         return exp + [0], log
     with tables_off(ctx):
         zech = [log[ctx.add_enc(1, x)] for x in exp]
-    w = ctx.p.bit_length() + 1
-    lanes = [sum(c << w * i for i, c in enumerate(ctx.enc_to_coords(x))) for x in exp]
-    return exp + [0], log, zech, lanes + [0]
+    return exp + [0], log, zech
 
 
 def stepped_tables(ctx):
-    """The field's own tables as lists; p = 2 has no Zech or lanes table."""
-    return tuple(list(t) for t in (ctx._exp, ctx._log, ctx._zech, ctx._lanes) if t is not None)
+    """The field's own tables as lists; p = 2 has no Zech table."""
+    return tuple(list(t) for t in (ctx._exp, ctx._log, ctx._zech) if t is not None)
 
 
 class TestSteppedTables:

@@ -121,6 +121,22 @@ PINS = [
     Pin("qm-test monomial q=256",
         ("""qm-test --p 2 --m 8 --f '{"terms": [[7, {"pow": 3}]]}' --g '{"terms": [[14, {"pow": 5}]]}'""",),
         0, "1ed7515ece8ba2cd8b4084b10d3fafb55ba26caf785cb68a28130378302775fd"),
+    # qm_equivalent's False branch: X^3 and X^5 + gX are not equivalent
+    Pin("qm-test not equivalent q=5",
+        ("""qm-test --p 5 --m 1 --f '{"terms": [[3, {"pow": 0}]]}' --g '{"terms": [[5, {"pow": 0}], [1, {"pow": 1}]]}'""",),
+        1, "d9225835439728a97e3f33f662cfbda336eb54756b48a7bc441363848bd2f6a5"),
+    # single constructions: the README example, an odd-p tuple with aux over
+    # GF(3^8) (its verdicts sum a lane table), and a --field operand
+    Pin("construct Q1 q=5",
+        ("construct --p 5 --m 1 --family Q1 --beta -1 --delta g --delta-t g",),
+        0, "458ce5b897a8672a6db69d22133a920ee72d746487c480acc185179f934f5324"),
+    Pin("construct Q3 q=81",
+        ("construct --p 3 --m 4 --modulus '[2,2,2,0,1,2,0,0,1]' --family Q3 --beta -1 "
+         "--delta g^4898 --delta-t g^332 --aux g^82",),
+        0, "f09ea95f88eb2908c2c282de1ecc6960463c5a8c5eef386c4fe7bcecf00a2e9c"),
+    Pin("construct --field P1 q=4",
+        ("""construct --field '{"p": 2, "modulus": [1, 1, 0, 0, 1]}' --family P1 --beta 1 --delta g^3 --delta-t g^3 --aux 1""",),
+        0, "2fa79d8d7ac3dd11aff4f89db8eaf523979f0f2b0eecbdc1d9ebb81aff52d2ce"),
     # the CSV catalog format
     Pin("grid csv --family P4 --p 2 --m 2",
         ("construct --grid --family P4 --p 2 --m 2 --format csv",),

@@ -3,13 +3,12 @@ import math
 import random
 import sys
 import tracemalloc
-import types
 from array import array
 
 import pytest
 
 from circleperm.errors import CapExceeded
-from circleperm.fields import EXHAUSTIVE_CAP
+from circleperm.fields import EXHAUSTIVE_CAP, canonical_modulus, field_create
 from circleperm.families import (
     FAMILIES,
     ConstructionParams,
@@ -21,9 +20,11 @@ from circleperm.families import (
 )
 from circleperm.polynomials import SparsePolynomial
 from circleperm.verify import (
+    _CHUNK_MAX,
     _RUNS,
     _gather,
     _ladder,
+    _lane_total,
     _run_setup,
     criterion_check,
     decompose,
@@ -66,6 +67,18 @@ def lane_word(x, p, n):
     """Digit i of the encoding x in bits [w*i, w*i + w), w = p.bit_length() + 1."""
     w = p.bit_length() + 1
     return sum(x // p**i % p << w * i for i in range(n))
+
+
+def run_values(ctx):
+    """What a run table repeats, from the definition: exp[k] for k < m, as
+    it is for p = 2, and for odd p lane_word(exp[k]) in the smallest word
+    that holds n*w bits."""
+    exp, p, n = ctx._exp[:ctx.order - 1], ctx.p, ctx.n
+    if p == 2:
+        return exp
+    w = p.bit_length() + 1
+    return array(next(t for t in "BHIQ" if n * w <= 8 * array(t).itemsize),
+                 [lane_word(x, p, n) for x in exp])
 
 
 def digitwise_sum(xs, p, n):
@@ -294,10 +307,10 @@ class TestExhaustive:
         # runs still wrap, and classes with d < 0 start in the last copy
         rnd = random.Random(9)
         for ctx in (get_field(3, 4), get_field(2, 10), get_ext(5, 3).big):
-            m, base = ctx.order - 1, ctx._exp if ctx.p == 2 else ctx._lanes
+            m, base = ctx.order - 1, run_values(ctx)
             table = _run_setup(ctx)[0]
             assert len(table) % m == 0 and len(table) > m
-            assert table.typecode == base.typecode and table[-m:] == base[:m]
+            assert table.typecode == base.typecode and table[-m:] == base
             for e in [1, 2, m - 1, m - 2, m // 2, *rnd.sample(range(3, m), 8)]:
                 for n in (1, 64, min(m, 4096)):
                     for k0 in (0, rnd.randrange(m - n + 1), m - n):
@@ -308,7 +321,7 @@ class TestExhaustive:
         # below span (a constant for e = 0); at span it wraps.  With e < m and
         # n <= m no run of GF(2^8) or GF(3^4) reaches span, so e runs past m.
         for ctx in (get_field(2, 8), get_field(3, 4)):
-            m, base = ctx.order - 1, ctx._exp if ctx.p == 2 else ctx._lanes
+            m, base = ctx.order - 1, run_values(ctx)
             table = _run_setup(ctx)[0]
             span = len(table) - len(table) % m
             runs = [(0, n, rnd.randrange(m)) for n in (1, 64, m)]  # e = 0 from s
@@ -342,8 +355,7 @@ class TestLanes:
             words = [t for t in "BHIQ" if n * w <= 8 * array(t).itemsize]
             assert words and ((p, n) not in {(3, 11), (3, 12)} or words == ["Q"])
             for typecode in words:
-                stand_in = types.SimpleNamespace(order=order, p=p, n=n, _lanes=array(typecode))
-                total = _run_setup(stand_in)[1]
+                total = _lane_total(p, n, min(order - 1, _CHUNK_MAX), 8 * array(typecode).itemsize)
                 lanes = [[lane_word(x, p, n) for x in col] for col in (xs, ys, zs, neg)]
                 assert run_total(total, lanes[:1], typecode) == xs, (p, n, typecode)
                 assert run_total(total, lanes[:3], typecode) == [
@@ -353,21 +365,31 @@ class TestLanes:
     @pytest.mark.parametrize("p,n", [(3, 1), (13, 1), (3, 2), (5, 2), (3, 8), (7, 4),
                                      (101, 2), (3, 11), (3, 12)])
     def test_field_lane_sums_equal_add_enc(self, p, n):
-        # the field's own lanes, in the smallest word that holds n*w bits,
-        # summed by total, give add_enc
+        # the field's run table, in the smallest word that holds n*w bits,
+        # summed by its total, gives add_enc; zero is no table entry, so
+        # its lane word is 0
         ctx = get_field(p, n)
         w = p.bit_length() + 1
-        assert ctx._lanes.typecode == next(t for t in "BHIQ" if n * w <= 8 * array(t).itemsize)
-        assert ctx._lanes[ctx.order - 1] == 0
-        total = _run_setup(ctx)[1]
+        table, total = _run_setup(ctx)
+        assert table.typecode == next(t for t in "BHIQ" if n * w <= 8 * array(t).itemsize)
         rnd = random.Random(p * n)
         k = min(ctx.order - 1, 64)
         xs = [0, 1] + [rnd.randrange(ctx.order) for _ in range(k - 2)]
         ys = [rnd.randrange(ctx.order) for _ in range(k)]
-        lanes = [[ctx._lanes[ctx._log[x]] for x in col] for col in (xs, ys)]
+        lanes = [[table[ctx._log[x]] if x else 0 for x in col] for col in (xs, ys)]
         assert [lane_word(x, p, n) for x in xs] == lanes[0]
-        assert run_total(total, lanes, ctx._lanes.typecode) == [
+        assert run_total(total, lanes, table.typecode) == [
             ctx.add_enc(x, y) for x, y in zip(xs, ys)]
+
+    def test_run_tables_hold_lane_words(self):
+        # every entry of an odd-p run table is lane_word(exp[k]), repeated
+        # whole: on the root generator's tables and on a supplied non-root
+        # generator's
+        root = get_field(3, 4).generator
+        non_root = field_create(3, canonical_modulus(3, 4), generator=(root ** 7).coords())
+        for ctx in (get_field(3, 4), get_field(5, 2), get_field(7, 2), non_root):
+            m, table, base = ctx.order - 1, _run_setup(ctx)[0], run_values(ctx)
+            assert table.typecode == base.typecode and table == base * (len(table) // m)
 
 
 class TestDefaultCap:
