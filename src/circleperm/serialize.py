@@ -27,9 +27,14 @@ def ext_to_json(ext: QuadExtension) -> dict:
     }
 
 
+def _is_int(v) -> bool:
+    """v is a JSON integer: bool subclasses int, but true and false are not."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def int_list(v, what: str) -> list[int]:
     """v when it is a list of integers, else MalformedOperand naming what."""
-    if not isinstance(v, list) or not all(isinstance(c, int) for c in v):
+    if not isinstance(v, list) or not all(_is_int(c) for c in v):
         raise MalformedOperand(f"{what} must be a list of integers, not {v!r}")
     return v
 
@@ -37,7 +42,7 @@ def int_list(v, what: str) -> list[int]:
 def field_desc(d: dict):
     """(p, n, modulus, generator or None) of a field descriptor of GF(p^n),
     shape-checked."""
-    if not isinstance(d, dict) or not isinstance(d.get("p"), int):
+    if not isinstance(d, dict) or not _is_int(d.get("p")):
         raise MalformedOperand(f"field descriptor needs an integer p: {d!r}")
     gen = d.get("generator")
     modulus = int_list(d.get("modulus"), "modulus")
@@ -53,7 +58,7 @@ def element_to_json(x: FieldElement) -> dict:
 def element_from_json(d: dict, ctx: FieldCtx) -> FieldElement:
     if isinstance(d, dict):
         k = d.get("pow")
-        if isinstance(k, int):
+        if _is_int(k):
             return ctx.gen_pow(k)
         if k is None:
             return ctx.element(int_list(d.get("coords"), "element coords"))
@@ -68,7 +73,7 @@ def poly_from_json(d: dict, ctx: FieldCtx) -> SparsePolynomial:
     terms = d.get("terms") if isinstance(d, dict) else None
     pairs = []
     for t in terms if isinstance(terms, list) else [None]:  # None fails the check
-        if not (isinstance(t, list) and len(t) == 2 and isinstance(t[0], int)):
+        if not (isinstance(t, list) and len(t) == 2 and _is_int(t[0])):
             raise MalformedOperand(f'polynomial must be {{"terms": [[exp, element], ...]}}, not {d!r}')
         pairs.append((t[0], element_from_json(t[1], ctx)))
     return SparsePolynomial(ctx, pairs)

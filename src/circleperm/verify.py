@@ -8,11 +8,14 @@ must always agree; a disagreement raises instead of reporting.
 Both routes evaluate on tabled fields by one engine, _sums: a term c*X^e
 at x = g^(s*k) is g^(log c + e*s*k), a run of a table built here from exp,
 read by strided slices, and the runs are summed in every characteristic.
-Exhaustive evaluation sums chunks of generator powers and reports the
-first collision in the order 0, g^0, g^1, ..., so witnesses do not depend
-on the chunking.  A byte per value marks the chunk that took it; the
-collision's first preimage is looked up only once a marked value comes
-round.  The criterion sums h's q + 1 circle values in one call (s = q - 1).
+Both walk their points in chunks on one ladder (_ladder), sized so that a
+random map's first repeat usually falls in the first chunk, and a
+rejection sums only the chunks up to the one that decides it.
+Exhaustive evaluation reports the first collision in the order 0, g^0,
+g^1, ..., so witnesses do not depend on the chunking.  A byte per value
+marks the chunk that took it; the collision's first preimage is looked up
+only once a marked value comes round.  The criterion walks h's q + 1
+circle values (s = q - 1) the same way.
 """
 
 from __future__ import annotations
@@ -159,17 +162,22 @@ def _lane_total(p: int, n: int, words: int, bits: int):
 _RUNS = weakref.WeakKeyDictionary()
 
 
-def _ladder(end: int):
-    """(k0, n) of the chunks that cover 0 <= k < end in order: _CHUNK_MIN
-    points first, doubling up to _CHUNK_MAX.  Only the last chunk is cut
-    short, so for a chunk start k0 of the ladder to m, the ladder to k0
-    gives the same chunks before it."""
-    k0, n = 0, _CHUNK_MIN
+@functools.cache
+def _ladder(end: int) -> tuple[tuple[int, int], ...]:
+    """(k0, n) of the chunks that cover 0 <= k < end in order, doubling up
+    to _CHUNK_MAX from the least power of two n >= _CHUNK_MIN with
+    n*n >= 4*end.  A random map on end points first repeats a value near
+    1.25*sqrt(end), so most walks that stop end in the first chunk; only
+    the last chunk is cut short.  Kept per end (a field's m or q + 1), so
+    a walk of one chunk pays no more than a loop over one pair."""
+    chunks, k0, n = [], 0, _CHUNK_MIN
+    while n * n < 4 * end and n < _CHUNK_MAX:
+        n *= 2
     while k0 < end:
-        n = min(n, end - k0)
-        yield k0, n
+        chunks.append((k0, min(n, end - k0)))
         k0 += n
         n = min(2 * n, _CHUNK_MAX)
+    return tuple(chunks)
 
 
 def _sums(ctx: FieldCtx, terms, k0: int, n: int) -> array:
@@ -190,13 +198,15 @@ def _sums(ctx: FieldCtx, terms, k0: int, n: int) -> array:
 def is_permutation_exhaustive(f: SparsePolynomial, ctx: FieldCtx) -> PermutationReport:
     """Evaluate f everywhere; witness = first collision in generator order.
 
-    f(g^k) is evaluated by _sums a chunk of k at a time.  One byte per field
-    element marks the values taken so far: f(0) first with 1, then each
-    value with 1 + (its chunk's index mod 255).  The first point whose value
-    is marked is the collision.  Only then is its first preimage looked up:
-    x = 0 when the value is f(0), else the first point with that value,
-    searched in the earlier chunks that carry its mark (gathered again) and
-    then in this one.  check_cap passes only fields that have tables.
+    f(g^k) is evaluated by _sums a chunk of k at a time, on _ladder(m).
+    One byte per field element marks the values taken so far: f(0) first
+    with 1, then each value with 1 + (its chunk's index mod 255).  The first
+    point whose value is marked is the collision.  Only then is its first
+    preimage looked up: x = 0 when the value is f(0), else the first point
+    with that value, searched in the earlier chunks that carry its mark and
+    then in this one.  The ramp's chunks, those shorter than _CHUNK_MAX
+    (fewer than _CHUNK_MAX values in all), are kept as walked; only a full
+    chunk is summed again.  check_cap passes only fields that have tables.
     """
     check_cap(ctx.order)
     m, exp_t = ctx.order - 1, ctx._exp
@@ -208,9 +218,9 @@ def is_permutation_exhaustive(f: SparsePolynomial, ctx: FieldCtx) -> Permutation
         i = values.index(v)
         if v == f0:
             return m, k0 + i
-        for j, (j0, n) in enumerate(_ladder(k0)):
+        for j, (j0, kept) in enumerate(walked):
             if 1 + j % 255 == seen[v]:
-                earlier = _sums(ctx, terms, j0, n)
+                earlier = _sums(ctx, terms, j0, _CHUNK_MAX) if kept is None else kept
                 if v in earlier:
                     return j0 + earlier.index(v), k0 + i
         return k0 + i, k0 + values.index(v, i + 1)
@@ -218,6 +228,7 @@ def is_permutation_exhaustive(f: SparsePolynomial, ctx: FieldCtx) -> Permutation
     f0 = f.coeff(0).enc
     seen = bytearray(ctx.order)
     seen[f0] = 1
+    walked = []  # (k0, its values, or None for a full chunk) of the chunks before
     for c, (k0, n) in enumerate(_ladder(m)):
         values, mark = _sums(ctx, terms, k0, n), 1 + c % 255
         for v in values:
@@ -226,6 +237,7 @@ def is_permutation_exhaustive(f: SparsePolynomial, ctx: FieldCtx) -> Permutation
                 witness = (FieldElement(ctx, exp_t[prev]), FieldElement(ctx, exp_t[hit]))
                 return PermutationReport(False, "exhaustive", witness=witness)
             seen[v] = mark
+        walked.append((k0, values if n < _CHUNK_MAX else None))
     return PermutationReport(True, "exhaustive")
 
 
@@ -235,11 +247,12 @@ def criterion_check(r: int, h: SparsePolynomial, ext: QuadExtension) -> Permutat
     gcd_ok tests gcd(r, q-1) = 1; circle_ok tests that z -> z^r h(z)^(q-1)
     is injective on the circle (a circle root of h is a definite failure:
     it maps that z to 0, which is off the circle).  With z_k = g^(k(q-1)),
-    k = 0..q in circle_members order, h's values come from one _sums call
-    (a term c*X^e is the run g^(log c + e(q-1)k)); a field without tables
-    evaluates them one by one with eval_enc.  z_k^r h(z_k)^(q-1) is
-    g^((q-1)(rk + log v)), so (rk + log v) mod (q+1) names the image, and
-    one pass stops at the first root or repeated image.
+    k = 0..q in circle_members order, h's values come a chunk of k at a
+    time on _ladder(q + 1), each chunk from one _sums call (a term c*X^e is
+    the run g^(log c + e(q-1)k)); a field without tables evaluates them one
+    by one with eval_enc.  z_k^r h(z_k)^(q-1) is g^((q-1)(rk + log v)), so
+    (rk + log v) mod (q+1) names the image, and the walk stops at the chunk
+    that holds the first root or repeated image.
     """
     if h.is_zero():
         raise InvalidParams(["h must be nonzero"])
@@ -247,12 +260,12 @@ def criterion_check(r: int, h: SparsePolynomial, ext: QuadExtension) -> Permutat
     gcd_ok = math.gcd(r, q - 1) == 1
     if big._log is not None:
         m = big.order - 1
-        values = _sums(big, [(e * (q - 1) % m, big._log[c.enc]) for e, c in h.terms.items()],
-                       0, q + 1)
+        terms = [(e * (q - 1) % m, big._log[c.enc]) for e, c in h.terms.items()]
+        chunk = functools.partial(_sums, big, terms)
         log = big._log.__getitem__
     else:
         mu = ext.circle_members()
-        values = (h.eval_enc(z.enc) for z in mu)
+        chunk = lambda k0, n: (h.eval_enc(z.enc) for z in mu[k0:k0 + n])
         index = {z.enc: k for k, z in enumerate(mu)}  # v^(q-1) = z_(log v mod (q+1))
         log = lambda v: index[big.pow_enc(v, q - 1)]
 
@@ -260,13 +273,16 @@ def criterion_check(r: int, h: SparsePolynomial, ext: QuadExtension) -> Permutat
         return FieldElement(big, big.exp_enc(k * (q - 1)))
 
     detail, seen = {}, {}  # image (rk + log v) mod (q+1) -> its first k
-    for k, v in enumerate(values):
-        if v == 0:
-            detail["circle_root"] = point(k)
-            break
-        prev = seen.setdefault((r * k + log(v)) % (q + 1), k)
-        if prev != k:
-            detail["circle_collision"] = (point(prev), point(k))
+    for k0, n in _ladder(q + 1):
+        for k, v in enumerate(chunk(k0, n), k0):
+            if v == 0:
+                detail["circle_root"] = point(k)
+                break
+            prev = seen.setdefault((r * k + log(v)) % (q + 1), k)
+            if prev != k:
+                detail["circle_collision"] = (point(prev), point(k))
+                break
+        if detail:
             break
     return PermutationReport(
         is_permutation=gcd_ok and not detail,

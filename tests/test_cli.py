@@ -362,6 +362,16 @@ class TestCommands:
                      "MalformedOperand", id="argv3"),
         pytest.param(["field-info", "--field", '{"p": 5, "modulus": [2, 4, 1], "generator": "z"}'],
                      "MalformedOperand", id="argv4"),
+        # JSON true and false are not integers, though Python's bool is an int
+        pytest.param(["verify", "--p", "2", "--m", "2", "--poly",
+                      '{"terms": [[1, {"coords": [true, false, false, false]}]]}'],
+                     "MalformedOperand", id="bool-coords"),
+        pytest.param(["verify", "--p", "2", "--m", "2", "--poly", '{"terms": [[1, {"pow": true}]]}'],
+                     "MalformedOperand", id="bool-pow"),
+        pytest.param(["verify", "--p", "2", "--m", "2", "--poly", '{"terms": [[true, {"pow": 1}]]}'],
+                     "MalformedOperand", id="bool-exponent"),
+        pytest.param(["field-info", "--field", '{"p": true, "modulus": [1, 1]}'],
+                     "MalformedOperand", id="bool-p"),
         # p and m are checked before the modulus search
         pytest.param(["field-info", "--p", "0", "--m", "1"], "NotPrime", id="p0"),
         pytest.param(["field-info", "--p", "1", "--m", "1"], "NotPrime", id="p1"),

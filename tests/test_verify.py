@@ -7,6 +7,7 @@ from array import array
 
 import pytest
 
+from circleperm import verify
 from circleperm.errors import CapExceeded
 from circleperm.fields import EXHAUSTIVE_CAP, canonical_modulus, field_create
 from circleperm.families import (
@@ -45,6 +46,50 @@ def exhaustive_oracle(f, ctx):
         if prev is not x:
             return False, (prev, x)
     return True, None
+
+
+def redirect(ctx, T, b, to):
+    """X + (to - g^b) * I, with I = 1 on the g^k with k = b (mod T) and 0
+    elsewhere (T divides m and p does not divide T): f is X off that class
+    and sends g^b to `to`.  I = (X^m + sum((X/g^b)^(t*j), 0 < j < T)) / T
+    with t = m/T, so f has T + 1 terms."""
+    m = ctx.order - 1
+    y, t = ctx.gen_pow(b), m // T
+    coef = (to - y) / ctx.from_int(T)
+    return SparsePolynomial(ctx, [(1, ctx.one()), (m, coef)] + [
+        (t * j, coef * y ** (-t * j)) for j in range(1, T)])
+
+
+def circle_oracle(r, h, ext):
+    """criterion_check's (verdict, gcd_ok, circle_ok, detail) from the
+    definition: z -> z^r * h(z)^(q-1) over ext.circle_members() in
+    FieldElement arithmetic, up to the first root of h or repeated image."""
+    big, q = ext.big, ext.q
+    detail, seen = {}, {}
+    for z in ext.circle_members():
+        hz = sum((c * z**e for e, c in h.terms.items()), big.zero())
+        if hz.enc == 0:
+            detail["circle_root"] = z
+            break
+        img = z**r * hz ** (q - 1)
+        if img in seen:
+            detail["circle_collision"] = (seen[img], z)
+            break
+        seen[img] = z
+    gcd_ok = math.gcd(r, q - 1) == 1
+    return gcd_ok and not detail, gcd_ok, not detail, detail
+
+
+@pytest.fixture
+def sums_calls(monkeypatch):
+    """The (k0, n) of every verify._sums call, in order, while a test runs."""
+    calls, sums = [], verify._sums
+
+    def counted(ctx, terms, k0, n):
+        calls.append((k0, n))
+        return sums(ctx, terms, k0, n)
+    monkeypatch.setattr(verify, "_sums", counted)
+    return calls
 
 
 def odd_lane_shapes():
@@ -183,33 +228,34 @@ class TestExhaustive:
     @pytest.mark.parametrize("p,n", [(2, 10), (3, 8)])
     def test_witness_recovery_branches(self, p, n):
         # a marked value's first preimage is x = 0 (the value is f(0)), a
-        # point of an earlier chunk (gathered again only if the chunk
-        # carries the value's mark), or a point of the hit's own chunk;
-        # seeded trinomials and binomials, exponents 0..m, until each occurs
-        # with the hit past the first chunk, and the same-chunk case inside
-        # it.  Both fields have m > 64 + 128, so a call spans several chunks.
-        # Random sparse maps collide within the first two chunks, so the
-        # first input is f = X + c*I, with I = 1 on g^b * mu_t and 0 elsewhere
-        # (t = m/T, T > b): f = X up to g^b, which it sends to f(g^a).  Its
-        # preimage g^300 lies in chunk 2, past chunks 0 and 1 and their marks.
+        # point of an earlier chunk (searched only if that chunk carries the
+        # value's mark) or a point of the hit's own chunk.  Each branch must
+        # occur with its chunk the first one and a later one: the hit's
+        # chunk for x = 0 and for the own chunk, the preimage's chunk for an
+        # earlier one (a later one lies past chunk 0 and its other mark).
+        # Every chunk of both fields is shorter than _CHUNK_MAX, so an
+        # earlier chunk is one kept as walked.  Seeded trinomials and
+        # binomials, exponents 0..m, collide mostly in the first chunk, so two
+        # redirects come first, f = X off the class k = b (mod T), T > b,
+        # with g^b sent to g^a: a in chunk 1 of _ladder(m), b in chunk 2 and
+        # in chunk 1.
         ctx = get_field(p, n)
         m = ctx.order - 1
-        chunk_of = {k: c for c, (k0, size) in enumerate(_ladder(m))
-                    for k in range(k0, k0 + size)}
-        branches = {"x = 0, later chunk", "earlier chunk", "earlier chunk past skipped ones",
-                    "same later chunk", "same first chunk"}
-        a, b, T = 300, 500, {(2, 10): m, (3, 8): 820}[p, n]
-        y, t = ctx.gen_pow(b), m // T
-        coef = (ctx.gen_pow(a) - y) / ctx.from_int(T)  # I = (X^m + sum (X/y)^(tj)) / T
-        indicator = SparsePolynomial(ctx, [(1, ctx.one()), (m, coef)] + [
-            (t * j, coef * y ** (-t * j)) for j in range(1, T)])
+        chunks = _ladder(m)
+        chunk_of = {k: c for c, (k0, size) in enumerate(chunks) for k in range(k0, k0 + size)}
+        assert len(chunks) > 3 and all(size < _CHUNK_MAX for _, size in chunks)
+        a, ends = chunks[1][0] + 5, (chunks[2][0] + 8, chunks[1][0] + 8)
+        T = {(2, 10): m, (3, 8): 820}[p, n]  # divides m, prime to p, above both ends
+        redirects = [redirect(ctx, T, b, ctx.gen_pow(a)) for b in ends]
         rnd = random.Random(29)
 
         def inputs():
-            yield indicator
+            yield from redirects
             for _ in range(2000):
                 exps = rnd.sample(range(m + 1), rnd.randint(2, 3))
                 yield SparsePolynomial(ctx, [(e, ctx.gen_pow(rnd.randrange(m))) for e in exps])
+        branches = {(kind, later) for kind in ("x = 0", "earlier chunk", "own chunk")
+                    for later in (False, True)}
         reached = set()
         for f in inputs():
             rep = is_permutation_exhaustive(f, ctx)
@@ -219,16 +265,37 @@ class TestExhaustive:
             prev, hit = rep.witness
             c = chunk_of[hit.dlog()]
             if prev.enc == 0:
-                reached.add("x = 0, later chunk" if c else "x = 0, first chunk")
+                reached.add(("x = 0", c > 0))
             elif chunk_of[prev.dlog()] < c:
-                reached.add("earlier chunk past skipped ones" if chunk_of[prev.dlog()] >= 2
-                            else "earlier chunk")
+                reached.add(("earlier chunk", chunk_of[prev.dlog()] > 0))
             else:
-                reached.add("same later chunk" if c else "same first chunk")
+                reached.add(("own chunk", c > 0))
             if reached >= branches:
                 break
         assert reached >= branches, reached
-        assert is_permutation_exhaustive(indicator, ctx).witness == (ctx.gen_pow(a), y)
+        assert [is_permutation_exhaustive(f, ctx).witness for f in redirects] == [
+            (ctx.gen_pow(a), ctx.gen_pow(b)) for b in ends]
+
+    def test_witness_in_kept_and_summed_again_chunks(self, sums_calls):
+        # GF(2^20)'s ladder is one 2,048-point chunk, kept as walked, and
+        # then full _CHUNK_MAX chunks, summed again only to find a
+        # preimage.  f = X off the class k = b (mod 41) sends g^b, the first
+        # point of chunk 2, to g^a in chunk 0 and in chunk 1.  The class's
+        # 149 earlier points move to other values; for this b none of them
+        # repeats a value first, so (g^a, g^b) is the first collision.
+        big = get_ext(2, 10).big
+        chunks = _ladder(big.order - 1)
+        assert chunks[0][1] < _CHUNK_MAX == chunks[1][1] == chunks[2][1]
+        b = chunks[2][0]
+        for c in (0, 1):
+            a = chunks[c][0] + 5
+            f = redirect(big, 41, b, big.gen_pow(a))
+            sums_calls.clear()
+            rep = is_permutation_exhaustive(f, big)
+            assert rep.witness == (big.gen_pow(a), big.gen_pow(b))
+            assert (rep.is_permutation, rep.witness) == exhaustive_oracle(f, big)
+            # chunk 0 is read as kept; chunk 1, full, is summed a second time
+            assert sums_calls == [*chunks[:3], *chunks[1:2] * c]
 
     def test_one_call_keeps_about_a_byte_per_element(self):
         # the marks are a bytearray of ctx.order and values are gathered one
@@ -471,21 +538,8 @@ class TestCriterion:
                 return sum((c * x**e for e, c in h.terms.items()), big.zero())
 
             def oracle(r, h):
-                detail, seen = {}, {}
-                for z in mu:
-                    hz = h_at(h, z)
-                    if hz.enc == 0:
-                        detail["circle_root"] = z
-                        break
-                    img = z**r * hz ** (q - 1)
-                    if img in seen:
-                        detail["circle_collision"] = (seen[img], z)
-                        break
-                    seen[img] = z
-                gcd_ok = math.gcd(r, q - 1) == 1
                 root = next((z for z in mu if h_at(h, z).enc == 0), None)
-                return ((gcd_ok and not detail, gcd_ok, not detail, detail),
-                        (root is None, root))
+                return circle_oracle(r, h, ext), (root is None, root)
 
             def walked():
                 out = []
@@ -545,26 +599,11 @@ class TestCriterion:
                                        for e in exps])
             cases.append((rnd.randint(1, 3 * q), h))
 
-        def oracle(r, h):
-            detail, seen = {}, {}
-            for z in mu:
-                hz = sum((c * z**e for e, c in h.terms.items()), big.zero())
-                if hz.enc == 0:
-                    detail["circle_root"] = z
-                    break
-                img = z**r * hz ** (q - 1)
-                if img in seen:
-                    detail["circle_collision"] = (seen[img], z)
-                    break
-                seen[img] = z
-            gcd_ok = math.gcd(r, q - 1) == 1
-            return gcd_ok and not detail, gcd_ok, not detail, detail
-
         def walked(cases):
             return [(rep.is_permutation, rep.gcd_ok, rep.circle_ok, rep.detail)
                     for rep in (criterion_check(r, h, ext) for r, h in cases)]
 
-        expected = [oracle(r, h) for r, h in cases]
+        expected = [circle_oracle(r, h, ext) for r, h in cases]
         assert walked(cases) == expected
         details = [d for _, _, _, d in expected]
         assert details[0] == {"circle_root": mu[0]} and details[1] == {"circle_root": mu[-1]}
@@ -581,6 +620,86 @@ class TestCriterion:
         with tables_off(big):
             kept = [i for i in range(len(cases)) if i not in slow]
             assert walked([cases[i] for i in kept]) == [expected[i] for i in kept]
+
+    @pytest.mark.parametrize("p,m", [(2, 6), (5, 3), (2, 8)])
+    def test_early_exit_in_every_chunk(self, p, m, sums_calls):
+        # q + 1 spans two chunks of _ladder(q + 1) at q = 64 and 125, three
+        # at q = 256; the walk must stop in the chunk that holds its first
+        # event, with the definition's detail.  In each chunk's middle, z_k:
+        # a root, h = X - z_k with r = 2 (off the root z -> -z/z_k, a
+        # bijection), and separately a repeated image, r = 1 and
+        # h = 1 + c * sum((X/z_k)^i, i = 0..q), which is 1 off z_k on the
+        # circle (q + 1 = 1 mod p), with 1 + c = g^(j-k), so z_k goes to
+        # z_j, j = k/2.
+        ext = get_ext(p, m)
+        big, q = ext.big, ext.q
+        mu = ext.circle_members()
+        one, g = big.one(), big.generator
+        chunks = _ladder(q + 1)
+        assert len(chunks) == (3 if q == 256 else 2)
+        roots, collisions, events = [], [], []
+        for k0, n in chunks:
+            k = k0 + n // 2
+            roots.append((2, SparsePolynomial(big, [(1, one), (0, -mu[k])])))
+            c = g ** (k // 2 - k) - one
+            collisions.append((1, SparsePolynomial(
+                big, [(0, one)] + [(i, c * mu[k] ** -i) for i in range(q + 1)])))
+            events.append(k)
+        cases = roots + collisions
+        expected = [circle_oracle(r, h, ext) for r, h in cases]
+        assert [d for _, _, _, d in expected] == [{"circle_root": mu[k]} for k in events] + [
+            {"circle_collision": (mu[k // 2], mu[k])} for k in events]
+        for (r, h), want, k in zip(cases, expected, events * 2):
+            sums_calls.clear()
+            rep = criterion_check(r, h, ext)
+            assert (rep.is_permutation, rep.gcd_ok, rep.circle_ok, rep.detail) == want
+            assert sums_calls == [chunk for chunk in chunks if chunk[0] <= k]
+        # table-free sums of h's q + 1 terms cost 30-130 us a term at q = 125
+        # and 256, so there only the roots run without tables
+        kept = range(len(cases) if q == 64 else len(roots))
+        with tables_off(big):
+            for i in kept:
+                rep = criterion_check(*cases[i], ext)
+                assert (rep.is_permutation, rep.gcd_ok, rep.circle_ok, rep.detail) == expected[i]
+
+    def test_rejections_sum_only_the_chunks_they_decide_in(self, sums_calls):
+        # seeded random decomposable polynomials, as in the benchmark's
+        # falsify pool, count work instead of timing it: the criterion sums
+        # the chunks of _ladder(q + 1) up to the one that holds its first
+        # root or repeated image, and the exhaustive check sums the chunks
+        # of _ladder(m) up to the hit's, then only full _CHUNK_MAX chunks
+        # again, never a shorter one
+        rnd = random.Random(37)
+        for p, n in [(2, 6), (5, 3), (2, 8)]:
+            ext = get_ext(p, n)
+            big, q = ext.big, ext.q
+            m = big.order - 1
+            circle, chunks = _ladder(q + 1), _ladder(m)
+            rejected, past_first = 0, 0
+            for _ in range(40):
+                r = rnd.randint(1, q - 1)
+                h = SparsePolynomial(big, [(e, big.gen_pow(rnd.randrange(m)))
+                                           for e in rnd.sample(range(q + 1), rnd.randint(1, 5))])
+                sums_calls.clear()
+                crit = criterion_check(r, h, ext)
+                if crit.detail:
+                    z = crit.detail.get("circle_root") or crit.detail["circle_collision"][1]
+                    assert sums_calls == [chunk for chunk in circle if chunk[0] <= z.dlog() // (q - 1)]
+                else:
+                    assert sums_calls == list(circle)
+                sums_calls.clear()
+                exh = is_permutation_exhaustive(expand_decomposition(r, h, ext), big)
+                assert exh.is_permutation == crit.is_permutation
+                if exh.is_permutation:
+                    continue
+                rejected += 1
+                hit = exh.witness[1].dlog()
+                c = next(i for i, (k0, size) in enumerate(chunks) if hit < k0 + size)
+                past_first += c > 0
+                assert sums_calls[:c + 1] == list(chunks[:c + 1])
+                assert all(chunk[1] == _CHUNK_MAX and chunk in chunks[:c]
+                           for chunk in sums_calls[c + 1:])
+            assert rejected > 30 and past_first > 0
 
     def test_agreement_over_small_grids(self):
         # both verdicts on every emitted (r, h) at q in {3, 4, 5}; zero mismatches
