@@ -12,14 +12,20 @@ log (enc -> k, and log[0] = m), for odd p the Zech logarithms zech
 "i" above: only what the field's own arithmetic reads.  Multiplication adds
 logs, and odd-p addition is g^a + g^b = g^(a + zech[b - a]) (K. Huber,
 "Some comments on Zech's logarithms", IEEE Trans. Inf. Theory 36(4), 1990),
-so both are O(1) table lookups; p = 2 adds by xor and needs no zech.  The
-tables are filled by stepping x -> x*g: for the modulus root a step shifts
-the digits of x once and adds (top digit)*X^n mod the modulus, O(n) digit
-work.  Larger fields use table-free arithmetic: one digit codec
-(enc_to_coords, coords_to_enc), a digit-wise sum, one product mod the
-modulus and one square-and-multiply loop, which _Ring holds so that the
-modulus search can run them before a field exists; no order cap is
-enforced on arithmetic.  Irreducibility comes from the same powers in
+so both are O(1) table lookups; p = 2 adds by xor and needs no zech.  For
+the modulus root g = X, exp is built in bulk (_root_powers): for p = 2,
+2^floor(n/2) lanes packed in one int step x -> x*X together, one strided
+slice of exp per step; for odd p one lane word (_lane_total's format, that
+of verify's run tables) walks x -> x*X in a few integer operations, and each
+run of p^ceil(n/2) words becomes encodings by radix rounds.  log is one
+inverse pass over exp, and zech one pass over the encodings of 1 + g^k.
+That walk closing after m steps and reaching every nonzero element proves
+the root primitive, so a tabled root is tested no other way; any other
+generator steps by the table-free product.  Larger fields use table-free
+arithmetic: one digit codec (enc_to_coords, coords_to_enc), a digit-wise
+sum, one product mod the modulus and one square-and-multiply loop, which
+_Ring holds so that the modulus search can run them before a field exists;
+no order cap is enforced on arithmetic.  Irreducibility comes from the same powers in
 Z_p[X]/(f), with no division or gcd: a primitive modulus root (or supplied
 generator) proves it, and only one that is not primitive runs Rabin's test
 (is_irreducible).  EXHAUSTIVE_CAP is the one cap on tables, exhaustive
@@ -29,7 +35,8 @@ Every field that passes has tables.  verify re-exports EXHAUSTIVE_CAP.
 
 GF(p^n)* is cyclic of order m = p^n - 1, so every structural question is a
 question about it: an element is primitive iff x^m = 1 and x^(m/r) != 1 for
-each prime r | m, FieldCtx.subgroup(k) lists {x : x^k = 1} for k | m, and
+each prime r | m (prime_factors: Pollard's rho, each factor proven prime by
+Miller-Rabin), FieldCtx.subgroup(k) lists {x : x^k = 1} for k | m, and
 FieldCtx.is_power(x, k) tests x^(m/gcd(k, m)) = 1.  The quadratic-extension
 view GF(q^2)/GF(q) lives in QuadExtension: the unit circle is the
 order-(q+1) subgroup, GF(q)* the order-(q-1) one, and is_power_sub runs
@@ -41,6 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from array import array
 
 from .errors import (
@@ -67,24 +75,15 @@ def check_cap(order: int) -> None:
 # integer helpers
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+# Miller-Rabin on the first 13 primes decides primality below the least
+# strong pseudoprime to all of them (J. Sorenson and J. Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN = 3317044064679887385961981
 
 
-@functools.lru_cache(maxsize=None)
-def prime_factors(n: int) -> tuple[int, ...]:
-    """Distinct prime divisors of n, ascending (trial division, once per n)."""
+def _trial_factors(n: int) -> list[int]:
+    """Distinct prime divisors of n, ascending, by trial division."""
     out = []
     f = 2
     while f * f <= n:
@@ -95,7 +94,65 @@ def prime_factors(n: int) -> tuple[int, ...]:
         f += 1 if f == 2 else 2
     if n > 1:
         out.append(n)
-    return tuple(out)
+    return out
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin below _MR_PROVEN, where it is a proof; trial division above."""
+    if n < 2:
+        return False
+    if n >= _MR_PROVEN:
+        return _trial_factors(n) == [n]
+    if n in _MR_BASES:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper divisor of the odd composite n: Pollard's rho on x -> x^2 + c
+    with Floyd's cycle finding (J. M. Pollard, BIT 15, 1975), the next c
+    when a walk closes without splitting n."""
+    for c in itertools.count(1):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(x - y, n)
+        if d != n:
+            return d
+
+
+@functools.lru_cache(maxsize=None)
+def prime_factors(n: int) -> tuple[int, ...]:
+    """Distinct prime divisors of n, ascending, once per n: split by Pollard's
+    rho, each part proven prime by is_prime; trial division at and above
+    _MR_PROVEN, so the factors stay exact."""
+    if n >= _MR_PROVEN:
+        return tuple(_trial_factors(n))
+    out, parts = set(), [n]
+    while parts:
+        k = parts.pop()
+        if k > 1 and is_prime(k):
+            out.add(k)
+        elif k > 1:
+            d = 2 if k % 2 == 0 else _rho(k)
+            parts += [d, k // d]
+    return tuple(sorted(out))
 
 
 def is_irreducible(modulus, p) -> bool:
@@ -217,6 +274,54 @@ class _Ring:
         return self._pow(a, m) == 1 and all(self._pow(a, m // r) != 1 for r in prime_factors(m))
 
 
+# ---------------------------------------------------------------------------
+# digit lanes: the packed odd-p format of the table build and of verify's
+# run tables
+
+
+def _lane_width(p: int) -> int:
+    """w = p.bit_length() + 1: a w-bit lane holds one digit sum below 2p."""
+    return p.bit_length() + 1
+
+
+def _lane_typecode(p: int, n: int) -> str:
+    """The smallest of "B", "H", "I", "Q" (1, 2, 4, 8 bytes) that holds n
+    lanes of w bits."""
+    return "BHIQ"[((n * _lane_width(p) + 7) // 8 - 1).bit_length()]
+
+
+def _lane_total(p: int, n: int, words: int, bits: int):
+    """total(runs, points) sums runs of up to `words` lane words of `bits`
+    bits lane-wise mod p into packed encodings.  Word j of a run is in its
+    bits [bits*j, bits*j + bits), and digit i of a word in the word's bits
+    [w*i, w*i + w).  Two digits (< 2p) fit in a lane, and (acc + C) & H
+    sets its top bit where the sum is >= p.  Radix round g = 1, 2, 4, ...
+    folds pairs of g-digit groups into low + high * p^g, the high mask only
+    where the partner is one of the n digits."""
+    rep = ((1 << bits * words) - 1) // ((1 << bits) - 1)  # 1 in every word
+    w = _lane_width(p)
+
+    def per_word(lane, digits=range(n)):  # lane in these digits of every word
+        return sum(lane << w * i for i in digits) * rep
+    rounds, g = [], 1
+    while g < n:
+        low = [i for i in range(n) if i // g % 2 == 0]
+        rounds.append((g * w, per_word((1 << w) - 1, low),
+                       per_word((1 << w) - 1, [i for i in low if i + g < n]), p**g))
+        g *= 2
+    c_all, h = per_word((1 << w - 1) - p), per_word(1 << w - 1)
+
+    def total(runs, points):
+        acc, c = 0, c_all >> (words - points) * bits
+        for run in runs:
+            acc += run
+            acc -= (((acc + c) & h) >> w - 1) * p
+        for gw, low, high, mult in rounds:
+            acc = (acc & low) + ((acc >> gw) & high) * mult
+        return acc
+    return total
+
+
 class FieldElement:
     """An element of a FieldCtx; immutable, hashable, operator-overloaded."""
 
@@ -336,10 +441,16 @@ class FieldCtx(_Ring):
         super().__init__(p, modulus)
         # every table path keys on _log; pow_enc runs table-free until it is set
         self._exp = self._log = self._zech = None
+        tabled = self.order <= EXHAUSTIVE_CAP
+        if generator is None and tabled:
+            # the root's walk proves it primitive, with no separate test
+            self.generator_is_root, self.generator = True, FieldElement(self, self._root_enc())
+            if self._build_tables():
+                return
         gen_enc, self.generator_is_root = self._pick_generator(generator)
         self.generator = FieldElement(self, gen_enc)
-        if self.order <= EXHAUSTIVE_CAP:
-            self._build_tables()
+        if tabled and not self._build_tables():
+            raise InvariantViolation("the generator's orbit does not cover the field")
 
     # -- encoding -----------------------------------------------------------
 
@@ -451,52 +562,102 @@ class FieldCtx(_Ring):
         raise InvariantViolation("no primitive element found (unreachable)")
 
     def _orbit(self):
-        """1, g, g^2, ... without end; x -> x*g is a digit step for the root."""
-        x = 1
-        if not self.generator_is_root:
-            while True:
-                yield x
-                x = self._mul_generic(x, self.generator.enc)
-        elif self.p == 2:
-            top, mask = self.order, self._modmask
-            while True:
-                yield x
-                x <<= 1
-                if x & top:
-                    x ^= mask
-        else:
-            # x*X: shift the digits up one, then add t*X^n = t*head, t the
-            # digit shifted out; only the nonzero digits of head change
-            p = self.p
-            top = p ** (self.n - 1)
-            head = [(p**i, h) for i, h in enumerate(self._head) if h]
-            while True:
-                yield x
-                t, x = divmod(x, top)
-                x *= p
-                for wi, h in head:
-                    d = x // wi % p
-                    x += ((d + t * h) % p - d) * wi
+        """1, g, g^2, ... without end, by the table-free product."""
+        x, g = 1, self.generator.enc
+        while True:
+            yield x
+            x = self._mul_generic(x, g)
 
-    def _build_tables(self):
-        m = self.order - 1
+    def _build_tables(self) -> bool:
+        """exp, log and (odd p) zech, kept only if g is primitive: its orbit
+        closes after m steps and the inverse pass reaches every nonzero
+        element, which also proves the modulus irreducible.  exp comes
+        from _root_powers when g is the modulus root, else from the orbit;
+        zech holds the encodings of 1 + g^k until log exists."""
+        m, p = self.order - 1, self.p
         typecode = "H" if self.order <= 1 << 16 else "i"  # every entry is <= m
         exp = array(typecode, [0]) * (m + 1)
-        log = array(typecode, [m]) * self.order  # m: zero, or not reached yet
-        orbit = self._orbit()
-        for k, x in zip(range(m), orbit):
-            exp[k] = x
+        zech = None if p == 2 else array(typecode, [0]) * (m + 1)
+        if self.generator_is_root:
+            self._root_powers(exp, zech)
+        else:
+            for k, x in zip(range(m + 1), self._orbit()):
+                exp[k] = x
+            if zech is not None:
+                for k, x in enumerate(exp):  # 1 + x only bumps digit 0 of x
+                    zech[k] = x + 1 - p if x % p == p - 1 else x + 1
+        if exp[m] != 1:  # the orbit does not close after m steps
+            return False
+        exp[m] = 0
+        log = array(typecode, [m]) * self.order  # m: zero, or not reached
+        for k, x in enumerate(exp):
             log[x] = k
-        if next(orbit) != 1 or log.count(m) != 1:
-            raise InvariantViolation("generator orbit does not cover the field")
-        self._exp, self._log = exp, log
-        if self.p != 2:
-            # zech[k] = log(1 + g^k); 1 + x only bumps digit 0 of x, so each
-            # entry costs O(1)
-            p = self.p
-            self._zech = array(typecode, (
-                log[x + 1 - p if x % p == p - 1 else x + 1]
-                for x in itertools.islice(exp, m)))
+        if log.count(m) != 1:  # it misses a nonzero element
+            return False
+        if zech is not None:
+            zech.pop()
+            for k, x in enumerate(zech):
+                zech[k] = log[x]
+        self._exp, self._log, self._zech = exp, log, zech
+        return True
+
+    def _root_powers(self, exp, zech):
+        """exp[k] = g^k for k <= m and, for odd p, zech[k] = 1 + g^k, with g
+        the modulus root X: each a run of x -> x*X.  With L = p^ceil(n/2)
+        and W = p^floor(n/2), W*L = order.
+
+        p = 2: W lanes of exp's item size, packed in one int, start at
+        g^(jL) and step together: a shift that adds the low modulus bits
+        where the top bit was set.  After step i lane j holds g^(jL + i),
+        and exp[i::L] takes them all in one strided slice.
+
+        Odd p: one lane word (the format of _lane_total) walks, a step
+        shifting its digits up one, adding t*head (t the digit shifted out,
+        looked up) and reducing lane-wise.  total makes encodings of each
+        run of L words, and of the run plus 1 in digit 0 of every word.
+        """
+        p, n, order = self.p, self.n, sys.byteorder
+        L = p ** ((n + 1) // 2)
+        W = self.order // L
+        if p == 2:
+            bits = 8 * exp.itemsize
+            top = ((1 << bits * W) - 1) // ((1 << bits) - 1) << n - 1  # in every lane
+            low = self._modmask ^ self.order
+            g_L, starts = self._pow(self._root_enc(), L), [1]
+            for _ in range(W - 1):
+                starts.append(self._mul_generic(starts[-1], g_L))
+            x, lanes = int.from_bytes(array(exp.typecode, starts), order), array(exp.typecode)
+            for i in range(L):
+                lanes.frombytes(x.to_bytes(W * exp.itemsize, order))
+                exp[i::L] = lanes
+                del lanes[:]
+                t = x & top
+                x = (x ^ t) << 1 ^ (t >> n - 1) * low
+            return
+        # lane words at least as wide as exp's items: k of those per word, the
+        # low one first on little-endian
+        typecode = max(exp.typecode, _lane_typecode(p, n), key="BHiIQ".index)
+        w, bits = _lane_width(p), 8 * array(typecode).itemsize
+        k = bits // 8 // exp.itemsize
+        first = 0 if order == "little" else k - 1
+        total = _lane_total(p, n, L, bits)
+        ones = ((1 << bits * L) - 1) // ((1 << bits) - 1)  # 1 in digit 0 of every word
+        shift = w * (n - 1)
+        digits = (1 << shift) - 1  # every digit of a word but the top one
+        # total's C and H for one word: 2^(w-1) - p and 2^(w-1) in every digit
+        c, h = (sum(v << w * i for i in range(n)) for v in ((1 << w - 1) - p, 1 << w - 1))
+        heads = [sum(t * a % p << w * i for i, a in enumerate(self._head)) for t in range(p)]
+        lanes, x = array(typecode, [0]) * L, 1
+        for k0 in range(0, self.order, L):
+            for i in range(L):
+                lanes[i] = x
+                x = ((x & digits) << w) + heads[x >> shift]
+                x -= (((x + c) & h) >> w - 1) * p
+            packed = int.from_bytes(lanes, order)
+            for table, runs in ((exp, [packed]), (zech, [packed, ones])):
+                out = array(exp.typecode)
+                out.frombytes(total(runs, L).to_bytes(L * bits // 8, order))
+                table[k0:k0 + L] = out[first::k] if k > 1 else out
 
     # -- the cyclic group GF(p^n)* ---------------------------------------------
 
@@ -555,13 +716,10 @@ def canonical_modulus(p: int, n: int) -> list[int]:
     zp = _Ring(p, [0, 1])  # Z_p, the integer k encoded as k
     r = next(k for k in range(1, p) if zp._is_primitive(k))
     a0 = (-1) ** n * r % p
-    for word in itertools.product(range(p), repeat=n - 1):
-        coeffs = [a0]
-        # word is (w_{n-1}, ..., w_1) ascending lexicographically
-        for i in range(1, n):
-            w = word[n - 1 - i]
-            coeffs.append((-1) ** (n - i) * w % p)
-        coeffs.append(1)
+    # the words (w_{n-1}, ..., w_1) ascending lexicographically, as a base-p
+    # counter with w_1 its lowest digit, one at a time
+    for word in range(p ** (n - 1)):
+        coeffs = [a0] + [(-1) ** (n - i) * (word // p ** (i - 1) % p) % p for i in range(1, n)] + [1]
         ring = _Ring(p, coeffs)
         if ring._is_primitive(ring._root_enc()):
             return coeffs

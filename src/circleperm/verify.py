@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 from .errors import InvalidParams, InvariantViolation
 # re-exported for bench/pin.py, its last caller
 from .families import expand_decomposition
-from .fields import EXHAUSTIVE_CAP, FieldCtx, FieldElement, QuadExtension, check_cap
+from .fields import (EXHAUSTIVE_CAP, FieldCtx, FieldElement, QuadExtension, _lane_total,
+                     _lane_typecode, _lane_width, check_cap)
 from .polynomials import SparsePolynomial
 
 
@@ -108,55 +109,24 @@ def _run_setup(ctx: FieldCtx):
     """(run table, total) of a tabled field, kept in _RUNS while it lives.
 
     The run table holds exp's first m entries, repeated up to _TILE_MAX
-    entries: as they are for p = 2, and for odd p as lane words (digit i
-    of g^k in bits [w*i, w*i + w), w = p.bit_length() + 1, in the smallest
-    of "B", "H", "I", "Q" that holds n*w bits).  total(runs, points) sums
-    runs of that many words into encodings: by xor, or by _lane_total.
+    entries: as they are for p = 2, and for odd p as lane words
+    (fields._lane_total: digit i of g^k in bits [w*i, w*i + w), in words of
+    _lane_typecode).  total(runs, points) sums runs of that many words into
+    encodings: by xor, or by _lane_total.
     """
     m, p, n, exp = ctx.order - 1, ctx.p, ctx.n, ctx._exp
     copies = min(m, _CHUNK_MAX, _TILE_MAX // m)  # min(m, _CHUNK_MAX) make every run one slice
     if p == 2:
         return (exp[:m] * copies if copies > 1 else exp,
                 lambda runs, points: functools.reduce(operator.xor, runs, 0))
-    w, h = p.bit_length() + 1, n // 2  # x = lo + split*hi: two ~sqrt(order)-entry tables
+    w, h = _lane_width(p), n // 2  # x = lo + split*hi: two ~sqrt(order)-entry tables
     spread = [sum(c << w * i for i, c in enumerate(ctx.enc_to_coords(x)))
               for x in range(p ** (n - h))]
     lo, hi, split = spread[:p**h], [s << w * h for s in spread], p**h
-    table = array(next(t for t in "BHIQ" if n * w <= 8 * array(t).itemsize),
+    table = array(_lane_typecode(p, n),
                   (lo[x % split] + hi[x // split] for x in itertools.islice(exp, m)))
     table *= max(copies, 1)
     return table, _lane_total(p, n, min(m, _CHUNK_MAX), 8 * table.itemsize)
-
-
-def _lane_total(p: int, n: int, words: int, bits: int):
-    """total(runs, points) sums runs of up to `words` lane words of `bits`
-    bits lane-wise mod p into packed encodings.  Two digits (< 2p) fit in a
-    lane, and (acc + C) & H sets its top bit where the sum is >= p.  Radix
-    round g = 1, 2, 4, ... folds pairs of g-digit groups into
-    low + high * p^g, the high mask only where the partner is one of the n
-    digits."""
-    rep = ((1 << bits * words) - 1) // ((1 << bits) - 1)  # 1 in every word
-    w = p.bit_length() + 1
-
-    def per_word(lane, digits=range(n)):  # lane in these digits of every word
-        return sum(lane << w * i for i in digits) * rep
-    rounds, g = [], 1
-    while g < n:
-        low = [i for i in range(n) if i // g % 2 == 0]
-        rounds.append((g * w, per_word((1 << w) - 1, low),
-                       per_word((1 << w) - 1, [i for i in low if i + g < n]), p**g))
-        g *= 2
-    c_all, h = per_word((1 << w - 1) - p), per_word(1 << w - 1)
-
-    def total(runs, points):
-        acc, c = 0, c_all >> (words - points) * bits
-        for run in runs:
-            acc += run
-            acc -= (((acc + c) & h) >> w - 1) * p
-        for gw, low, high, mult in rounds:
-            acc = (acc & low) + ((acc >> gw) & high) * mult
-        return acc
-    return total
 
 
 _RUNS = weakref.WeakKeyDictionary()

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from circleperm import repro
 from circleperm.errors import (
     CtxMismatch,
     DivisionByZero,
+    InvariantViolation,
     NotIrreducible,
     NotMonic,
     NotPrime,
@@ -76,7 +78,7 @@ class TestFieldCreate:
 
     def test_unit_group_order_factored_once_per_field(self):
         # the primitivity tests of every canonical_modulus candidate and of
-        # the generator share one trial division of m = p^n - 1
+        # the generator share one factorization of m = p^n - 1
         factored = []
 
         def profile(frame, event, arg):
@@ -92,6 +94,17 @@ class TestFieldCreate:
                 sys.setprofile(None)
             assert factored.count(p ** (2 * m) - 1) == 1
         assert prime_factors(3**12 - 1) == (2, 5, 7, 13, 73)  # a tuple: shared, so immutable
+
+    def test_root_walk_fault_raises(self, monkeypatch):
+        # the root's walk stands in for its primitivity test; a walk that
+        # fails for a primitive root is a fault, never a fallback generator
+        def broken(self, exp, zech):
+            exp[0] = 2  # g^0 = 1 and g^1 = 2 both sit at k = 0
+
+        monkeypatch.setattr(fields_mod.FieldCtx, "_root_powers", broken)
+        for p, n in [(2, 4), (3, 2)]:
+            with pytest.raises(InvariantViolation):
+                field_create(p, canonical_modulus(p, n))
 
     def test_not_prime(self):
         with pytest.raises(NotPrime):
@@ -117,6 +130,34 @@ class TestFieldCreate:
             for f in prime_factors(m):
                 assert (g ** (m // f)).enc != 1
             assert (g**m).enc == 1
+
+
+def trial_factors(n):
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return out + [n] * (n > 1)
+
+
+class TestFactoring:
+    def test_rho_matches_trial_division(self):
+        # every n < 10^5, past the memo, and 2^62 - 1 = 3 * 715827883 *
+        # 2147483647, whose trial division takes about 358 million steps
+        factor = prime_factors.__wrapped__
+        for n in range(1, 10**5):
+            want = trial_factors(n)
+            assert list(factor(n)) == want, n
+            assert fields_mod.is_prime(n) == (want == [n]), n
+        assert prime_factors(2**62 - 1) == (3, 715827883, 2147483647)
+
+    def test_trial_division_above_the_proven_bound(self):
+        # Miller-Rabin on the 13 bases proves primality only below _MR_PROVEN
+        assert 2**90 > fields_mod._MR_PROVEN
+        assert prime_factors(2**90 * 3**5) == (2, 3) and not fields_mod.is_prime(2**90)
 
 
 class TestArithmetic:
@@ -251,7 +292,25 @@ class TestSquaresCubesTrace:
             ext25.big.is_power(ext25.big.zero(), 2)
 
 
+def product_order_modulus(p, n):
+    """canonical_modulus by its definition: the words (w_{n-1}, ..., w_1)
+    from itertools.product, which holds range(p) as a tuple."""
+    zp = _Ring(p, [0, 1])
+    r = next(k for k in range(1, p) if zp._is_primitive(k))
+    for word in itertools.product(range(p), repeat=n - 1):
+        coeffs = ([(-1) ** n * r % p] + [(-1) ** (n - i) * word[n - 1 - i] % p for i in range(1, n)]
+                  + [1])
+        ring = _Ring(p, coeffs)
+        if ring._is_primitive(ring._root_enc()):
+            return coeffs
+
+
 class TestCanonicalModulus:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_counter_order_is_the_product_order(self, p):
+        for n in range(1, 5):
+            assert canonical_modulus(p, n) == product_order_modulus(p, n), (p, n)
+
     def test_small_fields(self):
         assert canonical_modulus(3, 2) == [2, 2, 1]
         assert canonical_modulus(5, 2) == [2, 4, 1]
@@ -345,18 +404,59 @@ def stepped_tables(ctx):
     return tuple(list(t) for t in (ctx._exp, ctx._log, ctx._zech) if t is not None)
 
 
+# every root-walk shape: p = 2 packs 2^floor(n/2) lanes (one for n = 1, and
+# half as many as steps for odd n), the last lane running onto exp[m]; odd
+# p walks one lane word in runs of p^ceil(n/2) words, one run for n = 1,
+# which needs no radix round
+ROOT_SHAPES = ([(2, n) for n in range(1, 13)] + [(3, n) for n in range(1, 9)]
+               + [(5, n) for n in range(1, 5)] + [(7, n) for n in range(1, 4)]
+               + [(p, n) for p in (11, 13, 101) for n in (1, 2)])
+
+
 class TestSteppedTables:
-    @pytest.mark.parametrize("p,n", [(2, 4), (2, 8), (3, 4), (5, 2), (7, 2)])
+    @pytest.mark.parametrize("p,n", ROOT_SHAPES)
     def test_root_steps_equal_schoolbook_products(self, p, n):
         ctx = get_field(p, n)
         assert ctx.generator_is_root
         assert stepped_tables(ctx) == mul_generic_tables(ctx)
 
     def test_supplied_non_root_generator(self):
-        root = get_field(3, 4).generator
-        ctx = field_create(3, canonical_modulus(3, 4), generator=(root ** 7).coords())
-        assert not ctx.generator_is_root and ctx.generator.enc == (root ** 7).enc
-        assert stepped_tables(ctx) == mul_generic_tables(ctx)
+        for p, n in [(3, 4), (2, 8)]:
+            root = get_field(p, n).generator
+            ctx = field_create(p, canonical_modulus(p, n), generator=(root ** 7).coords())
+            assert not ctx.generator_is_root and ctx.generator.enc == (root ** 7).enc
+            assert stepped_tables(ctx) == mul_generic_tables(ctx)
+
+    @pytest.mark.parametrize("p,n", [(2, 20), (3, 12), (5, 8), (31, 4)])
+    def test_largest_tables_sampled_against_table_free_powers(self, p, n):
+        # exp, log and zech on 300 sampled k against square-and-multiply and
+        # the digit-wise sum: g^zech[k] = 1 + g^k, or zech[k] = m for 0
+        ctx = field_create(p, canonical_modulus(p, n))
+        m, g = ctx.order - 1, ctx.generator.enc
+        exp, log, zech = ctx._exp, ctx._log, ctx._zech
+        assert ctx.generator_is_root and exp[m] == 0 and log[0] == m
+        ks = [0, 1, m // 2, m - 1] + random.Random(p * n).sample(range(m), 300)
+        with tables_off(ctx):
+            for k in ks:
+                x = ctx.pow_enc(g, k)
+                assert exp[k] == x and log[x] == k, k
+                if zech is not None:
+                    s = ctx.add_enc(1, x)
+                    assert (ctx.pow_enc(g, zech[k]) if zech[k] < m else 0) == s, k
+
+    @pytest.mark.parametrize("p,n", [(2, 18), (3, 10)])
+    def test_build_peaks_at_the_tables_own_size(self, p, n):
+        # the build keeps no list of m ints and no copy of exp: the traced
+        # peak stays within a quarter above exp, log and zech themselves
+        modulus = canonical_modulus(p, n)
+        tracemalloc.start()
+        try:
+            ctx = field_create(p, modulus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = sum(len(t) * t.itemsize for t in (ctx._exp, ctx._log, ctx._zech) if t)
+        assert peak < 1.25 * tables, (peak, tables)
 
     def test_typecode_h_up_to_order_2_16(self):
         ctx = get_field(2, 16, tuple(MOD_2_16))
@@ -463,8 +563,10 @@ class TestSympyCrossCheck:
         from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod
 
         # the (p, degree) pairs the tests and repro build without a stated modulus
+        # and the two field-info pins above the cap, GF(2^62) and GF(p^2)
+        # for p = 2^31 - 1
         pairs = [(2, 2), (2, 4), (2, 6), (2, 8), (2, 10), (3, 1), (3, 2), (3, 4),
-                 (5, 1), (5, 2), (7, 1), (7, 2), (11, 2)]
+                 (5, 1), (5, 2), (7, 1), (7, 2), (11, 2), (2, 62), (2**31 - 1, 2)]
         for p, n in pairs:
             f = canonical_modulus(p, n)[::-1]
             assert gf_irreducible_p(f, p, ZZ), (p, n)

@@ -147,8 +147,15 @@ PINS = [
     refused(3, "construct --p 2 --m 11 --grid --family B1"),
     refused(3, """qm-test --p 2 --m 11 --f '{"terms": [[5, {"pow": 0}]]}' --g '{"terms": [[5, {"pow": 0}]]}'"""),
     refused(2, "field-info --p 101 --m 4 --modulus '[1,2,7,11,16,17,12,5,1]'"),
-    # GF(2^62): the order is refused before the modulus search, which would
-    # factor 2^62 - 1 by trial division
+    # field-info runs above the cap: GF(2^62) factors 2^62 - 1 by Pollard's
+    # rho (trial division ran for minutes), and GF(p^2) for p = 2^31 - 1
+    # searches the moduli one word at a time (a tuple of all p words ran out
+    # of memory); both moduli are cross-checked with sympy in test_fields
+    Pin("field-info GF(2^62)", ("field-info --p 2 --m 31",), 0,
+        "ea3d629f96a56498b1d86bada4a12d3a7d76a0dcc8bb3463c19dd1302a74ffce", timeout=30),
+    Pin("field-info GF((2^31-1)^2)", ("field-info --p 2147483647 --m 1",), 0,
+        "7f43548d4977e03f31bcb7f2577f775ad3ddb29a30eef974a5644c7323496c95", timeout=30),
+    # GF(2^62): the order is refused before the modulus search runs
     refused(3, """verify --p 2 --m 31 --poly '{"terms": [[5, {"pow": 0}]]}'"""),
     refused(3, "construct --p 2 --m 31 --grid --family B1"),
     refused(3, """qm-test --p 2 --m 31 --f '{"terms": [[5, {"pow": 0}]]}' --g '{"terms": [[5, {"pow": 0}]]}'"""),

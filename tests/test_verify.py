@@ -9,7 +9,7 @@ import pytest
 
 from circleperm import verify
 from circleperm.errors import CapExceeded
-from circleperm.fields import EXHAUSTIVE_CAP, canonical_modulus, field_create
+from circleperm.fields import EXHAUSTIVE_CAP, _lane_total, canonical_modulus, field_create
 from circleperm.families import (
     FAMILIES,
     ConstructionParams,
@@ -25,7 +25,6 @@ from circleperm.verify import (
     _RUNS,
     _gather,
     _ladder,
-    _lane_total,
     _run_setup,
     criterion_check,
     decompose,
