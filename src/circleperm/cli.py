@@ -2,9 +2,11 @@
 
 Subcommands: construct, verify, qm-test, qm-classify, repro, field-info.
 Exit codes: 0 success / true verdict, 1 false verdict, 2 input error,
-3 field order above EXHAUSTIVE_CAP (2^20, fixed; field-info is the one
-command that runs above it), 4 internal error (an invariant failed; never a
-verdict).
+3 a stated limit: a field order above EXHAUSTIVE_CAP (2^20, fixed;
+field-info is the one command that runs above it), or a prime to prove at
+or above 3317044064679887385961981, where Miller-Rabin on 13 bases stops
+being a proof (p itself, or a prime factor of p^n - 1), 4 internal error
+(an invariant failed; never a verdict).
 
 Field elements on the command line: "g^k" (generator power), plain integers
 (prime-subfield embedding, negatives allowed), or coordinate vectors
@@ -32,6 +34,7 @@ from .families import (
     ConstructionParams,
     GridLimits,
     build_family,
+    build_grid,
     derive_beta_t,
     field_violations,
     param_grid,
@@ -156,9 +159,9 @@ def cmd_construct(args) -> int:
 
 
 def construct_grid_entries(ext, family, limits: GridLimits):
-    """CatalogEntry stream in grid order."""
-    for params in param_grid(family, ext, limits):
-        built = build_family(family, params, ext)
+    """CatalogEntry stream in grid order.  param_grid yields only valid
+    tuples, so build_grid builds them without a second check."""
+    for built in build_grid(family, param_grid(family, ext, limits), ext):
         report = verify_both(built.r, built.h, built.poly, ext)
         yield CatalogEntry(ext, built, report, "grid")
 

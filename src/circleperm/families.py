@@ -293,15 +293,25 @@ def _q_encs(kind: str, delta: FieldElement, aux: FieldElement | None, ext: QuadE
 
 def coeffs(params: ConstructionParams, ext: QuadExtension) -> CoefficientSystem:
     """Validated D_k = beta^(d-k) * (Q_k - delta_t*b_k) for params.family."""
-    spec = FAMILIES[params.family]
-    violations, qs = _check(spec, params, ext)
+    return _system(params, _valid_q_encs(params, ext), ext)
+
+
+def _valid_q_encs(params: ConstructionParams, ext: QuadExtension) -> list[int]:
+    """Q_0..Q_d encodings of a tuple that meets its family's rules, else InvalidParams."""
+    violations, qs = _check(FAMILIES[params.family], params, ext)
     if violations:
         raise InvalidParams(violations)
+    return qs
+
+
+def _system(params: ConstructionParams, qs: list[int], ext: QuadExtension) -> CoefficientSystem:
+    """D_k = beta^(d-k) * (Q_k - delta_t*b_k) from the tuple's Q_k encodings."""
+    kind = FAMILIES[params.family].kind
     big = ext.big
     mul = big.mul_enc
-    d, b, _, _ = _plan(spec.kind, big.p, ext.q)
+    d, b, _, _ = _plan(kind, big.p, ext.q)
     beta, delta_t = params.beta.enc, params.delta_t.enc
-    return CoefficientSystem(spec.kind, tuple(
+    return CoefficientSystem(kind, tuple(
         FieldElement(big, mul(big.pow_enc(beta, d - k), big.sub_enc(qk, mul(bk, delta_t))))
         for k, (qk, bk) in enumerate(zip(qs, b))
     ))
@@ -345,8 +355,27 @@ class BuiltFamily:
 def build_family(family: str, params: ConstructionParams, ext: QuadExtension
                  ) -> BuiltFamily:
     """Expand X^r * h(X^(q-1)) for the family; raises InvalidParams."""
+    return _build(family, params, _valid_q_encs(params, ext), ext)
+
+
+def build_grid(family: str, grid, ext: QuadExtension):
+    """The BuiltFamily of each tuple of grid, tuples of param_grid(family,
+    ext, ...) in its order.  param_grid yields only tuples that meet every
+    rule, so none is checked again, and Q_k is computed once for each run
+    of tuples that share delta and aux."""
+    kind, key = FAMILIES[family].kind, None
+    for params in grid:
+        if (params.delta, params.aux) != key:
+            key = params.delta, params.aux
+            qs = _q_encs(kind, *key, ext)
+        yield _build(family, params, qs, ext)
+
+
+def _build(family: str, params: ConstructionParams, qs: list[int], ext: QuadExtension
+           ) -> BuiltFamily:
+    """The family's polynomial from a valid tuple and its Q_k encodings."""
     spec = FAMILIES[family]
-    h = build_h(coeffs(params, ext), spec.h_index, ext)
+    h = build_h(_system(params, qs, ext), spec.h_index, ext)
     r = spec.r(ext.q)
     poly = expand_decomposition(r, h, ext)
     if len(poly.terms) != len(h.terms):

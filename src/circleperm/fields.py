@@ -35,9 +35,12 @@ Every field that passes has tables.  verify re-exports EXHAUSTIVE_CAP.
 
 GF(p^n)* is cyclic of order m = p^n - 1, so every structural question is a
 question about it: an element is primitive iff x^m = 1 and x^(m/r) != 1 for
-each prime r | m (prime_factors: Pollard's rho, each factor proven prime by
-Miller-Rabin), FieldCtx.subgroup(k) lists {x : x^k = 1} for k | m, and
-FieldCtx.is_power(x, k) tests x^(m/gcd(k, m)) = 1.  The quadratic-extension
+each prime r | m (order_factors: m split into the cyclotomic values
+Phi_d(p), d | n, each split by Pollard's rho into parts that Miller-Rabin
+proves prime or composite; a probable prime at or above _MR_PROVEN has no
+proof and is refused with CapExceeded), FieldCtx.subgroup(k) lists
+{x : x^k = 1} for k | m, and FieldCtx.is_power(x, k) tests
+x^(m/gcd(k, m)) = 1.  The quadratic-extension
 view GF(q^2)/GF(q) lives in QuadExtension: the unit circle is the
 order-(q+1) subgroup, GF(q)* the order-(q-1) one, and is_power_sub runs
 the power test in GF(q)*.
@@ -82,27 +85,13 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN = 3317044064679887385961981
 
 
-def _trial_factors(n: int) -> list[int]:
-    """Distinct prime divisors of n, ascending, by trial division."""
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_prime(n: int) -> bool:
-    """Miller-Rabin below _MR_PROVEN, where it is a proof; trial division above."""
+    """Miller-Rabin on _MR_BASES.  A base that fails proves n composite at
+    any size, and passing every base proves n prime below _MR_PROVEN; a
+    number at or above it that passes every base has no proof here and is
+    refused with CapExceeded."""
     if n < 2:
         return False
-    if n >= _MR_PROVEN:
-        return _trial_factors(n) == [n]
     if n in _MR_BASES:
         return True
     d, s = n - 1, 0
@@ -118,6 +107,9 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_PROVEN:
+        raise CapExceeded(f"{n} passes Miller-Rabin on all {len(_MR_BASES)} bases, which "
+                          f"proves primality only below {_MR_PROVEN}")
     return True
 
 
@@ -140,10 +132,8 @@ def _rho(n: int) -> int:
 @functools.lru_cache(maxsize=None)
 def prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime divisors of n, ascending, once per n: split by Pollard's
-    rho, each part proven prime by is_prime; trial division at and above
-    _MR_PROVEN, so the factors stay exact."""
-    if n >= _MR_PROVEN:
-        return tuple(_trial_factors(n))
+    rho, each part proven prime or composite by is_prime, so the factors are
+    exact, and a part that is_prime refuses refuses n."""
     out, parts = set(), [n]
     while parts:
         k = parts.pop()
@@ -153,6 +143,23 @@ def prime_factors(n: int) -> tuple[int, ...]:
             d = 2 if k % 2 == 0 else _rho(k)
             parts += [d, k // d]
     return tuple(sorted(out))
+
+
+@functools.lru_cache(maxsize=None)
+def order_factors(p: int, n: int) -> tuple[int, ...]:
+    """Distinct prime divisors of p^n - 1, ascending, once per (p, n).
+
+    p^n - 1 is the product of the cyclotomic values Phi_d(p) over d | n,
+    and prime_factors splits each alone, so a large prime of one reaches
+    is_prime whole and is never split by rho from another's: 2^178 - 1 is
+    (2^89 - 1) * (2^89 + 1), and 2^89 + 1 holds the prime 18584774046020617,
+    about 10^8 rho steps away from 2^89 - 1 in one part.
+    """
+    phi = {}
+    for d in range(1, n + 1):
+        if n % d == 0:
+            phi[d] = (p**d - 1) // math.prod(v for e, v in phi.items() if d % e == 0)
+    return tuple(sorted({r for v in phi.values() for r in prime_factors(v)}))
 
 
 def is_irreducible(modulus, p) -> bool:
@@ -271,7 +278,8 @@ class _Ring:
         units, so no element passes there, and a root that passes proves its
         modulus irreducible (Lidl-Niederreiter, Finite Fields, Thm 3.16)."""
         m = self.order - 1
-        return self._pow(a, m) == 1 and all(self._pow(a, m // r) != 1 for r in prime_factors(m))
+        return self._pow(a, m) == 1 and all(self._pow(a, m // r) != 1
+                                            for r in order_factors(self.p, self.n))
 
 
 # ---------------------------------------------------------------------------

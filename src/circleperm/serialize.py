@@ -144,9 +144,12 @@ def entry_to_json(entry: CatalogEntry) -> dict:
     }
 
 
+_LINE = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps_line(d: dict) -> str:
     """Canonical single-line JSON (sorted keys) for JSONL streams."""
-    return json.dumps(d, sort_keys=True, separators=(",", ":"))
+    return _LINE.encode(d)
 
 
 def entry_to_csv_row(d: dict) -> str:

@@ -15,7 +15,8 @@ Exhaustive evaluation reports the first collision in the order 0, g^0,
 g^1, ..., so witnesses do not depend on the chunking.  A byte per value
 marks the chunk that took it; the collision's first preimage is looked up
 only once a marked value comes round.  The criterion walks h's q + 1
-circle values (s = q - 1) the same way.
+circle values (s = q - 1) in the ladder's first chunk and then the rest
+of the circle in one more.
 """
 
 from __future__ import annotations
@@ -217,10 +218,12 @@ def criterion_check(r: int, h: SparsePolynomial, ext: QuadExtension) -> Permutat
     gcd_ok tests gcd(r, q-1) = 1; circle_ok tests that z -> z^r h(z)^(q-1)
     is injective on the circle (a circle root of h is a definite failure:
     it maps that z to 0, which is off the circle).  With z_k = g^(k(q-1)),
-    k = 0..q in circle_members order, h's values come a chunk of k at a
-    time on _ladder(q + 1), each chunk from one _sums call (a term c*X^e is
-    the run g^(log c + e(q-1)k)); a field without tables evaluates them one
-    by one with eval_enc.  z_k^r h(z_k)^(q-1) is g^((q-1)(rk + log v)), so
+    k = 0..q in circle_members order, h's values come from at most two
+    _sums calls (a term c*X^e is the run g^(log c + e(q-1)k)): the first
+    chunk of _ladder(q + 1), where a random h usually fails, then the rest
+    of the circle, which fits one call since q + 1 <= min(m, _CHUNK_MAX).
+    A field without tables evaluates the same chunks one point at a time
+    with eval_enc.  z_k^r h(z_k)^(q-1) is g^((q-1)(rk + log v)), so
     (rk + log v) mod (q+1) names the image, and the walk stops at the chunk
     that holds the first root or repeated image.
     """
@@ -242,8 +245,10 @@ def criterion_check(r: int, h: SparsePolynomial, ext: QuadExtension) -> Permutat
     def point(k):
         return FieldElement(big, big.exp_enc(k * (q - 1)))
 
+    first = _ladder(q + 1)[0][1]
+    walk = [(0, first), (first, q + 1 - first)] if first <= q else [(0, first)]
     detail, seen = {}, {}  # image (rk + log v) mod (q+1) -> its first k
-    for k0, n in _ladder(q + 1):
+    for k0, n in walk:
         for k, v in enumerate(chunk(k0, n), k0):
             if v == 0:
                 detail["circle_root"] = point(k)

@@ -16,6 +16,7 @@ from circleperm.families import (
     GridLimits,
     aux_candidates,
     build_family,
+    build_grid,
     coeffs,
     derive_beta_t,
     field_violations,
@@ -26,6 +27,7 @@ from circleperm.families import (
 from circleperm.fields import quad_extension
 from conftest import get_ext
 from symbolic import base_map, closed_form, compose, conjugate, h_variants, mobius
+from test_acceptance import GRID_SCHEDULE, grid_for
 
 SMALLEST_Q_EXT = {
     KIND_CUBIC: (5, 1, None),
@@ -280,6 +282,40 @@ class TestBuildFamily:
         params = ConstructionParams("Q3", beta, derive_beta_t("Q3", beta), g, g**2, big.zero())
         built = build_family("Q3", params, ext9)
         assert built.term_count == 2  # middle coefficients vanish with aux = 0
+
+
+class TestGridBuild:
+    def test_grid_builds_equal_checked_builds_on_the_acceptance_schedule(self):
+        # every tuple of every (family, q) cell of the acceptance schedule,
+        # with its strides and all its beta (about 65,000 tuples, 5-10 s):
+        # each meets its family's rules, and build_grid, which checks none
+        # and computes Q_k once per run of one (delta, aux), builds what
+        # the checked build_family builds
+        total = 0
+        for family, q in GRID_SCHEDULE:
+            ext, grid = grid_for(family, q)
+            tuples = list(grid)
+            built = list(build_grid(family, tuples, ext))
+            assert len(built) == len(tuples)
+            for params, got in zip(tuples, built):
+                assert validate_params(family, params, ext) == [], (family, q, params)
+                want = build_family(family, params, ext)
+                assert got.params is params
+                assert (got.r, got.h.terms, got.poly.terms) == (
+                    want.r, want.h.terms, want.poly.terms), (family, q, params)
+            total += len(tuples)
+        assert total == 64_907
+
+    def test_grid_below_the_degree_is_empty(self):
+        # q = 2 is below every degree, a rule of the field that param_grid
+        # does not check per tuple: the twelve rows that admit q = 2 still
+        # yield nothing there (construct --grid refuses them first, through
+        # field_violations)
+        ext = get_ext(2, 1)
+        admitted = [f for f, spec in FAMILIES.items() if spec.admits(2)]
+        assert len(admitted) == 12
+        for family in admitted:
+            assert list(param_grid(family, ext)) == []
 
 
 class TestStructuralIdentities:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from circleperm import fields as fields_mod
 from circleperm import repro
 from circleperm.errors import (
+    CapExceeded,
     CtxMismatch,
     DivisionByZero,
     InvariantViolation,
@@ -23,6 +24,7 @@ from circleperm.fields import (
     canonical_modulus,
     field_create,
     is_irreducible,
+    order_factors,
     prime_factors,
     quad_extension,
 )
@@ -82,17 +84,17 @@ class TestFieldCreate:
         factored = []
 
         def profile(frame, event, arg):
-            if event == "call" and frame.f_code is prime_factors.__wrapped__.__code__:
-                factored.append(frame.f_locals["n"])
+            if event == "call" and frame.f_code is order_factors.__wrapped__.__code__:
+                factored.append((frame.f_locals["p"], frame.f_locals["n"]))
 
         for p, m in [(2, 10), (3, 6)]:
-            prime_factors.cache_clear()
+            order_factors.cache_clear()
             sys.setprofile(profile)
             try:
                 quad_extension(p, m)
             finally:
                 sys.setprofile(None)
-            assert factored.count(p ** (2 * m) - 1) == 1
+            assert factored.count((p, 2 * m)) == 1
         assert prime_factors(3**12 - 1) == (2, 5, 7, 13, 73)  # a tuple: shared, so immutable
 
     def test_root_walk_fault_raises(self, monkeypatch):
@@ -154,10 +156,33 @@ class TestFactoring:
             assert fields_mod.is_prime(n) == (want == [n]), n
         assert prime_factors(2**62 - 1) == (3, 715827883, 2147483647)
 
-    def test_trial_division_above_the_proven_bound(self):
-        # Miller-Rabin on the 13 bases proves primality only below _MR_PROVEN
+    def test_composites_factor_above_the_proven_bound(self):
+        # a Miller-Rabin witness proves a number composite at any size, so
+        # rho splits composites above _MR_PROVEN as below it
         assert 2**90 > fields_mod._MR_PROVEN
         assert prime_factors(2**90 * 3**5) == (2, 3) and not fields_mod.is_prime(2**90)
+        assert order_factors(2, 82) == prime_factors(2**82 - 1) == (
+            3, 83, 13367, 164511353, 8831418697)
+
+    def test_unproven_primes_are_refused(self):
+        # 13-base Miller-Rabin proves primality only below _MR_PROVEN: a
+        # number at or above it that passes every base is refused, also as
+        # a part of a number to factor
+        with pytest.raises(CapExceeded):  # the least strong pseudoprime to all 13 bases
+            fields_mod.is_prime(fields_mod._MR_PROVEN)
+        for n in [3317044064679887385962123, 2**89 - 1]:
+            with pytest.raises(CapExceeded):
+                fields_mod.is_prime(n)
+            with pytest.raises(CapExceeded):
+                prime_factors(3 * n)
+        with pytest.raises(CapExceeded):
+            order_factors(2, 178)
+
+    def test_order_factors_match_prime_factors(self):
+        # splitting p^n - 1 into cyclotomic values loses no prime and adds none
+        for p in [2, 3, 5, 7, 11, 101]:
+            for n in range(1, 13 if p < 11 else 7):
+                assert order_factors.__wrapped__(p, n) == prime_factors(p**n - 1), (p, n)
 
 
 class TestArithmetic:
@@ -563,10 +588,10 @@ class TestSympyCrossCheck:
         from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod
 
         # the (p, degree) pairs the tests and repro build without a stated modulus
-        # and the two field-info pins above the cap, GF(2^62) and GF(p^2)
-        # for p = 2^31 - 1
+        # and the three field-info pins above the cap, GF(2^62), GF(2^82) and
+        # GF(p^2) for p = 2^31 - 1
         pairs = [(2, 2), (2, 4), (2, 6), (2, 8), (2, 10), (3, 1), (3, 2), (3, 4),
-                 (5, 1), (5, 2), (7, 1), (7, 2), (11, 2), (2, 62), (2**31 - 1, 2)]
+                 (5, 1), (5, 2), (7, 1), (7, 2), (11, 2), (2, 62), (2, 82), (2**31 - 1, 2)]
         for p, n in pairs:
             f = canonical_modulus(p, n)[::-1]
             assert gf_irreducible_p(f, p, ZZ), (p, n)

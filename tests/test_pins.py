@@ -155,6 +155,14 @@ PINS = [
         "ea3d629f96a56498b1d86bada4a12d3a7d76a0dcc8bb3463c19dd1302a74ffce", timeout=30),
     Pin("field-info GF((2^31-1)^2)", ("field-info --p 2147483647 --m 1",), 0,
         "7f43548d4977e03f31bcb7f2577f775ad3ddb29a30eef974a5644c7323496c95", timeout=30),
+    # GF(2^82): 2^82 - 1 lies above 3.3 * 10^24, where Miller-Rabin stops
+    # proving primes, but each of its prime factors lies below.  2^89 - 1,
+    # a factor of 2^178 - 1, and the least prime above that bound have no
+    # primality proof at hand, so both exit 3
+    Pin("field-info GF(2^82)", ("field-info --p 2 --m 41",), 0,
+        "37f4e64c4fbb70b0e346810566d1f609c5967461caa02154fe9ff366798544ea", timeout=30),
+    refused(3, "field-info --p 3317044064679887385962123 --m 1"),
+    refused(3, "field-info --p 2 --m 89"),
     # GF(2^62): the order is refused before the modulus search runs
     refused(3, """verify --p 2 --m 31 --poly '{"terms": [[5, {"pow": 0}]]}'"""),
     refused(3, "construct --p 2 --m 31 --grid --family B1"),

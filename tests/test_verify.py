@@ -91,6 +91,13 @@ def sums_calls(monkeypatch):
     return calls
 
 
+def circle_walk(q):
+    """The chunks criterion_check sums for q + 1 > _CHUNK_MIN: the first
+    of _ladder(q + 1), then the rest of the circle."""
+    (k0, n), *_ = _ladder(q + 1)
+    return [(k0, n), (n, q + 1 - n)]
+
+
 def odd_lane_shapes():
     """Every odd (p, n) with n >= 2 and p^n <= EXHAUSTIVE_CAP; n = 1 for the
     odd primes below 2^12 and the largest prime below 2^k, k = 13..20.  A
@@ -622,20 +629,20 @@ class TestCriterion:
 
     @pytest.mark.parametrize("p,m", [(2, 6), (5, 3), (2, 8)])
     def test_early_exit_in_every_chunk(self, p, m, sums_calls):
-        # q + 1 spans two chunks of _ladder(q + 1) at q = 64 and 125, three
-        # at q = 256; the walk must stop in the chunk that holds its first
-        # event, with the definition's detail.  In each chunk's middle, z_k:
-        # a root, h = X - z_k with r = 2 (off the root z -> -z/z_k, a
-        # bijection), and separately a repeated image, r = 1 and
-        # h = 1 + c * sum((X/z_k)^i, i = 0..q), which is 1 off z_k on the
-        # circle (q + 1 = 1 mod p), with 1 + c = g^(j-k), so z_k goes to
-        # z_j, j = k/2.
+        # the criterion walks the first chunk of _ladder(q + 1), then the
+        # rest of the circle in one more; the walk must stop in the chunk
+        # that holds its first event, with the definition's detail.  In
+        # each chunk's middle, z_k: a root, h = X - z_k with r = 2 (off the
+        # root z -> -z/z_k, a bijection), and separately a repeated image,
+        # r = 1 and h = 1 + c * sum((X/z_k)^i, i = 0..q), which is 1 off
+        # z_k on the circle (q + 1 = 1 mod p), with 1 + c = g^(j-k), so z_k
+        # goes to z_j, j = k/2.
         ext = get_ext(p, m)
         big, q = ext.big, ext.q
         mu = ext.circle_members()
         one, g = big.one(), big.generator
-        chunks = _ladder(q + 1)
-        assert len(chunks) == (3 if q == 256 else 2)
+        chunks = circle_walk(q)
+        assert len(_ladder(q + 1)) == (3 if q == 256 else 2)
         roots, collisions, events = [], [], []
         for k0, n in chunks:
             k = k0 + n // 2
@@ -664,16 +671,17 @@ class TestCriterion:
     def test_rejections_sum_only_the_chunks_they_decide_in(self, sums_calls):
         # seeded random decomposable polynomials, as in the benchmark's
         # falsify pool, count work instead of timing it: the criterion sums
-        # the chunks of _ladder(q + 1) up to the one that holds its first
-        # root or repeated image, and the exhaustive check sums the chunks
-        # of _ladder(m) up to the hit's, then only full _CHUNK_MAX chunks
-        # again, never a shorter one
+        # the first chunk of _ladder(q + 1), then the rest of the circle in
+        # one more call only when that chunk holds no root or repeated
+        # image, so a circle-injective h takes at most two calls; the
+        # exhaustive check sums the chunks of _ladder(m) up to the hit's,
+        # then only full _CHUNK_MAX chunks again, never a shorter one
         rnd = random.Random(37)
         for p, n in [(2, 6), (5, 3), (2, 8)]:
             ext = get_ext(p, n)
             big, q = ext.big, ext.q
             m = big.order - 1
-            circle, chunks = _ladder(q + 1), _ladder(m)
+            circle, chunks = circle_walk(q), _ladder(m)
             rejected, past_first = 0, 0
             for _ in range(40):
                 r = rnd.randint(1, q - 1)
@@ -685,7 +693,7 @@ class TestCriterion:
                     z = crit.detail.get("circle_root") or crit.detail["circle_collision"][1]
                     assert sums_calls == [chunk for chunk in circle if chunk[0] <= z.dlog() // (q - 1)]
                 else:
-                    assert sums_calls == list(circle)
+                    assert sums_calls == circle
                 sums_calls.clear()
                 exh = is_permutation_exhaustive(expand_decomposition(r, h, ext), big)
                 assert exh.is_permutation == crit.is_permutation
@@ -699,6 +707,10 @@ class TestCriterion:
                 assert all(chunk[1] == _CHUNK_MAX and chunk in chunks[:c]
                            for chunk in sums_calls[c + 1:])
             assert rejected > 30 and past_first > 0
+            # z -> z * (g^k)^(q-1) is injective on the circle: two calls
+            sums_calls.clear()
+            assert criterion_check(1, SparsePolynomial(big, [(0, big.gen_pow(5))]), ext).circle_ok
+            assert sums_calls == circle
 
     def test_agreement_over_small_grids(self):
         # both verdicts on every emitted (r, h) at q in {3, 4, 5}; zero mismatches
