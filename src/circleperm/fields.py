@@ -84,6 +84,8 @@ def check_cap(order: int) -> None:
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN = 3317044064679887385961981
 
+_RHO_BATCH = 128  # rho steps per gcd
+
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin on _MR_BASES.  A base that fails proves n composite at
@@ -115,16 +117,34 @@ def is_prime(n: int) -> bool:
 
 def _rho(n: int) -> int:
     """A proper divisor of the odd composite n: Pollard's rho on x -> x^2 + c
-    with Floyd's cycle finding (J. M. Pollard, BIT 15, 1975), the next c
-    when a walk closes without splitting n."""
+    with Brent's cycle finding (R. P. Brent, BIT 20, 1980), the next c when a
+    walk closes without splitting n.
+
+    y runs ahead of x, which is saved at each power of two r; the
+    differences x - y of up to _RHO_BATCH steps are multiplied mod n and
+    take one gcd.  A batch whose gcd is n is walked again from its start,
+    one difference and gcd at a time, to find the step that split n.
+    """
     for c in itertools.count(1):
-        x = y = 2
-        d = 1
+        y, r, prod, d = 2, 1, 1, 1
         while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(x - y, n)
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and d == 1:
+                start = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                d = math.gcd(prod, n)
+                k += _RHO_BATCH
+            r *= 2
+        if d == n:
+            y, d = start, 1
+            while d == 1:
+                y = (y * y + c) % n
+                d = math.gcd(x - y, n)
         if d != n:
             return d
 
@@ -479,7 +499,7 @@ class FieldCtx(_Ring):
         return FieldElement(self, 1)
 
     def gen_pow(self, k: int) -> FieldElement:
-        return self.generator**k
+        return FieldElement(self, self.exp_enc(k))
 
     def elements(self):
         """All field elements: zero first, then ascending generator powers."""

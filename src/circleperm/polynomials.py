@@ -103,8 +103,11 @@ class SparsePolynomial:
 
     def reduce_exponents(self) -> "SparsePolynomial":
         """Apply reduce_exponent with m = order - 1; preserves the induced
-        function on the field.  Colliding images are merged."""
+        function on the field.  Colliding images are merged.  A polynomial
+        already reduced is returned itself (terms are never mutated)."""
         m = self.ctx.order - 1
+        if max(self.terms, default=0) <= m:
+            return self
         pairs = [(reduce_exponent(e, m), c) for e, c in self.terms.items()]
         return SparsePolynomial(self.ctx, pairs)
 

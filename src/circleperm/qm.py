@@ -6,8 +6,12 @@ f ~ g over GF(q^2) iff f(X) = u * g(v * X^d) for units u, v and some
 invariant: f ~ g iff their keys are equal.  The key tries only the d that
 can give the least support: those sending an exponent of least gcd g* with
 q^2-1 to g* itself, at most g* per exponent; u and v are then fixed term by
-term.  Catalogs are classified by grouping on the key, in time linear in
-the catalog, and a pair is decided by comparing two keys.  The witness
+term.  The candidate d, the least mapped support and the steps that fix
+u and v depend on the support alone, so they are planned once per support
+(_support_plan) and each polynomial pays only its coefficient arithmetic
+(_orbit_min): a catalog whose members share a support plans it once.
+Catalogs are classified by grouping on the key, in time linear in the
+catalog, and a pair is decided by comparing two keys.  The witness
 composes the maps that reach them: the inverse of f's map after g's.
 
 Functional comparison happens on exponent-reduced polynomials: the
@@ -62,8 +66,10 @@ def qm_equivalent(f: SparsePolynomial, g: SparsePolynomial, ext: QuadExtension) 
     m = big.order - 1
     f = f.reduce_exponents()
     g = g.reduce_exponents()
-    key_f, (a1, beta1, d1), seen_f, lost_f = _orbit_min(f, big)
-    key_g, (a2, beta2, d2), seen_g, lost_g = _orbit_min(g, big)
+    plan_f = _support_plan(tuple(f.terms), m)
+    plan_g = plan_f if tuple(g.terms) == tuple(f.terms) else _support_plan(tuple(g.terms), m)
+    key_f, (a1, beta1, d1), seen_f, lost_f = _orbit_min(f, big, plan_f)
+    key_g, (a2, beta2, d2), seen_g, lost_g = _orbit_min(g, big, plan_g)
     examined, rejected = seen_f + seen_g, lost_f + lost_g
     if key_f != key_g:
         return QmResult(False, None, examined, rejected)
@@ -286,41 +292,73 @@ def qm_canonical_key(f: SparsePolynomial, ext: QuadExtension) -> tuple:
     earlier logs least, the next runs over a class mod gcd(s*(e - e1), m).
     """
     _check_inputs(ext, (f,))
-    return _orbit_min(f.reduce_exponents(), ext.big)[0]
+    f = f.reduce_exponents()
+    return _orbit_min(f, ext.big, _support_plan(tuple(f.terms), ext.big.order - 1))[0]
 
 
-def _orbit_min(f: SparsePolynomial, big) -> tuple:
-    """(key, (log u, log v, d), d examined, d skipped) for an exponent-reduced,
-    checked f: u*f(v X^d) has the key, with log u = -l1 - b*e1 and
-    log v = b*d for the winning d and b."""
-    m = big.order - 1
-    terms = [(e, big.log_enc(c.enc)) for e, c in f.terms.items()]
-    inner = [e for e, _ in terms if 0 < e < m]
+def _support_plan(exps: tuple, m: int) -> tuple:
+    """Everything of the key that depends on the support alone, for the
+    exponents `exps` of an exponent-reduced polynomial in its term order
+    (which fixes the order the candidate d are tried in):
+    (least mapped support, coset steps, final coset modulus,
+    ((d, term order), ...), d examined, d skipped).
+
+    The running least support decides which d are skipped, so the counters
+    and the d that reach the least support follow from exps.  Those d map
+    the support to the same sorted exponents, so they share the b loop's
+    steps (e - e1, t = gcd(s*(e - e1), m), (s*(e - e1)/t)^-1 mod m/t, s),
+    and differ only in which term lands where.
+    """
+    inner = [e for e in exps if 0 < e < m]
     g_star = min((math.gcd(e, m) for e in inner), default=m)
     n = m // g_star
     ds = {d for e in inner if math.gcd(e, m) == g_star
           for d in range(pow(e // g_star, -1, n), m, n) if math.gcd(d, m) == 1}
-    best = None
+    least, ties = None, []
     examined = skipped = 0
     for d in ds or (1,):
-        mapped = sorted([(reduce_exponent(e * d, m), log) for e, log in terms])
+        mapped = sorted([(reduce_exponent(e * d, m), i) for i, e in enumerate(exps)])
         supp = tuple([e for e, _ in mapped])
-        if best is not None and supp > best[0]:
+        if least is not None and supp > least:
             skipped += 1
             continue
         examined += 1
+        if least is None or supp < least:
+            least, ties = supp, []
+        ties.append((d, tuple([i for _, i in mapped])))
+    e1, s, steps = least[0], 1, []
+    for e in least[1:]:
+        t = math.gcd(s * (e - e1), m)
+        steps.append((e - e1, t, pow(s * (e - e1) // t, -1, m // t), s))
+        s = s * m // t
+    return least, tuple(steps), s, tuple(ties), examined, skipped
+
+
+def _orbit_min(f: SparsePolynomial, big, plan: tuple) -> tuple:
+    """(key, (log u, log v, d), d examined, d skipped) for an exponent-reduced,
+    checked f with plan _support_plan(tuple(f.terms), m): u*f(v X^d) has the
+    key, with log u = -l1 - b*e1 and log v = b*d for the winning d and b.
+    Only the d that reach the least support can win; the first of them with
+    the least logs does."""
+    m = big.order - 1
+    supp, steps, s_end, ties, examined, skipped = plan
+    log = big.log_enc
+    logs = [log(c.enc) for c in f.terms.values()]
+    e1 = supp[0]
+    deltas = [e - e1 for e in supp]
+    best = None
+    for d, order in ties:
         # b runs over a coset b + s*Z_m; each term in turn takes its least log
-        (e1, l1), b, s = mapped[0], 0, 1
-        for e, log in mapped[1:]:
-            t = math.gcd(s * (e - e1), m)
-            k = -((log - l1 + b * (e - e1)) % m // t) * pow(s * (e - e1) // t, -1, m // t)
-            b, s = (b + s * k) % m, s * m // t
-        b %= s  # the coset's least b
-        key = (supp, tuple((log - l1 + b * (e - e1)) % m for e, log in mapped))
+        l1, b = logs[order[0]], 0
+        for i, (delta, t, inv, s) in zip(order[1:], steps):
+            k = -((logs[i] - l1 + b * delta) % m // t) * inv
+            b = (b + s * k) % m
+        b %= s_end  # the coset's least b
+        key = tuple([(logs[i] - l1 + b * delta) % m for i, delta in zip(order, deltas)])
         if best is None or key < best:
             best = key
             best_map = ((-l1 - b * e1) % m, b * d % m, d)
-    return best, best_map, examined, skipped
+    return (supp, best), best_map, examined, skipped
 
 
 @dataclass
@@ -330,12 +368,19 @@ class QmPartition:
 
 
 def classify_catalog(polys: list[SparsePolynomial], ext: QuadExtension) -> QmPartition:
-    """Group by qm_canonical_key; representatives minimal in degree-then-lex."""
+    """Group by qm_canonical_key; representatives minimal in degree-then-lex.
+    Each support (in term order) is planned once per call."""
     _check_inputs(ext, polys)
+    big = ext.big
     reduced = [p.reduce_exponents() for p in polys]
+    plans: dict[tuple, tuple] = {}
     groups: dict[tuple, list[int]] = {}
     for i, f in enumerate(reduced):
-        groups.setdefault(_orbit_min(f, ext.big)[0], []).append(i)
+        exps = tuple(f.terms)
+        plan = plans.get(exps)
+        if plan is None:
+            plan = plans[exps] = _support_plan(exps, big.order - 1)
+        groups.setdefault(_orbit_min(f, big, plan)[0], []).append(i)
     classes = list(groups.values())
     reps = [min(members, key=lambda i: reduced[i].canonical_key()) for members in classes]
     order = sorted(range(len(classes)), key=lambda c: reduced[reps[c]].canonical_key())

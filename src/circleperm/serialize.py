@@ -65,8 +65,9 @@ def element_from_json(d: dict, ctx: FieldCtx) -> FieldElement:
     raise MalformedOperand(f'element must be {{"pow": int}} or {{"coords": [...]}}, not {d!r}')
 
 
-def poly_to_json(f: SparsePolynomial) -> dict:
-    return {"terms": [[e, element_to_json(c)] for e, c in f.sorted_terms()]}
+def poly_to_json(f: SparsePolynomial, elem=element_to_json) -> dict:
+    """{"terms": [[exp, element], ...]}, each element's form made by elem."""
+    return {"terms": [[e, elem(c)] for e, c in f.sorted_terms()]}
 
 
 def poly_from_json(d: dict, ctx: FieldCtx) -> SparsePolynomial:
@@ -130,21 +131,33 @@ class CatalogEntry:
 
 
 def entry_to_json(entry: CatalogEntry) -> dict:
+    """The catalog line's dict.  h's coefficients reappear in poly, so each
+    distinct coefficient is serialized once and its form shared: one dlog."""
     built = entry.built
+    forms = {}
+
+    def elem(x: FieldElement) -> dict:
+        form = forms.get(x.enc)
+        if form is None:
+            form = forms[x.enc] = element_to_json(x)
+        return form
+
     return {
         "field": ext_to_json(entry.ext),
         "family": built.family,
         "params": params_to_json(built.params),
-        "poly": poly_to_json(built.poly),
+        "poly": poly_to_json(built.poly, elem),
         "r": built.r,
-        "h": poly_to_json(built.h),
+        "h": poly_to_json(built.h, elem),
         "term_count": built.term_count,
         "report": report_to_json(entry.report),
         "provenance": entry.provenance,
     }
 
 
-_LINE = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# every dict dumped is built per call and holds no cycle (entry_to_json only
+# shares coefficient forms between h and poly)
+_LINE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def dumps_line(d: dict) -> str:

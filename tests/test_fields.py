@@ -156,6 +156,14 @@ class TestFactoring:
             assert fields_mod.is_prime(n) == (want == [n]), n
         assert prime_factors(2**62 - 1) == (3, 715827883, 2147483647)
 
+    def test_rho_splits_a_semiprime_of_two_large_primes(self):
+        # both factors near 10^6: the walk runs about 10^3 steps, several
+        # batches, before a gcd splits n (the n < 10^5 above also take the
+        # path where a batch's gcd is n and the walk steps back through it)
+        n = 999983 * 1000003
+        assert fields_mod._rho(n) in (999983, 1000003)
+        assert prime_factors.__wrapped__(n) == (999983, 1000003)
+
     def test_composites_factor_above_the_proven_bound(self):
         # a Miller-Rabin witness proves a number composite at any size, so
         # rho splits composites above _MR_PROVEN as below it
@@ -186,6 +194,17 @@ class TestFactoring:
 
 
 class TestArithmetic:
+    def test_gen_pow_is_the_generator_power(self):
+        # from exp on a tabled field; table-free above EXHAUSTIVE_CAP
+        ctx = get_field(3, 2)
+        m = ctx.order - 1
+        assert all(ctx.gen_pow(k) == ctx.generator**k for k in range(-2 * m, 2 * m + 1))
+        ctx = get_field(2, 21)
+        assert ctx._log is None
+        rnd = random.Random(19)
+        for k in [rnd.randrange(-2 * ctx.order, 2 * ctx.order) for _ in range(200)]:
+            assert ctx.gen_pow(k) == ctx.generator**k, k
+
     def test_gf5_product(self):
         ctx = get_field(5, 1)
         assert (ctx.from_int(3) * ctx.from_int(4)) == ctx.from_int(2)

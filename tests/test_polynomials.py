@@ -34,6 +34,16 @@ class TestSparsePolynomial:
         const = SparsePolynomial(f16, {0: f16.one()})
         assert const.reduce_exponents() == const
 
+    def test_reduce_returns_a_reduced_polynomial_itself(self):
+        f16 = get_field(2, 4)
+        g = f16.generator
+        f = SparsePolynomial(f16, [(0, g), (15, f16.one()), (3, g**2)])
+        assert f.reduce_exponents() is f
+        f = SparsePolynomial(f16, [(16, g), (3, g**2), (30, f16.one()), (0, g**3)])
+        reduced = f.reduce_exponents()
+        assert reduced is not f
+        assert reduced == SparsePolynomial(f16, [(1, g), (3, g**2), (15, f16.one()), (0, g**3)])
+
     def test_reduce_merges_collisions(self):
         f16 = get_field(2, 4)
         one = f16.one()

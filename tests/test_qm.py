@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from circleperm.errors import CapExceeded, NotInstantiable, ZeroInput
 from circleperm.families import ConstructionParams, GridLimits, build_family, param_grid
+from circleperm import qm
 from circleperm.polynomials import SparsePolynomial, reduce_exponent
 from circleperm.qm import (
     KNOWN_FAMILIES,
@@ -424,6 +425,18 @@ def oracle_polys(draw, ext):
     return SparsePolynomial(ext.big, [(e, ext.big.gen_pow(k)) for e, k in zip(exps, logs)])
 
 
+@pytest.fixture(scope="module")
+def p1_at_256():
+    # four P1 polynomials at q = 256, then twists of the first and third
+    ext = get_ext(2, 8)
+    big = ext.big
+    limits = GridLimits(delta_stride=4099, delta_t_stride=997, max_count=4)
+    polys = [build_family("P1", p, ext).poly for p in param_grid("P1", ext, limits)]
+    polys += [apply_qm(polys[0], big.gen_pow(7), big.gen_pow(11), 13),
+              apply_qm(polys[2], big.gen_pow(5), big.one(), 29)]
+    return ext, polys, [all_units_key(f, ext, every_b=False) for f in polys]
+
+
 class TestKeyAgainstAllUnits:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), field=st.sampled_from(ORACLE_FIELDS))
@@ -431,17 +444,6 @@ class TestKeyAgainstAllUnits:
         ext = get_ext(*field)
         f = data.draw(oracle_polys(ext))
         assert qm_canonical_key(f, ext) == all_units_key(f, ext)
-
-    @pytest.fixture(scope="class")
-    def p1_at_256(self):
-        # four P1 polynomials at q = 256, then twists of the first and third
-        ext = get_ext(2, 8)
-        big = ext.big
-        limits = GridLimits(delta_stride=4099, delta_t_stride=997, max_count=4)
-        polys = [build_family("P1", p, ext).poly for p in param_grid("P1", ext, limits)]
-        polys += [apply_qm(polys[0], big.gen_pow(7), big.gen_pow(11), 13),
-                  apply_qm(polys[2], big.gen_pow(5), big.one(), 29)]
-        return ext, polys, [all_units_key(f, ext, every_b=False) for f in polys]
 
     def test_p1_at_q256(self, p1_at_256):
         ext, polys, keys = p1_at_256
@@ -467,3 +469,67 @@ class TestKeyAgainstAllUnits:
                 assert qm_verify_witness(polys[i], polys[j], res.witness, ext)
                 equivalent.add((i, j))
         assert {(0, 4), (2, 5)} <= equivalent  # each twist with its source
+
+
+def orbit_min_oracle(f, big):
+    """The key search with every d's support and b loop worked out from f
+    alone, as one loop: (key, (log u, log v, d), d examined, d skipped)."""
+    m = big.order - 1
+    terms = [(e, big.log_enc(c.enc)) for e, c in f.terms.items()]
+    inner = [e for e, _ in terms if 0 < e < m]
+    g_star = min((math.gcd(e, m) for e in inner), default=m)
+    n = m // g_star
+    ds = {d for e in inner if math.gcd(e, m) == g_star
+          for d in range(pow(e // g_star, -1, n), m, n) if math.gcd(d, m) == 1}
+    best = None
+    examined = skipped = 0
+    for d in ds or (1,):
+        mapped = sorted([(reduce_exponent(e * d, m), log) for e, log in terms])
+        supp = tuple([e for e, _ in mapped])
+        if best is not None and supp > best[0]:
+            skipped += 1
+            continue
+        examined += 1
+        (e1, l1), b, s = mapped[0], 0, 1
+        for e, log in mapped[1:]:
+            t = math.gcd(s * (e - e1), m)
+            k = -((log - l1 + b * (e - e1)) % m // t) * pow(s * (e - e1) // t, -1, m // t)
+            b, s = (b + s * k) % m, s * m // t
+        b %= s
+        key = (supp, tuple((log - l1 + b * (e - e1)) % m for e, log in mapped))
+        if best is None or key < best:
+            best = key
+            best_map = ((-l1 - b * e1) % m, b * d % m, d)
+    return best, best_map, examined, skipped
+
+
+def planned_orbit_min(f, big):
+    f = f.reduce_exponents()
+    return qm._orbit_min(f, big, qm._support_plan(tuple(f.terms), big.order - 1))
+
+
+class TestSupportPlan:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), field=st.sampled_from(ORACLE_FIELDS))
+    def test_equals_the_one_loop_search(self, data, field):
+        big = get_ext(*field).big
+        f = data.draw(oracle_polys(get_ext(*field))).reduce_exponents()
+        assert planned_orbit_min(f, big) == orbit_min_oracle(f, big)
+
+    def test_equals_the_one_loop_search_at_q256(self, p1_at_256):
+        ext, polys, _ = p1_at_256
+        for f in polys:
+            f = f.reduce_exponents()
+            assert planned_orbit_min(f, ext.big) == orbit_min_oracle(f, ext.big)
+
+    def test_catalog_plans_a_shared_support_once(self, ext25, monkeypatch):
+        big = ext25.big
+        f = q1_example_poly(ext25)
+        rnd = random.Random(53)
+        twists = [apply_qm(f, big.gen_pow(rnd.randrange(24)), big.gen_pow(rnd.randrange(24)), 1)
+                  for _ in range(50)]
+        calls = []
+        plan = qm._support_plan
+        monkeypatch.setattr(qm, "_support_plan", lambda exps, m: calls.append(exps) or plan(exps, m))
+        part = classify_catalog(twists, ext25)
+        assert len(calls) == 1 and part.classes == [list(range(50))]
