@@ -13,7 +13,6 @@ from .errors import (
     DivisionByZero,
     InvalidParams,
     InvariantViolation,
-    NotInstantiable,
     NotIrreducible,
     NotMonic,
     NotPrime,
@@ -45,7 +44,6 @@ __all__ = [
     "CapExceeded",
     "InvalidParams",
     "InvariantViolation",
-    "NotInstantiable",
 ]
 
 __version__ = "0.1.0"

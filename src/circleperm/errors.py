@@ -56,6 +56,3 @@ class InvalidParams(CirclepermError):
         super().__init__("; ".join(violations))
         self.violations = list(violations)
 
-
-class NotInstantiable(CirclepermError):
-    pass

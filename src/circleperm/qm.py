@@ -1,4 +1,4 @@
-"""Quasi-multiplicative equivalence and the registry of known families.
+"""Quasi-multiplicative equivalence: canonical keys, witnesses, classification.
 
 f ~ g over GF(q^2) iff f(X) = u * g(v * X^d) for units u, v and some
 1 <= d < q^2-1 coprime to q^2-1.  The maps form a group, so the least
@@ -17,14 +17,16 @@ composes the maps that reach them: the inverse of f's map after g's.
 Functional comparison happens on exponent-reduced polynomials: the
 fixpoint convention of reduce_exponents keeps positive exponents positive,
 so coefficient equality is equivalent to pointwise equality on the field.
+The registry of known families, which no command reads, is kept with the
+tests (tests/registry.py) together with an independent witness check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import InvariantViolation, NotInstantiable, ZeroInput
+from .errors import InvariantViolation, ZeroInput
 from .fields import FieldElement, QuadExtension, check_cap
 from .polynomials import SparsePolynomial, reduce_exponent
 
@@ -78,201 +80,6 @@ def qm_equivalent(f: SparsePolynomial, g: SparsePolynomial, ext: QuadExtension) 
     if apply_qm(g, u, v, d) != f:
         raise InvariantViolation("equal QM keys gave a witness that does not map g to f")
     return QmResult(True, (u, v, d), examined, rejected)
-
-
-def qm_verify_witness(f, g, witness, ext) -> bool:
-    """Re-expand u*g(vX^d) and compare reduced polynomials coefficient-wise."""
-    u, v, d = witness
-    m = ext.big.order - 1
-    if not (1 <= d < m and math.gcd(d, m) == 1) or u.enc == 0 or v.enc == 0:
-        return False
-    return apply_qm(g.reduce_exponents(), u, v, d) == f.reduce_exponents()
-
-
-# ---------------------------------------------------------------------------
-# registry of known few-term families
-
-
-@dataclass(frozen=True)
-class KnownFamily:
-    id: str
-    shape: str  # human-readable term template
-    conditions: str
-    source: str  # registry table position
-    instantiable: bool = True
-
-
-@dataclass
-class KnownInstance:
-    family_id: str
-    poly: SparsePolynomial
-    tags: dict = field(default_factory=dict)
-
-
-def _h1_instances(ext):
-    # X^{q+2} + bX, b outside the subfield, b^{3(q-1)} = 1, m > 1 odd
-    if ext.big.p != 2 or ext.m <= 1 or ext.m % 2 == 0:
-        return
-    yield from h1_form_instances(ext, require_outside_subfield=True)
-
-
-def h1_form_instances(ext, require_outside_subfield=True):
-    """X^{q+2} + bX over GF(q^2) for every b != 0 with b^(3(q-1)) = 1."""
-    big = ext.big
-    q = ext.q
-    m = big.order - 1
-    for b in big.subgroup(math.gcd(3 * (q - 1), m)):
-        if require_outside_subfield and ext.in_subfield(b):
-            continue
-        poly = SparsePolynomial(big, [(q + 2, big.one()), (1, b)])
-        yield KnownInstance("H1", poly.reduce_exponents(), {"b": b})
-
-
-def _h2_instances(ext):
-    if ext.big.p != 2:
-        return
-    n = ext.big.n
-    big = ext.big
-    m = big.order - 1
-    for s in (1, 2):
-        if n % (1 << s) != 0:
-            continue
-        t = n >> s
-        if t % 2 == 0:
-            continue
-        exp = (2**n - 1) // (2**t - 1) + 1
-        omega = big.gen_pow(m // 3)  # order-3 element; exists since n is even
-        sub = big.subgroup(2**t - 1)
-        for w in (omega, omega * omega):
-            for c in sub:
-                a = w * c
-                poly = SparsePolynomial(big, [(exp, big.one()), (1, a)])
-                yield KnownInstance(
-                    "H2", poly.reduce_exponents(), {"a": a, "s": s, "t": t}
-                )
-
-
-def _h7_instances(ext):
-    # X^{d'} + aX with d' = (2^n-1)/(2^k-1), n = r*k; k >= 2 (k = 1 rows of
-    # the source table are abbreviations that do not yield permutations)
-    if ext.big.p != 2:
-        return
-    n = ext.big.n
-    big = ext.big
-    for k in range(2, n // 2 + 1):
-        if n % k:
-            continue
-        r = n // k
-        dprime = (2**n - 1) // (2**k - 1)
-        if math.gcd(dprime - 1, 2**k - 1) != 1 or math.gcd(r, 2**k - 1) != 1:
-            continue
-        sub = {x.enc for x in big.subgroup(2**k - 1)}
-        for y in range(big.order - 1):
-            a_enc = big.exp_enc(y)
-            if a_enc in sub:
-                continue
-            a = big.from_enc(a_enc)
-            poly = SparsePolynomial(big, [(dprime, big.one()), (1, a)])
-            yield KnownInstance("H7", poly.reduce_exponents(), {"a": a, "k": k, "r": r})
-
-
-def _f1_instances(ext):
-    if ext.big.p != 3:
-        return
-    big = ext.big
-    q = ext.q
-    minus_one = -big.one()
-    for a in ext.subfield_members():
-        if a.enc == 0 or a == minus_one or not ext.is_power_sub(a, 2):
-            continue
-        poly = SparsePolynomial(
-            big, [(3, big.one()), (q + 2, a), (2 * q + 1, -a), (3 * q, a)]
-        )
-        yield KnownInstance("F1", poly.reduce_exponents(), {"a": a})
-
-
-def _f9_instances(ext):
-    if ext.big.p != 5 or ext.m % 2 == 0:
-        return
-    big = ext.big
-    q = ext.q
-    minus_one = -big.one()
-    two = big.from_int(2)
-    four = big.from_int(4)
-    for a in ext.subfield_members():
-        if a == minus_one:
-            continue
-        poly = SparsePolynomial(
-            big, [(3, big.one()), (q + 2, a), (2 * q + 1, a + two), (3 * q, four)]
-        )
-        yield KnownInstance(
-            "F9", poly.reduce_exponents(), {"a": a, "terms": len(poly.terms)}
-        )
-
-
-def _g1_instances(ext):
-    if ext.big.p != 2 or ext.m % 4 == 0:
-        return
-    big = ext.big
-    q = ext.q
-    one = big.one()
-    poly = SparsePolynomial(
-        big, [(5, one), (q + 4, one), (3 * q + 2, one), (4 * q + 1, one), (5 * q, one)]
-    )
-    yield KnownInstance("G1", poly.reduce_exponents(), {})
-
-
-_INSTANTIATORS = {
-    "H1": _h1_instances,
-    "H2": _h2_instances,
-    "H7": _h7_instances,
-    "F1": _f1_instances,
-    "F9": _f9_instances,
-    "G1": _g1_instances,
-}
-
-KNOWN_FAMILIES: dict[str, KnownFamily] = {
-    row.id: row
-    for row in [
-        KnownFamily("H1", "X^(q+2) + b*X", "b outside GF(q), b^(3(q-1))=1, m>1 odd",
-                    "binomial registry row 1"),
-        KnownFamily("H2", "X^((2^n-1)/(2^t-1)+1) + a*X",
-                    "n=2^s*t, s in {1,2}, t odd, a in w*GF(2^t)* U w^2*GF(2^t)*",
-                    "binomial registry row 2"),
-        KnownFamily("H3", "X^(3q-2) + a*X", "prose-only side conditions",
-                    "binomial registry row 3", instantiable=False),
-        KnownFamily("H4", "X^(r(q-1)+1) + a*X", "r in {5,7}; prose-only side conditions",
-                    "binomial registry row 4", instantiable=False),
-        KnownFamily("H5", "X^(2q+3) + a*X", "prose-only side conditions",
-                    "binomial registry row 5", instantiable=False),
-        KnownFamily("H6", "X^(2q+4) + a*X^2", "prose-only side conditions",
-                    "binomial registry row 6", instantiable=False),
-        KnownFamily("H7", "X^((2^rk-1)/(2^k-1)) + a*X",
-                    "n=rk, k>=2, gcd(d'-1,2^k-1)=gcd(r,2^k-1)=1, a outside GF(2^k)*",
-                    "binomial registry row 7"),
-        KnownFamily("H8", "X^(6q-5) + a*X", "prose-only side conditions",
-                    "binomial registry row 8", instantiable=False),
-        KnownFamily("F1", "X^3 + a*X^(q+2) - a*X^(2q+1) + a*X^(3q)",
-                    "p=3, a a nonzero square in GF(q), a != -1",
-                    "quadrinomial registry row 1"),
-        KnownFamily("F9", "X^3 + a*X^(q+2) + (a+2)*X^(2q+1) + 4*X^(3q)",
-                    "p=5, m odd, a in GF(q), a != -1",
-                    "quadrinomial registry row 9"),
-        KnownFamily("G1", "X^5 + X^(q+4) + X^(3q+2) + X^(4q+1) + X^(5q)",
-                    "p=2, m not divisible by 4", "pentanomial registry row 1"),
-    ]
-}
-
-
-def instantiate_known(family_id: str, ext: QuadExtension):
-    """Every instance of a registry row valid at this field; NotInstantiable
-    for rows whose side conditions are not closed-form."""
-    row = KNOWN_FAMILIES.get(family_id)
-    if row is None:
-        raise KeyError(f"unknown registry id {family_id}")
-    if not row.instantiable:
-        raise NotInstantiable(f"{family_id}: {row.conditions}")
-    return list(_INSTANTIATORS[family_id](ext))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +188,8 @@ def classify_catalog(polys: list[SparsePolynomial], ext: QuadExtension) -> QmPar
         if plan is None:
             plan = plans[exps] = _support_plan(exps, big.order - 1)
         groups.setdefault(_orbit_min(f, big, plan)[0], []).append(i)
-    classes = list(groups.values())
-    reps = [min(members, key=lambda i: reduced[i].canonical_key()) for members in classes]
-    order = sorted(range(len(classes)), key=lambda c: reduced[reps[c]].canonical_key())
-    return QmPartition([classes[i] for i in order], [reps[i] for i in order])
+    # no two classes share a polynomial, so the least (key, index) of each
+    # class orders the classes without ties
+    keys = [f.canonical_key() for f in reduced]
+    ranked = sorted((min((keys[i], i) for i in members), members) for members in groups.values())
+    return QmPartition([members for _, members in ranked], [i for (_, i), _ in ranked])

@@ -3,17 +3,21 @@
 Grid scale: full cross-products at q in {3, 4, 5}; at q in {8, 9, 11, 16}
 deterministic strided subsamples of the valid-parameter space (all circle
 betas or a fixed beta stride, every aux value, fixed delta/delta_t strides).
-The combined enumeration stays above the stated 10^4-tuple floor.
+The combined enumeration stays above the stated 10^4-tuple floor.  The
+last test checks the closed-form QM map between sibling families on the
+same schedule.
 """
 
 import math
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
 from circleperm import repro
 from circleperm.families import (
+    _BASE_MAPS,
     FAMILIES,
     GridLimits,
     build_family,
@@ -23,13 +27,7 @@ from circleperm.families import (
 )
 from circleperm.fields import field_create
 from circleperm.polynomials import SparsePolynomial, irreducible_cubic_alphas
-from circleperm.qm import (
-    apply_qm,
-    h1_form_instances,
-    instantiate_known,
-    qm_equivalent,
-    qm_verify_witness,
-)
+from circleperm.qm import apply_qm, qm_equivalent
 from circleperm.verify import (
     criterion_check,
     is_permutation_exhaustive,
@@ -38,6 +36,7 @@ from circleperm.verify import (
 from conftest import (
     MOD_2_6, MOD_2_12, MOD_3_4, get_ext, get_field, h_no_circle_root, qm_search_oracle,
 )
+from registry import KNOWN, h1_form_instances, qm_verify_witness
 from symbolic import alphas_from_noncubes, closed_form, conjugate, h_variants
 
 
@@ -232,7 +231,7 @@ def test_criterion_6_qm_desk_scale_inequivalence():
     ext4 = get_ext(2, 2)
     # literal registry row is empty at q = 4 (m even, and every eligible b
     # lies inside GF(4))
-    assert instantiate_known("H1", ext4) == []
+    assert list(KNOWN["H1"](ext4)) == []
     relaxed = list(h1_form_instances(ext4, require_outside_subfield=False))
     assert len(relaxed) == 3
     b1_polys = []
@@ -244,8 +243,8 @@ def test_criterion_6_qm_desk_scale_inequivalence():
     assert len(b1_polys) == 600
     pairs = 0
     for poly in b1_polys:
-        for inst in relaxed:
-            res = qm_search_oracle(poly, inst.poly, ext4)
+        for known, _ in relaxed:
+            res = qm_search_oracle(poly, known, ext4)
             assert not res.equivalent
             pairs += 1
     # quadrinomial side: the worked q=5 instance against every registry row
@@ -258,8 +257,8 @@ def test_criterion_6_qm_desk_scale_inequivalence():
         "Q1", ConstructionParams("Q1", -big.one(), big.one(), g, g, None), ext5
     ).poly
     f9_pairs = 0
-    for inst in instantiate_known("F9", ext5):
-        res = qm_search_oracle(f_q1, inst.poly, ext5)
+    for known, _ in KNOWN["F9"](ext5):
+        res = qm_search_oracle(f_q1, known, ext5)
         assert not res.equivalent
         f9_pairs += 1
     assert f9_pairs == 4
@@ -355,3 +354,36 @@ def test_criterion_8_criterion_falsifiability():
         f"verdict equals exhaustive verdict in 100% of cases "
         f"({permutation_hits} permutations found) in {elapsed:.1f}s",
     )
+
+
+def test_sibling_collapse_on_the_schedule():
+    # siblings of one base map share D_k and differ in r and in their shift
+    # s = h_index - first_h; the base is the sibling of least h_index.  Mod
+    # q^2 - 1 every exponent of f_s is a_s + k(q-1), a_s = r_s - s(q-1), so
+    # the same tuple gives f_s = f_base(X^d') for d' = 1 + t(q+1),
+    # t = j * a_base^-1 mod q - 1 and j = (a_s - a_base)/(q+1)
+    base = {}
+    for family, spec in sorted(FAMILIES.items(), key=lambda item: item[1].h_index):
+        base.setdefault(spec.kind, family)
+
+    def a(family, q):
+        spec = FAMILIES[family]
+        return spec.r(q) - (spec.h_index - _BASE_MAPS[spec.kind].first_h) * (q - 1)
+
+    checked = 0
+    for family, q in GRID_SCHEDULE:
+        base_family = base[FAMILIES[family].kind]
+        if family == base_family:
+            continue
+        ext, grid = grid_for(family, q)
+        j, rest = divmod(a(family, q) - a(base_family, q), q + 1)
+        assert rest == 0, (family, q)
+        d = 1 + j * pow(a(base_family, q), -1, q - 1) % (q - 1) * (q + 1)
+        one = ext.big.one()
+        pool = list(grid)
+        for params in pool[:: max(1, len(pool) // 40)]:
+            f_base = build_family(base_family, replace(params, family=base_family), ext).poly
+            assert apply_qm(f_base, one, one, d) == build_family(family, params, ext).poly, (
+                family, q, params)
+            checked += 1
+    assert checked > 1000

@@ -298,7 +298,8 @@ class TestCommands:
 
     def test_qm_classify_single_entry_errors(self, tmp_path, capsys):
         # no pair is compared in a one-entry catalog; the cap and the zero
-        # polynomial are still reported
+        # polynomial are still reported, and so are an empty catalog and one
+        # that mixes fields
         cat = tmp_path / "cat.jsonl"
         field = ext_to_json(get_ext(2, 2))
         x = {"terms": [[1, {"pow": 0}]]}
@@ -312,6 +313,13 @@ class TestCommands:
         cat.write_text("5\n")
         assert main(["qm-classify", "--catalog", str(cat)]) == 2
         assert "MalformedOperand" in capsys.readouterr().err
+        for text, message in [("", "empty catalog"), ("\n  \n", "empty catalog"),
+                              (dumps_line({"field": field, "poly": x}) + "\n"
+                               + dumps_line({"field": ext_to_json(get_ext(3, 1)), "poly": x}),
+                               "catalog mixes field descriptors")]:
+            cat.write_text(text)
+            assert main(["qm-classify", "--catalog", str(cat)]) == 2
+            assert message in capsys.readouterr().err
 
     def test_field_info(self, capsys):
         assert main(["field-info", "--p", "2", "--m", "2"]) == 0

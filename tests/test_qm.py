@@ -6,22 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circleperm.errors import CapExceeded, NotInstantiable, ZeroInput
+from circleperm.errors import CapExceeded, ZeroInput
 from circleperm.families import ConstructionParams, GridLimits, build_family, param_grid
 from circleperm import qm
 from circleperm.polynomials import SparsePolynomial, reduce_exponent
-from circleperm.qm import (
-    KNOWN_FAMILIES,
-    apply_qm,
-    classify_catalog,
-    h1_form_instances,
-    instantiate_known,
-    qm_canonical_key,
-    qm_equivalent,
-    qm_verify_witness,
-)
+from circleperm.qm import apply_qm, classify_catalog, qm_canonical_key, qm_equivalent
 from circleperm.verify import is_permutation_exhaustive
 from conftest import get_ext, qm_search_oracle
+from registry import KNOWN, h1_form_instances, qm_verify_witness
 
 
 def rand_poly(ctx, rnd, max_terms=4):
@@ -176,9 +168,9 @@ class TestSearch:
 class TestRegistry:
     def test_h1_literal_conditions(self):
         # m = 2 (even): empty; m = 5: every instance matches the scan oracle
-        assert instantiate_known("H1", get_ext(2, 2)) == []
+        assert list(KNOWN["H1"](get_ext(2, 2))) == []
         ext32 = get_ext(2, 5)
-        got = {inst.tags["b"].enc for inst in instantiate_known("H1", ext32)}
+        got = {tags["b"].enc for _, tags in KNOWN["H1"](ext32)}
         q = ext32.q
         oracle = {
             x.enc
@@ -191,49 +183,43 @@ class TestRegistry:
         insts = list(h1_form_instances(ext16, require_outside_subfield=False))
         assert len(insts) == 3  # the three cube roots of unity
 
-    def test_stub_rows_raise(self, ext16):
-        for fid in ["H3", "H4", "H5", "H6", "H8"]:
-            assert not KNOWN_FAMILIES[fid].instantiable
-            with pytest.raises(NotInstantiable):
-                instantiate_known(fid, ext16)
-
     def test_f9_literal_instances(self, ext25):
-        insts = instantiate_known("F9", ext25)
+        insts = list(KNOWN["F9"](ext25))
         # a ranges over GF(5) minus {-1}; degenerate a values drop terms
         assert len(insts) == 4
-        term_counts = sorted(len(i.poly.terms) for i in insts)
+        term_counts = sorted(len(poly.terms) for poly, _ in insts)
         assert term_counts == [3, 3, 4, 4]  # a = 0 and a = 3 collapse one term
 
     def test_f9_nondegenerate_instances_permute(self, ext25):
-        for inst in instantiate_known("F9", ext25):
-            if len(inst.poly.terms) == 4:
-                assert is_permutation_exhaustive(inst.poly, ext25.big).is_permutation
+        for poly, _ in KNOWN["F9"](ext25):
+            if len(poly.terms) == 4:
+                assert is_permutation_exhaustive(poly, ext25.big).is_permutation
 
     def test_f1_instances_permute(self, ext9):
-        insts = instantiate_known("F1", ext9)
+        insts = list(KNOWN["F1"](ext9))
         assert len(insts) == 1  # squares of GF(3)* minus {-1} = {1}
-        for inst in insts:
-            assert is_permutation_exhaustive(inst.poly, ext9.big).is_permutation
+        for poly, _ in insts:
+            assert is_permutation_exhaustive(poly, ext9.big).is_permutation
 
     def test_g1_instance_permutes(self, ext16):
-        insts = instantiate_known("G1", ext16)
+        insts = list(KNOWN["G1"](ext16))
         assert len(insts) == 1
-        assert is_permutation_exhaustive(insts[0].poly, ext16.big).is_permutation
+        assert is_permutation_exhaustive(insts[0][0], ext16.big).is_permutation
 
     def test_g1_skips_m_divisible_by_4(self):
-        assert instantiate_known("G1", get_ext(2, 4)) == []
+        assert list(KNOWN["G1"](get_ext(2, 4))) == []
 
     def test_h2_merged_exponent_stays_linear(self, ext16):
-        for inst in instantiate_known("H2", ext16):
+        for poly, _ in KNOWN["H2"](ext16):
             # at q = 4 the only factorization is t = 1: X^16 folds onto X
-            assert set(inst.poly.terms) == {1}
-            assert is_permutation_exhaustive(inst.poly, ext16.big).is_permutation
+            assert set(poly.terms) == {1}
+            assert is_permutation_exhaustive(poly, ext16.big).is_permutation
 
     def test_h7_instances_at_q4(self, ext16):
-        insts = instantiate_known("H7", ext16)
-        assert {i.tags["k"] for i in insts} == {2}
+        insts = list(KNOWN["H7"](ext16))
+        assert {tags["k"] for _, tags in insts} == {2}
         assert len(insts) == 12  # a outside GF(4)*
-        assert all(set(i.poly.terms) == {5, 1} for i in insts)
+        assert all(set(poly.terms) == {5, 1} for poly, _ in insts)
 
 
 class TestClassify:
@@ -280,6 +266,19 @@ class TestClassify:
             for j in idx[a_pos + 1:]:
                 slow = qm_search_oracle(distinct[i], distinct[j], ext16).equivalent
                 assert (class_of[i] == class_of[j]) == slow
+
+    def test_canonical_key_once_per_member(self, ext25, monkeypatch):
+        big = ext25.big
+        rnd = random.Random(59)
+        sources = [q1_example_poly(ext25)] + [rand_poly(big, rnd) for _ in range(3)]
+        catalog = [apply_qm(g, *rand_witness(big, rnd)) for g in sources for _ in range(4)]
+        expected = classify_catalog(catalog, ext25)
+        calls = []
+        key = SparsePolynomial.canonical_key
+        monkeypatch.setattr(SparsePolynomial, "canonical_key",
+                            lambda f: calls.append(f) or key(f))
+        assert classify_catalog(catalog, ext25) == expected
+        assert len(calls) == len(catalog)
 
     def test_cap_checked_for_any_catalog_size(self):
         from conftest import MOD_2_12
