@@ -17,8 +17,8 @@ the modulus root g = X, exp is built in bulk (_root_powers): for p = 2,
 2^floor(n/2) lanes packed in one int step x -> x*X together, one strided
 slice of exp per step; for odd p one lane word (_lane_total's format, that
 of verify's run tables) walks x -> x*X in a few integer operations, and each
-run of p^ceil(n/2) words becomes encodings by radix rounds.  log is one
-inverse pass over exp, and zech one pass over the encodings of 1 + g^k.
+run of p^ceil(n/2) words becomes encodings by radix rounds.  exp is walked
+once, for any generator, and log and zech are each one pass over it.
 That walk closing after m steps and reaching every nonzero element proves
 the root primitive, so a tabled root is tested no other way; any other
 generator steps by the table-free product.  Larger fields use table-free
@@ -85,6 +85,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN = 3317044064679887385961981
 
 _RHO_BATCH = 128  # rho steps per gcd
+_ZECH_RUN = 1 << 10  # zech entries per list in the table build: bounds its peak
 
 
 def is_prime(n: int) -> bool:
@@ -601,19 +602,16 @@ class FieldCtx(_Ring):
         closes after m steps and the inverse pass reaches every nonzero
         element, which also proves the modulus irreducible.  exp comes
         from _root_powers when g is the modulus root, else from the orbit;
-        zech holds the encodings of 1 + g^k until log exists."""
+        log is one inverse pass over exp, and zech[k] = log[1 + g^k] another,
+        _ZECH_RUN entries at a time so that no list of m ints exists."""
         m, p = self.order - 1, self.p
         typecode = "H" if self.order <= 1 << 16 else "i"  # every entry is <= m
         exp = array(typecode, [0]) * (m + 1)
-        zech = None if p == 2 else array(typecode, [0]) * (m + 1)
         if self.generator_is_root:
-            self._root_powers(exp, zech)
+            self._root_powers(exp)
         else:
             for k, x in zip(range(m + 1), self._orbit()):
                 exp[k] = x
-            if zech is not None:
-                for k, x in enumerate(exp):  # 1 + x only bumps digit 0 of x
-                    zech[k] = x + 1 - p if x % p == p - 1 else x + 1
         if exp[m] != 1:  # the orbit does not close after m steps
             return False
         exp[m] = 0
@@ -622,17 +620,18 @@ class FieldCtx(_Ring):
             log[x] = k
         if log.count(m) != 1:  # it misses a nonzero element
             return False
-        if zech is not None:
-            zech.pop()
-            for k, x in enumerate(zech):
-                zech[k] = log[x]
+        zech = None
+        if p != 2:
+            zech = array(typecode, [0]) * m
+            for k0 in range(0, m, _ZECH_RUN):  # 1 + x only bumps digit 0 of x
+                zech[k0:k0 + _ZECH_RUN] = array(typecode, [log[x + 1 - p if x % p == p - 1 else x + 1]
+                                                            for x in exp[k0:min(k0 + _ZECH_RUN, m)]])
         self._exp, self._log, self._zech = exp, log, zech
         return True
 
-    def _root_powers(self, exp, zech):
-        """exp[k] = g^k for k <= m and, for odd p, zech[k] = 1 + g^k, with g
-        the modulus root X: each a run of x -> x*X.  With L = p^ceil(n/2)
-        and W = p^floor(n/2), W*L = order.
+    def _root_powers(self, exp):
+        """exp[k] = g^k for k <= m, with g the modulus root X: a run of
+        x -> x*X.  With L = p^ceil(n/2) and W = p^floor(n/2), W*L = order.
 
         p = 2: W lanes of exp's item size, packed in one int, start at
         g^(jL) and step together: a shift that adds the low modulus bits
@@ -642,7 +641,7 @@ class FieldCtx(_Ring):
         Odd p: one lane word (the format of _lane_total) walks, a step
         shifting its digits up one, adding t*head (t the digit shifted out,
         looked up) and reducing lane-wise.  total makes encodings of each
-        run of L words, and of the run plus 1 in digit 0 of every word.
+        run of L words.
         """
         p, n, order = self.p, self.n, sys.byteorder
         L = p ** ((n + 1) // 2)
@@ -669,7 +668,6 @@ class FieldCtx(_Ring):
         k = bits // 8 // exp.itemsize
         first = 0 if order == "little" else k - 1
         total = _lane_total(p, n, L, bits)
-        ones = ((1 << bits * L) - 1) // ((1 << bits) - 1)  # 1 in digit 0 of every word
         shift = w * (n - 1)
         digits = (1 << shift) - 1  # every digit of a word but the top one
         # total's C and H for one word: 2^(w-1) - p and 2^(w-1) in every digit
@@ -681,11 +679,9 @@ class FieldCtx(_Ring):
                 lanes[i] = x
                 x = ((x & digits) << w) + heads[x >> shift]
                 x -= (((x + c) & h) >> w - 1) * p
-            packed = int.from_bytes(lanes, order)
-            for table, runs in ((exp, [packed]), (zech, [packed, ones])):
-                out = array(exp.typecode)
-                out.frombytes(total(runs, L).to_bytes(L * bits // 8, order))
-                table[k0:k0 + L] = out[first::k] if k > 1 else out
+            out = array(exp.typecode)
+            out.frombytes(total([int.from_bytes(lanes, order)], L).to_bytes(L * bits // 8, order))
+            exp[k0:k0 + L] = out[first::k] if k > 1 else out
 
     # -- the cyclic group GF(p^n)* ---------------------------------------------
 

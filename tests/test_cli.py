@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,9 @@ from conftest import get_ext
 
 NON_CUBE = "aux must be a nonzero non-cube in the subfield"
 BELOW_DEGREE = {3: ["q = 2 is less than deg R = 3"], 4: ["q = 2 is less than deg R = 4"]}
+ODD_FIELD = '{"p": 5, "modulus": [3, 1]}'  # GF(5), not a GF(q^2)
+ODD_DEGREE = "quadratic-extension descriptor needs even degree"
+X0 = '{"terms": [[1, {"pow": 0}]]}'
 
 
 def q1_entry(ext25):
@@ -313,6 +317,9 @@ class TestCommands:
         cat.write_text("5\n")
         assert main(["qm-classify", "--catalog", str(cat)]) == 2
         assert "MalformedOperand" in capsys.readouterr().err
+        cat.write_text(dumps_line({"field": json.loads(ODD_FIELD), "poly": x}))
+        assert main(["qm-classify", "--catalog", str(cat)]) == 2
+        assert ODD_DEGREE in capsys.readouterr().err
         for text, message in [("", "empty catalog"), ("\n  \n", "empty catalog"),
                               (dumps_line({"field": field, "poly": x}) + "\n"
                                + dumps_line({"field": ext_to_json(get_ext(3, 1)), "poly": x}),
@@ -392,6 +399,20 @@ class TestCommands:
         pytest.param(["field-info", "--field",
                       '{"p": 5, "modulus": [2, 4, 1], "generator": [0, 0]}'],
                      "ZeroInput", id="zero-generator"),
+        # rows from here on give the whole message
+        pytest.param(["field-info", "--field", '{"p": 5, "modulus": [2, 4, 1], "generator": [1]}'],
+                     "ZeroInput: supplied generator is not primitive", id="generator-not-primitive"),
+        pytest.param(["construct", "--field", ODD_FIELD, "--family", "Q1", "--grid"],
+                     f"ZeroInput: {ODD_DEGREE}", id="construct-odd-degree"),
+        pytest.param(["qm-test", "--field", ODD_FIELD, "--f", X0, "--g", X0],
+                     f"ZeroInput: {ODD_DEGREE}", id="qm-test-odd-degree"),
+        pytest.param(["construct", "--family", "Q1", "--grid"],
+                     "CirclepermError: need --field or both --p and --m", id="no-field"),
+        pytest.param(["verify", "--p", "5", "--m", "1", "--poly", '{"terms": [[-1, {"pow": 0}]]}'],
+                     "ValueError: negative exponent", id="negative-exponent"),
+        pytest.param(["construct", "--p", "5", "--m", "1", "--family", "Q1",
+                      "--beta", "[1,2,3]", "--delta", "g", "--delta-t", "g"],
+                     "ValueError: coordinate vector longer than extension degree", id="long-coords"),
     ])
     def test_malformed_operand_exits_2(self, argv, error, capsys):
         # exit 1 means "not a permutation", so a bad operand must not reach it
@@ -399,7 +420,8 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert rc == 2 and out == ""
         assert "Traceback" not in err
-        assert json.loads(err)["error"].startswith(f"{error}: ")
+        # a row names the error's type, or its whole message
+        assert re.match(rf"{re.escape(error)}(: |$)", json.loads(err)["error"])
 
     def test_qm_cap_defaults(self, capsys):
         # the cap is a constant: no subcommand takes --cap any more

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from circleperm import families, polynomials
+from circleperm.cli import parse_element
 from circleperm.errors import CapExceeded, InvalidParams
 from circleperm.families import (
     FAMILIES,
@@ -125,6 +126,24 @@ class TestValidation:
         b = ext16.big.generator
         params = ConstructionParams("B1", b**3, b**3, b, b**3, b)
         assert any("no aux" in s for s in validate_params("B1", params, ext16))
+
+    @pytest.mark.parametrize("family,p,m,operands,violations", [
+        pytest.param("Q1", 5, 1, ("-1", "2", "g", None), ["delta lies in the subfield"],
+                     id="delta-in-subfield"),
+        pytest.param("Q1", 5, 1, ("-1", "g", "2", None), ["delta_t lies in the subfield"],
+                     id="delta_t-in-subfield"),
+        pytest.param("Q3", 3, 1, ("2", "g", "g", "g"),
+                     ["delta_t lies in the excluded set for this delta", "aux is not in the subfield"],
+                     id="excluded-delta_t-and-aux-outside-subfield"),
+        pytest.param("P1", 2, 2, ("1", "g^3", "g^3", "0"), ["X^3 + X + aux has a root in the subfield"],
+                     id="cubic-root-in-subfield"),
+    ])
+    def test_each_violation_alone(self, family, p, m, operands, violations):
+        # beta, delta, delta_t and aux as construct reads and derives them
+        ext = get_ext(p, m)
+        beta, delta, delta_t, aux = (None if s is None else parse_element(s, ext) for s in operands)
+        params = ConstructionParams(family, beta, derive_beta_t(family, beta), delta, delta_t, aux)
+        assert validate_params(family, params, ext) == violations
 
 
 class TestCoefficientSystems:

@@ -100,7 +100,7 @@ class TestFieldCreate:
     def test_root_walk_fault_raises(self, monkeypatch):
         # the root's walk stands in for its primitivity test; a walk that
         # fails for a primitive root is a fault, never a fallback generator
-        def broken(self, exp, zech):
+        def broken(self, exp):
             exp[0] = 2  # g^0 = 1 and g^1 = 2 both sit at k = 0
 
         monkeypatch.setattr(fields_mod.FieldCtx, "_root_powers", broken)
