@@ -201,17 +201,24 @@ def cmd_qm_test(args) -> int:
 
 
 def cmd_qm_classify(args) -> int:
+    # a line's JSON is dropped once its polynomial is read: a grid line also
+    # carries params, h and a report
+    ext, polys = None, []
     with open(args.catalog, "r", encoding="utf-8") as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    if not lines:
+        for line in fh:
+            if not line.strip():
+                continue
+            e = json.loads(line)
+            if not isinstance(e, dict):
+                raise MalformedOperand("every catalog line must be a JSON object")
+            if ext is None:
+                desc = e["field"]
+                ext = _quad(*field_desc(desc))
+            elif e["field"] != desc:
+                raise CirclepermError("catalog mixes field descriptors")
+            polys.append(poly_from_json(e["poly"], ext.big))
+    if ext is None:
         raise CirclepermError("empty catalog")
-    if not all(isinstance(e, dict) for e in lines):
-        raise MalformedOperand("every catalog line must be a JSON object")
-    desc = lines[0]["field"]
-    if any(e["field"] != desc for e in lines):
-        raise CirclepermError("catalog mixes field descriptors")
-    ext = _quad(*field_desc(desc))
-    polys = [poly_from_json(e["poly"], ext.big) for e in lines]
     part = classify_catalog(polys, ext)
     _emit(
         sys.stdout,

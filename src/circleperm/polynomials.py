@@ -53,14 +53,15 @@ class SparsePolynomial:
 
     def sorted_terms(self):
         """[(exponent, coefficient)] by descending exponent."""
-        return sorted(self.terms.items(), key=lambda t: -t[0])
+        return sorted(self.terms.items(), reverse=True)  # exponents are distinct
 
     def coeff(self, e: int) -> FieldElement:
         return self.terms.get(e, self.ctx.zero())
 
     def canonical_key(self):
         """Total-order key: (degree, ((exp, enc) descending))."""
-        return (self.degree(), tuple((e, c.enc) for e, c in self.sorted_terms()))
+        pairs = sorted([(e, c.enc) for e, c in self.terms.items()], reverse=True)
+        return (pairs[0][0] if pairs else -1, tuple(pairs))
 
     def __eq__(self, other):
         if not isinstance(other, SparsePolynomial):

@@ -149,7 +149,7 @@ def _orbit_min(f: SparsePolynomial, big, plan: tuple) -> tuple:
     the least logs does."""
     m = big.order - 1
     supp, steps, s_end, ties, examined, skipped = plan
-    log = big.log_enc
+    log = big._log.__getitem__  # checked f: the field has tables
     logs = [log(c.enc) for c in f.terms.values()]
     e1 = supp[0]
     deltas = [e - e1 for e in supp]

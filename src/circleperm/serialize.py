@@ -72,6 +72,25 @@ def poly_to_json(f: SparsePolynomial, elem=element_to_json) -> dict:
 
 def poly_from_json(d: dict, ctx: FieldCtx) -> SparsePolynomial:
     terms = d.get("terms") if isinstance(d, dict) else None
+    exp = ctx._exp
+    if exp is not None and type(terms) is list:
+        # a tabled field's [exp >= 0, {"pow": k}] terms with distinct
+        # exponents, in one pass; any other line takes the checked route
+        m, clean = ctx.order - 1, {}
+        for t in terms:
+            if type(t) is not list or len(t) != 2:
+                break
+            e, c = t
+            if type(e) is not int or e < 0 or e in clean or type(c) is not dict:
+                break
+            k = c.get("pow")
+            if type(k) is not int:
+                break
+            clean[e] = FieldElement(ctx, exp[k % m])
+        else:
+            f = SparsePolynomial(ctx)
+            f.terms = clean
+            return f
     pairs = []
     for t in terms if isinstance(terms, list) else [None]:  # None fails the check
         if not (isinstance(t, list) and len(t) == 2 and _is_int(t[0])):

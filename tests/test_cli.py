@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import circleperm
 from circleperm import cli as cli_mod
 from circleperm import verify as verify_mod
 from circleperm.cli import build_parser, main, parse_element
-from circleperm.errors import InvariantViolation
+from circleperm.errors import InvariantViolation, MalformedOperand
 from circleperm.families import ConstructionParams, build_family
 from circleperm.fields import EXHAUSTIVE_CAP
 from circleperm.serialize import (
@@ -27,6 +28,7 @@ from circleperm.serialize import (
     poly_to_json,
 )
 from circleperm.polynomials import SparsePolynomial
+from circleperm.qm import apply_qm, classify_catalog
 from circleperm.verify import PermutationReport, verify_both
 from conftest import get_ext
 
@@ -80,6 +82,18 @@ def entry_from_json(d):
     }
 
 
+def poly_term_by_term(d, ctx):
+    """A polynomial line read one term at a time: the shape of each term,
+    then element_from_json, then SparsePolynomial's merge and checks."""
+    terms = d.get("terms") if isinstance(d, dict) else None
+    pairs = []
+    for t in terms if isinstance(terms, list) else [None]:
+        if not (isinstance(t, list) and len(t) == 2 and type(t[0]) is int):
+            raise MalformedOperand(f'polynomial must be {{"terms": [[exp, element], ...]}}, not {d!r}')
+        pairs.append((t[0], element_from_json(t[1], ctx)))
+    return SparsePolynomial(ctx, pairs)
+
+
 class TestSerialization:
     def test_element_forms(self, ext25):
         big = ext25.big
@@ -103,6 +117,46 @@ class TestSerialization:
         d = poly_to_json(f)
         assert [t[0] for t in d["terms"]] == [15, 3]
         assert poly_from_json(d, big) == f
+
+    @pytest.mark.parametrize("d", [
+        {"terms": [[3, {"coords": [1, 2]}], [1, {"coords": [0, 0]}], [0, {"coords": [1]}]]},
+        {"terms": [[3, {"pow": 0}], [5, {"pow": 1}], [3, {"pow": 0}]]},  # merges
+        # over GF(5^2) 1 + g^12 = 0, and X^3 comes back after X^5
+        {"terms": [[3, {"pow": 0}], [5, {"pow": 1}], [3, {"pow": 12}], [3, {"pow": 4}]]},
+        {"terms": [[3, {"pow": 2}], [3, {"coords": [0, 0]}]]},
+        {"terms": [[2, {"pow": 1}], [-1, {"pow": 0}]]},
+        {"terms": [[True, {"pow": 0}]]},
+        {"terms": [[2, {"pow": 1}], [1, {"pow": False}]]},
+        {"terms": [[2, {"pow": 7, "coords": [1, 1]}]]},
+        {"terms": [[4, {"pow": 24}], [3, {"pow": -1}], [2, {"pow": -25}],
+                   [1, {"pow": 10**30}], [0, {"pow": -10**30}]]},
+        {"terms": [[30, {"pow": 5}], [24, {"pow": 0}]]},  # exponents above m stay
+        {"terms": []},
+        {"terms": [5]},
+        {"terms": [[2, {"pow": 1}], [1]]},
+        {"terms": [[2, {"pow": 1}], [1, 2, 3]]},
+        {"terms": [[1.0, {"pow": 0}]]},
+        {"terms": [[1, {"pow": 1.0}]]},
+        {"terms": [[1, 5]]},
+        {"terms": [[1, {}]]},
+        {"terms": {"1": {"pow": 0}}},
+        {},
+        [[1, {"pow": 0}]],
+    ])
+    @pytest.mark.parametrize("field", [(5, 1), (2, 11)], ids=["GF(5^2)", "GF(2^22)"])
+    def test_poly_from_json_reads_term_by_term(self, d, field):
+        # the one-pass route on tabled fields against the term-by-term reader;
+        # GF(2^22) has no tables, so it is the term-by-term route itself
+        big = get_ext(*field).big
+        try:
+            want = poly_term_by_term(d, big)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as got:
+                poly_from_json(d, big)
+            assert str(got.value) == str(exc)
+        else:
+            got = poly_from_json(d, big)
+            assert got == want and list(got.terms) == list(want.terms)
 
     def test_params_round_trip(self, ext25):
         big = ext25.big
@@ -299,6 +353,48 @@ class TestCommands:
         covered = sorted(i for cls in part["classes"] for i in cls)
         assert covered == list(range(12))
         assert len(part["representatives"]) == len(part["classes"])
+
+    def test_qm_classify_mixed_catalog(self, tmp_path, capsys):
+        # pow and coords elements, a repeated exponent that merges, a pair that
+        # cancels, exponents above m, odd-degree lines and twisted members,
+        # shuffled: the command's partition is classify_catalog's on the same
+        # lines read term by term
+        ext = get_ext(3, 2)
+        big = ext.big
+        m = big.order - 1
+        rnd = random.Random(31)
+        bases = [SparsePolynomial(big, {3: big.one(), 1: big.generator})]
+        bases += [SparsePolynomial(big, [(e, big.gen_pow(rnd.randrange(m)))
+                                         for e in rnd.sample(range(m + 1), n)])
+                  for n in (2, 3, 3, 4)]
+        members = [apply_qm(f, big.gen_pow(rnd.randrange(m)), big.gen_pow(rnd.randrange(m)), d)
+                   for f in bases for d in (1, 7, 11, 13)]
+        catalog = []
+        for i, f in enumerate(members):
+            terms = poly_to_json(f)["terms"]
+            e, c = f.sorted_terms()[0]
+            a = big.gen_pow(rnd.randrange(m))
+            if i % 4 == 1:
+                terms = [[k, {"coords": list(x.coords())}] for k, x in f.sorted_terms()]
+            elif i % 4 == 2 and a != c:  # c = a + 0 + (c - a)
+                terms = ([[e, element_to_json(a)], [e, {"coords": [0, 0, 0, 0]}]] + terms[1:]
+                         + [[e, element_to_json(c - a)]])
+            elif i % 4 == 3:  # X^(e + m) for X^e, and g^5 - g^5 at X^(2m + 1)
+                terms = ([[e + m if e else e, terms[0][1]]] + terms[1:]
+                         + [[2 * m + 1, {"pow": 5}], [2 * m + 1, {"pow": 5 + m // 2}]])
+            catalog.append(terms)
+        rnd.shuffle(catalog)
+        assert any(max(e for e, _ in t) % 2 for t in catalog)
+        path = tmp_path / "cat.jsonl"
+        field = ext_to_json(ext)
+        path.write_text("".join(dumps_line({"field": field, "poly": {"terms": t}}) + "\n"
+                                for t in catalog))
+        assert main(["qm-classify", "--catalog", str(path)]) == 0
+        polys = [poly_term_by_term({"terms": t}, big) for t in catalog]
+        part = classify_catalog(polys, ext)
+        assert len(part.classes) == len(bases)
+        assert json.loads(capsys.readouterr().out) == {
+            "classes": part.classes, "representatives": part.representatives}
 
     def test_qm_classify_single_entry_errors(self, tmp_path, capsys):
         # no pair is compared in a one-entry catalog; the cap and the zero

@@ -532,3 +532,31 @@ class TestSupportPlan:
         monkeypatch.setattr(qm, "_support_plan", lambda exps, m: calls.append(exps) or plan(exps, m))
         part = classify_catalog(twists, ext25)
         assert len(calls) == 1 and part.classes == [list(range(50))]
+
+
+def canonical_key_oracle(f):
+    """The total-order key as first written: the degree, then the (exponent,
+    encoding) pairs in the order of a sort keyed on minus the exponent."""
+    pairs = sorted(f.terms.items(), key=lambda t: -t[0])
+    return (f.degree(), tuple((e, c.enc) for e, c in pairs))
+
+
+class TestTotalOrderKey:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), field=st.sampled_from(ORACLE_FIELDS))
+    def test_equals_the_keyed_sort(self, data, field):
+        ext = get_ext(*field)
+        f = data.draw(oracle_polys(ext))
+        m = ext.big.order - 1
+        # unreduced exponents too: the key orders any polynomial
+        g = SparsePolynomial(ext.big, [(e + data.draw(st.integers(0, 2)) * m, c)
+                                       for e, c in f.terms.items()])
+        for h in (f, g):
+            assert h.canonical_key() == canonical_key_oracle(h)
+            assert h.sorted_terms() == sorted(h.terms.items(), key=lambda t: -t[0])
+
+    def test_zero_and_monomial(self, ext25):
+        big = ext25.big
+        zero, mono = SparsePolynomial(big), SparsePolynomial(big, {7: big.gen_pow(5)})
+        assert zero.canonical_key() == canonical_key_oracle(zero) == (-1, ())
+        assert mono.canonical_key() == canonical_key_oracle(mono) == (7, ((7, big.gen_pow(5).enc),))
