@@ -1,4 +1,4 @@
-"""Coefficient systems and builders for the polynomial families.
+"""Coefficient formula and builders for the polynomial families.
 
 Every family is a polynomial X^r * h(X^(q-1)) over GF(q^2) whose h comes
 from conjugating a base map R = sum c_i X^i of degree d, a permutation of
@@ -9,7 +9,8 @@ _BASE_MAPS, which also holds the conditions under which R permutes:
 
     cubic              X^3                      q = 2 mod 3
     cubic_shift        X^3 - alpha*X            q = 0 mod 3, alpha zero or a non-square
-    quartic_trinomial  X^4 + X^2 + alpha*X      q even, X^3 + X + alpha irreducible
+    quartic_trinomial  X^4 + X^2 + alpha*X      q even, X^3 + X + alpha irreducible,
+                                                delta + delta^q + alpha != 0
     quartic_binomial   X^4 + a*X                q even, a a nonzero non-cube
     quartic            X^4                      q even (B1, B2)
 
@@ -17,8 +18,9 @@ One formula serves every row.  Put X = beta*Y, let Q_k be the Y^k
 coefficient of (Y - 1)^d * R((delta*Y - delta^q)/(Y - 1)) and
 b_k = C(d,k) * (-1)^(d-k).  Then nu(R(rho(X))) = sum N_k X^k / sum D_k X^k with
 D_k = beta^(d-k) * (Q_k - delta_t*b_k), N_k = beta_t * beta^(d-k) * (Q_k -
-delta_t^q*b_k) and beta_t = -beta^(-d).  The exclusion sets and the h_i read
-off Q, b and D; build_family expands the chosen h_i with its exponent r.
+delta_t^q*b_k) and beta_t = (-1)^d * beta^(-d).  The exclusion sets and the
+h_i read off Q, b and D.  A family adds to its row a shift s of h, h_s(z) *
+z^s = h(z) on the unit circle, and the lift r_q of r = d - 2s mod q + 1.
 """
 
 from __future__ import annotations
@@ -44,11 +46,13 @@ _CONGRUENCES = {"2mod3": (3, 2, "2 mod 3"), "0mod3": (3, 0, "0 mod 3"), "even": 
 
 
 # A base map row: R as terms (i, n, e) that stand for n * aux^e * X^i, highest
-# degree first; the index of the unshifted h; the congruence R needs; and its
-# aux rule (the violation, and ext -> the valid aux of GF(q) in subfield scan
-# order), None when R has no aux coefficient.
-BaseMap = namedtuple("BaseMap", "terms first_h congruence aux")
+# degree first; the index of the unshifted h; the congruence R needs; its aux
+# rule (the violation, and ext -> the valid aux of GF(q) in subfield scan
+# order); and its delta rule (the violation, and (delta, aux, ext) -> delta
+# allowed).  A row without such a rule has None.
+BaseMap = namedtuple("BaseMap", "terms first_h congruence aux delta", defaults=(None,))
 AuxRule = namedtuple("AuxRule", "violation members")
+DeltaRule = namedtuple("DeltaRule", "violation ok")
 
 
 _BASE_MAPS = {
@@ -59,7 +63,8 @@ _BASE_MAPS = {
                      if not s.enc or not ext.is_power_sub(s, 2)])),
     KIND_QUARTIC_TRI: BaseMap(((4, 1, 0), (2, 1, 0), (1, 1, 1)), 1, "even", AuxRule(
         "X^3 + X + aux has a root in the subfield",
-        lambda ext: irreducible_cubic_alphas(ext.subfield_members()))),
+        lambda ext: irreducible_cubic_alphas(ext.subfield_members())),
+        DeltaRule("delta + delta^q + aux = 0", lambda d, a, ext: (d + d**ext.q + a).enc != 0)),
     KIND_QUARTIC_BIN: BaseMap(((4, 1, 0), (1, 1, 1)), 1, "even", AuxRule(
         "aux must be a nonzero non-cube in the subfield",
         lambda ext: [s for s in ext.subfield_members() if s.enc and not ext.is_power_sub(s, 3)])),
@@ -69,13 +74,12 @@ _BASE_MAPS = {
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Static data for one family: base map, h index and exponent."""
+    """Static data for one family: base map, h index and the lift of r."""
 
     family: str
     kind: str  # key of _BASE_MAPS
     h_index: int  # 0 = plain h (cubic kinds), 1..5 for the shifted variants
-    r_q: int  # r = r_q * q + r_c
-    r_c: int
+    r_q: int  # r = r_q * (q + 1) + d - 2s, s = h_index - first_h
     advertised_terms: int
 
     @property
@@ -87,7 +91,8 @@ class FamilySpec:
         return _BASE_MAPS[self.kind].aux
 
     def r(self, q: int) -> int:
-        return self.r_q * q + self.r_c
+        s = self.h_index - _BASE_MAPS[self.kind].first_h
+        return self.r_q * (q + 1) + _degree(self.kind) - 2 * s
 
     def admits(self, q: int) -> bool:
         """q meets the base map's congruence condition."""
@@ -98,22 +103,22 @@ class FamilySpec:
 FAMILIES: dict[str, FamilySpec] = {
     s.family: s
     for s in [
-        FamilySpec("Q1", KIND_CUBIC, 0, 0, 3, 4),
-        FamilySpec("Q2a", KIND_CUBIC, 1, 0, 1, 4),
-        FamilySpec("Q2b", KIND_CUBIC, 2, 1, 0, 4),
-        FamilySpec("Q2c", KIND_CUBIC, 3, 1, -2, 4),
-        FamilySpec("Q3", KIND_CUBIC_SHIFT, 0, 0, 3, 4),
-        FamilySpec("Q4a", KIND_CUBIC_SHIFT, 1, 0, 1, 4),
-        FamilySpec("Q4b", KIND_CUBIC_SHIFT, 2, 1, 0, 4),
-        FamilySpec("Q4c", KIND_CUBIC_SHIFT, 3, 3, 0, 4),
-        FamilySpec("P1", KIND_QUARTIC_TRI, 1, 0, 4, 5),
-        FamilySpec("P2", KIND_QUARTIC_TRI, 2, 0, 2, 5),
-        FamilySpec("P3", KIND_QUARTIC_TRI, 5, 1, -3, 5),
-        FamilySpec("P4", KIND_QUARTIC_BIN, 1, 0, 4, 5),
-        FamilySpec("P5", KIND_QUARTIC_BIN, 2, 0, 2, 5),
-        FamilySpec("P6", KIND_QUARTIC_BIN, 5, 1, -3, 5),
-        FamilySpec("B1", KIND_QUARTIC, 2, 0, 2, 2),
-        FamilySpec("B2", KIND_QUARTIC, 5, 1, -3, 2),
+        FamilySpec("Q1", KIND_CUBIC, 0, 0, 4),
+        FamilySpec("Q2a", KIND_CUBIC, 1, 0, 4),
+        FamilySpec("Q2b", KIND_CUBIC, 2, 1, 4),
+        FamilySpec("Q2c", KIND_CUBIC, 3, 1, 4),
+        FamilySpec("Q3", KIND_CUBIC_SHIFT, 0, 0, 4),
+        FamilySpec("Q4a", KIND_CUBIC_SHIFT, 1, 0, 4),
+        FamilySpec("Q4b", KIND_CUBIC_SHIFT, 2, 1, 4),
+        FamilySpec("Q4c", KIND_CUBIC_SHIFT, 3, 3, 4),
+        FamilySpec("P1", KIND_QUARTIC_TRI, 1, 0, 5),
+        FamilySpec("P2", KIND_QUARTIC_TRI, 2, 0, 5),
+        FamilySpec("P3", KIND_QUARTIC_TRI, 5, 1, 5),
+        FamilySpec("P4", KIND_QUARTIC_BIN, 1, 0, 5),
+        FamilySpec("P5", KIND_QUARTIC_BIN, 2, 0, 5),
+        FamilySpec("P6", KIND_QUARTIC_BIN, 5, 1, 5),
+        FamilySpec("B1", KIND_QUARTIC, 2, 0, 2),
+        FamilySpec("B2", KIND_QUARTIC, 5, 1, 2),
     ]
 }
 
@@ -128,22 +133,14 @@ class ConstructionParams:
     aux: FieldElement | None = None
 
 
-@dataclass
-class CoefficientSystem:
-    """Denominator coefficients D = (D_0..D_d) of the conjugated base map:
-    h and every h_i are D on shifted exponents (build_h)."""
-
-    kind: str
-    D: tuple
-
-
 def _degree(kind: str) -> int:
     return _BASE_MAPS[kind].terms[0][0]  # terms run highest degree first
 
 
 def derive_beta_t(family: str, beta: FieldElement) -> FieldElement:
-    """The beta_t forced by the family: -beta^(-d), d = deg R; zero for beta = 0."""
-    return beta if beta.enc == 0 else -(beta ** -_degree(FAMILIES[family].kind))
+    """The beta_t forced by the family, (-1)^d * beta^(-d); zero for beta = 0."""
+    d = _degree(FAMILIES[family].kind)
+    return beta if beta.enc == 0 else (-1) ** d * beta**-d
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +149,7 @@ def derive_beta_t(family: str, beta: FieldElement) -> FieldElement:
 
 def validate_params(family: str, params: ConstructionParams, ext: QuadExtension):
     """Check the family's constraint system; violations returned as strings."""
-    return _check(FAMILIES[family], params, ext)[0]
+    return _check(family, params, ext)[0]
 
 
 def field_violations(family: str, ext: QuadExtension) -> list[str]:
@@ -175,8 +172,12 @@ def _q_violations(spec: FamilySpec, q: int) -> list[str]:
     return v
 
 
-def _check(spec: FamilySpec, params: ConstructionParams, ext: QuadExtension):
-    """(violations, Q_0..Q_d encodings at the tuple's delta and aux)."""
+def _check(family: str, params: ConstructionParams, ext: QuadExtension):
+    """(violations, Q_0..Q_d encodings at the tuple's delta and aux); a tuple
+    of another family has that one violation and no Q."""
+    if params.family != family:
+        return [f"the tuple is of family {params.family}, not {family}"], None
+    spec = FAMILIES[family]
     base = _BASE_MAPS[spec.kind]
     v = _q_violations(spec, ext.q)
     beta, beta_t = params.beta, params.beta_t
@@ -189,9 +190,9 @@ def _check(spec: FamilySpec, params: ConstructionParams, ext: QuadExtension):
         v.append("delta lies in the subfield")
     if ext.in_subfield(delta_t):
         v.append("delta_t lies in the subfield")
-    d = _degree(spec.kind)
-    if (ext.big.one() + beta_t * beta**d).enc != 0:
-        v.append(f"beta relation 1 + beta_t*beta^{d} = 0 fails")
+    d, sign = _degree(spec.kind), derive_beta_t(family, ext.big.one())  # (-1)^d
+    if (1 - sign * beta_t * beta**d).enc != 0:
+        v.append(f"beta relation 1 {'+' if sign == -1 else '-'} beta_t*beta^{d} = 0 fails")
     aux = params.aux
     if base.aux is None:
         if aux is not None and aux.enc != 0:
@@ -199,11 +200,11 @@ def _check(spec: FamilySpec, params: ConstructionParams, ext: QuadExtension):
         aux = None
     elif aux is None:
         v.append("family requires an aux element")
-    qs, excluded, delta_ok = _delta_rules(spec.kind, delta, aux, ext)
+    qs, excluded, delta_bad = _delta_rules(spec.kind, delta, aux, ext)
     if delta_t.enc in excluded:
         v.append("delta_t lies in the excluded set for this delta")
-    if not delta_ok:
-        v.append("delta + delta^q + aux = 0")
+    if delta_bad:
+        v.append(delta_bad)
     if aux is not None:
         if not ext.in_subfield(aux):
             v.append("aux is not in the subfield")
@@ -213,17 +214,17 @@ def _check(spec: FamilySpec, params: ConstructionParams, ext: QuadExtension):
 
 
 def _delta_rules(kind: str, delta: FieldElement, aux: FieldElement | None, ext: QuadExtension):
-    """(Q encodings, excluded delta_t encodings, delta ok) at this delta and aux:
-    D_k vanishes at delta_t = Q_k/b_k for b_k nonzero mod p, and the trinomial
-    needs delta + delta^q + aux != 0 (aux None reads as zero)."""
+    """(Q encodings, excluded delta_t encodings, the row's delta violation or
+    None) at this delta and aux: D_k vanishes at delta_t = Q_k/b_k for b_k
+    nonzero mod p (aux None reads as zero)."""
     big = ext.big
     p = big.p
     _, b, _, _ = _plan(kind, p, ext.q)
     qs = _q_encs(kind, delta, aux, ext)
     excluded = {big.mul_enc(qk, pow(bk, -1, p)) for qk, bk in zip(qs, b) if bk}
-    a = aux if aux is not None else big.zero()
-    delta_ok = kind != KIND_QUARTIC_TRI or (delta + delta**ext.q + a).enc != 0
-    return qs, excluded, delta_ok
+    rule = _BASE_MAPS[kind].delta
+    bad = rule is not None and not rule.ok(delta, aux if aux is not None else big.zero(), ext)
+    return qs, excluded, rule.violation if bad else None
 
 
 _AUX_SETS = weakref.WeakKeyDictionary()  # ext -> {aux rule: {enc: valid aux}}
@@ -244,7 +245,7 @@ def aux_candidates(family: str, ext: QuadExtension):
 
 
 # ---------------------------------------------------------------------------
-# coefficient systems
+# the coefficient formula
 
 
 @functools.lru_cache(maxsize=None)
@@ -291,49 +292,48 @@ def _q_encs(kind: str, delta: FieldElement, aux: FieldElement | None, ext: QuadE
     return out
 
 
-def coeffs(params: ConstructionParams, ext: QuadExtension) -> CoefficientSystem:
-    """Validated D_k = beta^(d-k) * (Q_k - delta_t*b_k) for params.family."""
-    return _system(params, _valid_q_encs(params, ext), ext)
+def coeffs(params: ConstructionParams, ext: QuadExtension) -> tuple:
+    """Validated D_0..D_d, D_k = beta^(d-k) * (Q_k - delta_t*b_k), for params.family."""
+    return _system(params, _valid_q_encs(params.family, params, ext), ext)
 
 
-def _valid_q_encs(params: ConstructionParams, ext: QuadExtension) -> list[int]:
-    """Q_0..Q_d encodings of a tuple that meets its family's rules, else InvalidParams."""
-    violations, qs = _check(FAMILIES[params.family], params, ext)
+def _valid_q_encs(family: str, params: ConstructionParams, ext: QuadExtension) -> list[int]:
+    """Q_0..Q_d encodings of a tuple of family that meets its rules, else InvalidParams."""
+    violations, qs = _check(family, params, ext)
     if violations:
         raise InvalidParams(violations)
     return qs
 
 
-def _system(params: ConstructionParams, qs: list[int], ext: QuadExtension) -> CoefficientSystem:
+def _system(params: ConstructionParams, qs: list[int], ext: QuadExtension) -> tuple:
     """D_k = beta^(d-k) * (Q_k - delta_t*b_k) from the tuple's Q_k encodings."""
-    kind = FAMILIES[params.family].kind
     big = ext.big
     mul = big.mul_enc
-    d, b, _, _ = _plan(kind, big.p, ext.q)
+    d, b, _, _ = _plan(FAMILIES[params.family].kind, big.p, ext.q)
     beta, delta_t = params.beta.enc, params.delta_t.enc
-    return CoefficientSystem(kind, tuple(
+    return tuple(
         FieldElement(big, mul(big.pow_enc(beta, d - k), big.sub_enc(qk, mul(bk, delta_t))))
         for k, (qk, bk) in enumerate(zip(qs, b))
-    ))
+    )
 
 
 # ---------------------------------------------------------------------------
 # h polynomials and expansion
 
 
-def build_h(system: CoefficientSystem, index: int, ext: QuadExtension) -> SparsePolynomial:
-    """The index-th circle polynomial of the system.
+def build_h(kind: str, D: tuple, index: int, ext: QuadExtension) -> SparsePolynomial:
+    """The index-th circle polynomial of the kind's coefficients D.
 
     It is h shifted by s = index - (index of the unshifted h): D_k X^k
     becomes X^(k-s) for k >= s and X^((s-k)q) otherwise, so that
     h_index(z) * z^s = h(z) on the unit circle.
     """
-    s = index - _BASE_MAPS[system.kind].first_h
-    if not 0 <= s < len(system.D):
-        raise ValueError(f"kind {system.kind} has no h_{index}")
+    s = index - _BASE_MAPS[kind].first_h
+    if not 0 <= s < len(D):
+        raise ValueError(f"kind {kind} has no h_{index}")
     q = ext.q
     return SparsePolynomial(
-        ext.big, [(k - s if k >= s else (s - k) * q, c) for k, c in enumerate(system.D)]
+        ext.big, [(k - s if k >= s else (s - k) * q, c) for k, c in enumerate(D)]
     )
 
 
@@ -354,33 +354,34 @@ class BuiltFamily:
 
 def build_family(family: str, params: ConstructionParams, ext: QuadExtension
                  ) -> BuiltFamily:
-    """Expand X^r * h(X^(q-1)) for the family; raises InvalidParams."""
-    return _build(family, params, _valid_q_encs(params, ext), ext)
+    """Expand X^r * h(X^(q-1)) for a tuple of the family; raises InvalidParams."""
+    return _build(params, _valid_q_encs(family, params, ext), ext)
 
 
 def build_grid(family: str, grid, ext: QuadExtension):
     """The BuiltFamily of each tuple of grid, tuples of param_grid(family,
     ext, ...) in its order.  param_grid yields only tuples that meet every
-    rule, so none is checked again, and Q_k is computed once for each run
-    of tuples that share delta and aux."""
-    kind, key = FAMILIES[family].kind, None
+    rule, so none is checked again but for its family (InvalidParams), and
+    Q_k is computed once for each run of tuples that share delta and aux."""
+    key = None
     for params in grid:
+        if params.family != family:  # the one violation validate_params finds
+            raise InvalidParams(validate_params(family, params, ext))
         if (params.delta, params.aux) != key:
             key = params.delta, params.aux
-            qs = _q_encs(kind, *key, ext)
-        yield _build(family, params, qs, ext)
+            qs = _q_encs(FAMILIES[params.family].kind, *key, ext)
+        yield _build(params, qs, ext)
 
 
-def _build(family: str, params: ConstructionParams, qs: list[int], ext: QuadExtension
-           ) -> BuiltFamily:
-    """The family's polynomial from a valid tuple and its Q_k encodings."""
-    spec = FAMILIES[family]
-    h = build_h(_system(params, qs, ext), spec.h_index, ext)
+def _build(params: ConstructionParams, qs: list[int], ext: QuadExtension) -> BuiltFamily:
+    """The polynomial of a valid tuple's family from its Q_k encodings."""
+    spec = FAMILIES[params.family]
+    h = build_h(spec.kind, _system(params, qs, ext), spec.h_index, ext)
     r = spec.r(ext.q)
     poly = expand_decomposition(r, h, ext)
     if len(poly.terms) != len(h.terms):
         raise InvariantViolation("exponent collision while expanding a family")
-    return BuiltFamily(family, params, r, h, poly)
+    return BuiltFamily(params.family, params, r, h, poly)
 
 
 def expand_decomposition(r: int, h: SparsePolynomial, ext: QuadExtension
@@ -435,8 +436,8 @@ def param_grid(family: str, ext: QuadExtension, limits: GridLimits | None = None
         beta_t = derive_beta_t(family, beta)
         for aux in aux_candidates(family, ext):
             for delta in nonsub(limits.delta_stride):
-                _, excl, delta_ok = _delta_rules(spec.kind, delta, aux, ext)
-                if not delta_ok:
+                _, excl, delta_bad = _delta_rules(spec.kind, delta, aux, ext)
+                if delta_bad:
                     continue
                 for delta_t in nonsub(limits.delta_t_stride):
                     if delta_t.enc in excl:

@@ -77,20 +77,17 @@ def _gather(table, m: int, lc: int, e: int, k0: int, n: int) -> array:
     of m in its length).  With e*R = d (mod m), the k in one class mod R
     read table in steps of d: one slice per class and one more per wrap
     past span, about R + |d|*n/span slices.  The best R lies on the
-    extended Euclid rows of (m, e) (best approximation); d = 0 makes the
-    run periodic in R.  A run needing more than one slice per 8 points is
-    read point by point, and one that ends below span without a wrap is
-    one slice, without _stride.  exp[m], zero's entry, is never read.
+    extended Euclid rows of (m, e) (best approximation).  A run with d = 0
+    (a period R, rare) or needing more than one slice per 8 points is read
+    point by point, and one that ends below span without a wrap is one
+    slice, without _stride.  exp[m], zero's entry, is never read.
     """
     span = len(table) - len(table) % m
     s = (lc + e * k0) % m
     if s + e * (n - 1) < span:  # one forward slice without a wrap, or a constant
         return table[s:s + e * (n - 1) + 1:e] if e else table[s:s + 1] * n
     R, d = _stride(e, m, span, n)
-    if d == 0:
-        period = array(table.typecode, [table[(s + e * b) % m] for b in range(R)])
-        return (period * -(-n // R))[:n]
-    if 8 * (R + abs(d) * n // span) > n:
+    if d == 0 or 8 * (R + abs(d) * n // span) > n:
         return array(table.typecode, [table[i % m] for i in range(s, s + e * n, e)])
     top = span - m if d < 0 else 0  # a class stepping down starts in the last copy
     out = array(table.typecode, [0]) * n

@@ -9,7 +9,7 @@ function of degree one.
 
 from collections import namedtuple
 
-from circleperm.families import _BASE_MAPS, _plan, _q_encs, build_h, coeffs
+from circleperm.families import _BASE_MAPS, FAMILIES, _plan, _q_encs, build_h, coeffs
 from circleperm.fields import FieldElement
 from circleperm.polynomials import SparsePolynomial
 
@@ -123,22 +123,23 @@ def conjugate(kind, params, ext):
 def closed_form(params, ext):
     """N/D from the package's formula: D from coeffs, and the numerator
     N_k = beta_t * beta^(d-k) * (Q_k - delta_t^q*b_k)."""
-    system = coeffs(params, ext)
+    kind = FAMILIES[params.family].kind
     big = ext.big
-    d, b, _, _ = _plan(system.kind, big.p, ext.q)
-    qs = _q_encs(system.kind, params.delta, params.aux, ext)
+    d, b, _, _ = _plan(kind, big.p, ext.q)
+    qs = _q_encs(kind, params.delta, params.aux, ext)
     dtq = params.delta_t**ext.q
     num = SparsePolynomial(big, [
         (k, params.beta_t * params.beta ** (d - k) * (FieldElement(big, qk) - bk * dtq))
         for k, (qk, bk) in enumerate(zip(qs, b))
     ])
-    return Rational(num, SparsePolynomial(big, list(enumerate(system.D))))
+    return Rational(num, SparsePolynomial(big, list(enumerate(coeffs(params, ext)))))
 
 
-def h_variants(system, ext):
-    """All circle polynomials of the system: [h, h1..h3] or [h1..h5]."""
-    first = _BASE_MAPS[system.kind].first_h
-    return [build_h(system, i, ext) for i in range(first, first + len(system.D))]
+def h_variants(params, ext):
+    """All circle polynomials of the tuple's base map: [h, h1..h3] or [h1..h5]."""
+    kind, D = FAMILIES[params.family].kind, coeffs(params, ext)
+    first = _BASE_MAPS[kind].first_h
+    return [build_h(kind, D, i, ext) for i in range(first, first + len(D))]
 
 
 def alphas_from_noncubes(ctx):

@@ -21,7 +21,6 @@ from circleperm.families import (
     FAMILIES,
     GridLimits,
     build_family,
-    coeffs,
     expand_decomposition,
     param_grid,
 )
@@ -194,7 +193,7 @@ def test_criterion_4_root_absence_and_shifts():
         for i, params in enumerate(grid):
             if q not in (3, 4, 5) and i % 4:
                 continue  # thin the large-field subsample further
-            hs = h_variants(coeffs(params, ext), ext)
+            hs = h_variants(params, ext)
             base_vals = [hs[0].eval(z) for z in mu]
             assert all(v.enc for v in base_vals), (family, q, params)
             for shift, h_i in enumerate(hs[1:], start=1):

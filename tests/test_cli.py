@@ -580,6 +580,14 @@ class TestCommands:
         assert loads == [str(field), str(poly), str(odd), str(poly)]
 
 
+def test_readme_library_example_runs(capsys):
+    # the Python example of README.md, run as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("QmResult(equivalent=True")
+
+
 def test_package_needs_only_the_standard_library():
     # no runtime dependencies: under -S (no site-packages) and -I (no
     # PYTHONPATH, no script directory), with only src added to sys.path,

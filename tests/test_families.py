@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -151,8 +152,7 @@ class TestCoefficientSystems:
         big = ext25.big
         g = big.generator
         params = ConstructionParams("Q1", -big.one(), big.one(), g, g, None)
-        sys = coeffs(params, ext25)
-        d0, d1, d2, d3 = sys.D
+        d0, d1, d2, d3 = coeffs(params, ext25)
         assert d3 == 3 * (g + big.one())
         assert d2 == 3 * g
         assert d1 == g + big.one()
@@ -164,14 +164,14 @@ class TestCoefficientSystems:
         b = ext16.big.generator
         a = b**2 + b
         params = ConstructionParams("P4", b**3, b**3, b, b, a)
-        sys = coeffs(params, ext16)
+        D = coeffs(params, ext16)
 
         def r_map(x):
             return x**4 + a * x
 
         dq = params.delta**ext16.q
-        assert sys.D[4] == r_map(params.delta) + params.delta_t
-        assert sys.D[0] == params.beta**4 * (r_map(dq) + params.delta_t)
+        assert D[4] == r_map(params.delta) + params.delta_t
+        assert D[0] == params.beta**4 * (r_map(dq) + params.delta_t)
 
     @staticmethod
     def _assert_q(kind, ext, auxes):
@@ -294,6 +294,17 @@ class TestBuildFamily:
             assert len(calls) == 1
         assert n == 20
 
+    def test_tuple_of_another_family_raises(self):
+        # the family is read from the tuple: a Q1 tuple is not built as P1
+        # (q = 8 admits both), and validate_params names the mismatch
+        ext = get_ext(2, 3)
+        params = next(param_grid("Q1", ext))
+        with pytest.raises(InvalidParams) as exc:
+            build_family("P1", params, ext)
+        assert exc.value.violations == ["the tuple is of family Q1, not P1"]
+        assert validate_params("P1", params, ext) == exc.value.violations
+        assert build_family("Q1", params, ext).family == "Q1"
+
     def test_zero_aux_collapse_is_tagged(self, ext9):
         big = ext9.big
         g = big.generator
@@ -325,6 +336,11 @@ class TestGridBuild:
             total += len(tuples)
         assert total == 64_907
 
+    def test_grid_of_another_family_raises(self):
+        ext = get_ext(2, 3)
+        with pytest.raises(InvalidParams):
+            next(build_grid("P1", param_grid("Q1", ext), ext))
+
     def test_grid_below_the_degree_is_empty(self):
         # q = 2 is below every degree, a rule of the field that param_grid
         # does not check per tuple: the twelve rows that admit q = 2 still
@@ -349,7 +365,7 @@ class TestStructuralIdentities:
     def test_h_shift_identities_on_circle(self, family, extspec):
         ext = _ext_for(extspec)
         for params in self._grid(family, ext):
-            hs = h_variants(coeffs(params, ext), ext)
+            hs = h_variants(params, ext)
             for z in ext.circle_members():
                 base_val = hs[0].eval(z)
                 for i, h_i in enumerate(hs[1:], start=1):
@@ -368,6 +384,54 @@ class TestStructuralIdentities:
                 r = spec.r(q)
                 assert math.gcd(r, q - 1) == 1
                 assert r % (q + 1) == (base_r - 2 * shift) % (q + 1)
+
+
+class TestDerivedFacts:
+    # r_q * q + r_c, the table each family stored before r was derived
+    OLD_R = {"Q1": (0, 3), "Q2a": (0, 1), "Q2b": (1, 0), "Q2c": (1, -2),
+             "Q3": (0, 3), "Q4a": (0, 1), "Q4b": (1, 0), "Q4c": (3, 0),
+             "P1": (0, 4), "P2": (0, 2), "P3": (1, -3), "P4": (0, 4),
+             "P5": (0, 2), "P6": (1, -3), "B1": (0, 2), "B2": (1, -3)}
+
+    def test_r_matches_the_old_table(self):
+        def prime_power(q):
+            p = next(d for d in range(2, q + 1) if q % d == 0)
+            while q % p == 0:
+                q //= p
+            return q == 1
+
+        assert set(self.OLD_R) == set(FAMILIES)
+        checked = 0
+        for q in filter(prime_power, range(2, 1025)):
+            for family, spec in FAMILIES.items():
+                if spec.admits(q):
+                    r_q, r_c = self.OLD_R[family]
+                    assert spec.r(q) == r_q * q + r_c, (family, q)
+                    checked += 1
+        assert checked == 480
+
+    def test_even_degree_at_odd_p_forces_plus(self, ext25, monkeypatch):
+        # beta_t = (-1)^d * beta^(-d): an X^4 row admitted at q = 5 forces
+        # +beta^(-4), and with it z^r * h(z)^(q-1) = nu(R(rho(z))) on the
+        # circle wherever h(z) != 0; -beta^(-4) breaks the relation
+        row = families.BaseMap(((4, 1, 0),), 1, "2mod3", None)
+        monkeypatch.setitem(families._BASE_MAPS, KIND_QUARTIC, row)
+        q, n = ext25.q, 0
+        for params in param_grid("B1", ext25, GridLimits(delta_stride=3, delta_t_stride=5)):
+            beta = params.beta
+            assert params.beta_t == derive_beta_t("B1", beta) == beta**-4
+            assert validate_params("B1", params, ext25) == []
+            built = build_family("B1", params, ext25)
+            conj = conjugate(KIND_QUARTIC, params, ext25)
+            for z in ext25.circle_members():
+                hz = built.h.eval(z)
+                if hz.enc:
+                    assert z**built.r * hz ** (q - 1) == conj(z), (params, z)
+            wrong = replace(params, beta_t=-params.beta_t)
+            assert validate_params("B1", wrong, ext25) == [
+                "beta relation 1 - beta_t*beta^4 = 0 fails"]
+            n += 1
+        assert n > 50
 
 
 class TestParamGrid:

@@ -746,8 +746,7 @@ class TestCircleMapIdentity:
         # z^3 h(z)^(q-1) = (D0^q z^3 + D1^q z^2 + D2^q z + D3^q) / h(z) on the circle
         q = ext25.q
         for params in param_grid("Q1", ext25, GridLimits(max_count=200)):
-            sys = coeffs(params, ext25)
-            d0, d1, d2, d3 = sys.D
+            d0, d1, d2, d3 = coeffs(params, ext25)
             for z in ext25.circle_members():
                 h_val = d3 * z**3 + d2 * z**2 + d1 * z + d0
                 lhs = z**3 * h_val ** (q - 1)
