@@ -10,8 +10,9 @@ being a proof (p itself, or a prime factor of p^n - 1), 4 internal error
 
 Field elements on the command line: "g^k" (generator power), plain integers
 (prime-subfield embedding, negatives allowed), or coordinate vectors
-"[c0,c1,...]".  JSON operands are inline when they start with '{', else
-treated as file paths.
+"[c0,c1,...]", read by serialize.parse_element; repro states its worked
+examples in the same syntax.  JSON operands are inline when they start with
+'{', else treated as file paths.
 """
 
 from __future__ import annotations
@@ -31,15 +32,13 @@ from .errors import (
 )
 from .families import (
     FAMILIES,
-    ConstructionParams,
     GridLimits,
     build_family,
     build_grid,
-    derive_beta_t,
     field_violations,
     param_grid,
 )
-from .fields import FieldElement, QuadExtension, check_cap, field_create, quad_extension
+from .fields import QuadExtension, check_cap, field_create, quad_extension
 from .qm import classify_catalog, qm_equivalent
 from .serialize import (
     CSV_HEADER,
@@ -51,28 +50,11 @@ from .serialize import (
     ext_to_json,
     field_desc,
     int_list,
+    params_from_text,
     poly_from_json,
     report_to_json,
 )
 from .verify import decompose, is_permutation_exhaustive, verify_both
-
-
-def parse_element(text: str, ext: QuadExtension) -> FieldElement:
-    big = ext.big
-    s = text.strip()
-    neg = False
-    if s.startswith("-g"):
-        s = s[1:]
-        neg = True
-    if s == "g":
-        out = big.generator
-    elif s.startswith("g^"):
-        out = big.gen_pow(int(s[2:]))
-    elif s.startswith("["):
-        out = big.element(int_list(json.loads(s), "element coords"))
-    else:
-        out = big.from_int(int(s))
-    return -out if neg else out
 
 
 def _load_json_operand(text: str) -> dict:
@@ -133,15 +115,7 @@ def cmd_construct(args) -> int:
     else:
         if not (args.beta and args.delta and args.delta_t):
             raise CirclepermError("single construction needs --beta, --delta, --delta-t")
-        beta = parse_element(args.beta, ext)
-        params = ConstructionParams(
-            args.family,
-            beta,
-            derive_beta_t(args.family, beta),
-            parse_element(args.delta, ext),
-            parse_element(args.delta_t, ext),
-            parse_element(args.aux, ext) if args.aux else None,
-        )
+        params = params_from_text(args.family, args.beta, args.delta, args.delta_t, args.aux, ext)
         built = build_family(args.family, params, ext)
         report = verify_both(built.r, built.h, built.poly, ext)
         entries = [CatalogEntry(ext, built, report, "user")]

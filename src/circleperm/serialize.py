@@ -1,9 +1,13 @@
-"""JSON forms for fields, elements, polynomials, reports and catalog entries.
+"""JSON forms for fields, elements, polynomials, reports and catalog entries,
+and the text forms of elements and parameter tuples.
 
 Field descriptor: {"p": int, "modulus": [c0..cn] least degree first,
 "generator": [coords]} (generator optional on input).  Elements serialize as
 {"pow": k} for nonzero (preferred) or {"coords": [...]}; both are accepted
-on input.  JSONL catalog entries round-trip bit-exact.
+on input.  JSONL catalog entries round-trip bit-exact.  As text, an element
+is "g^k" or "g" (generator power, "-g^k" its negative), a plain integer
+(prime-subfield embedding, negatives allowed) or a coordinate vector
+"[c0,c1,...]"; construct's options and the worked examples use this form.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, MalformedOperand
-from .families import BuiltFamily, ConstructionParams
+from .families import BuiltFamily, ConstructionParams, derive_beta_t
 from .fields import FieldCtx, FieldElement, QuadExtension
 from .polynomials import SparsePolynomial
 from .verify import PermutationReport
@@ -63,6 +67,36 @@ def element_from_json(d: dict, ctx: FieldCtx) -> FieldElement:
         if k is None:
             return ctx.element(int_list(d.get("coords"), "element coords"))
     raise MalformedOperand(f'element must be {{"pow": int}} or {{"coords": [...]}}, not {d!r}')
+
+
+def parse_element(text: str, ext: QuadExtension) -> FieldElement:
+    """The element of GF(q^2) that text names, in the text form above."""
+    big = ext.big
+    s = text.strip()
+    neg = False
+    if s.startswith("-g"):
+        s = s[1:]
+        neg = True
+    if s == "g":
+        out = big.generator
+    elif s.startswith("g^"):
+        out = big.gen_pow(int(s[2:]))
+    elif s.startswith("["):
+        out = big.element(int_list(json.loads(s), "element coords"))
+    else:
+        out = big.from_int(int(s))
+    return -out if neg else out
+
+
+def params_from_text(family: str, beta: str, delta: str, delta_t: str, aux: str | None,
+                     ext: QuadExtension) -> ConstructionParams:
+    """The tuple of elements written as text; aux may be None or empty, and
+    beta_t is derived from beta."""
+    b = parse_element(beta, ext)
+    return ConstructionParams(
+        family, b, derive_beta_t(family, b), parse_element(delta, ext),
+        parse_element(delta_t, ext), parse_element(aux, ext) if aux else None,
+    )
 
 
 def poly_to_json(f: SparsePolynomial, elem=element_to_json) -> dict:
@@ -186,12 +220,7 @@ def dumps_line(d: dict) -> str:
 
 def entry_to_csv_row(d: dict) -> str:
     """Spreadsheet-friendly flattening: exponent:pow-of-g pairs."""
-    flat = []
-    for e, c in d["poly"]["terms"]:
-        if "pow" in c:
-            flat.append(f"{e}:g^{c['pow']}")
-        else:
-            flat.append(f"{e}:{c['coords']}")
+    flat = [f"{e}:g^{c['pow']}" for e, c in d["poly"]["terms"]]
     return ",".join(
         [
             d["family"],

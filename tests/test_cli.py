@@ -9,8 +9,9 @@ import pytest
 
 import circleperm
 from circleperm import cli as cli_mod
+from circleperm import repro
 from circleperm import verify as verify_mod
-from circleperm.cli import build_parser, main, parse_element
+from circleperm.cli import build_parser, main
 from circleperm.errors import InvariantViolation, MalformedOperand
 from circleperm.families import ConstructionParams, build_family
 from circleperm.fields import EXHAUSTIVE_CAP
@@ -24,6 +25,7 @@ from circleperm.serialize import (
     ext_to_json,
     params_from_json,
     params_to_json,
+    parse_element,
     poly_from_json,
     poly_to_json,
 )
@@ -554,6 +556,23 @@ class TestCommands:
             assert json.loads(captured.err) == {
                 "error": f"field order {1 << 22} above EXHAUSTIVE_CAP {EXHAUSTIVE_CAP}"}
         assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("case", repro.CASES, ids=lambda case: case.name)
+    def test_worked_example_is_a_construct_run(self, case, capsys):
+        # the case's text, passed to construct as typed; the known defect
+        # builds its built_pin, not the quoted coefficients
+        argv = ["construct", "--p", str(case.p), "--m", str(case.m), "--family", case.family,
+                "--beta", case.beta, "--delta", case.delta, "--delta-t", case.delta_t]
+        if case.modulus:
+            argv += ["--modulus", json.dumps(case.modulus)]
+        if case.aux is not None:
+            argv += ["--aux", case.aux]
+        assert main(argv) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        ext = repro.case_extension(case)
+        pins = case.built_pin if case.known_defect else None
+        assert poly_from_json(json.loads(line)["poly"], ext.big).terms == (
+            repro.expected_terms(case, ext, pins=pins))
 
     def test_repro_reports_known_defect(self, capsys):
         rc = main(["repro"])

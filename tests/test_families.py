@@ -5,7 +5,6 @@ from dataclasses import replace
 import pytest
 
 from circleperm import families, polynomials
-from circleperm.cli import parse_element
 from circleperm.errors import CapExceeded, InvalidParams
 from circleperm.families import (
     FAMILIES,
@@ -27,6 +26,7 @@ from circleperm.families import (
     _delta_rules,
 )
 from circleperm.fields import quad_extension
+from circleperm.serialize import params_from_text
 from conftest import get_ext
 from symbolic import base_map, closed_form, compose, conjugate, h_variants, mobius
 from test_acceptance import GRID_SCHEDULE, grid_for
@@ -142,8 +142,7 @@ class TestValidation:
     def test_each_violation_alone(self, family, p, m, operands, violations):
         # beta, delta, delta_t and aux as construct reads and derives them
         ext = get_ext(p, m)
-        beta, delta, delta_t, aux = (None if s is None else parse_element(s, ext) for s in operands)
-        params = ConstructionParams(family, beta, derive_beta_t(family, beta), delta, delta_t, aux)
+        params = params_from_text(family, *operands, ext)
         assert validate_params(family, params, ext) == violations
 
 
@@ -157,6 +156,15 @@ class TestCoefficientSystems:
         assert d2 == 3 * g
         assert d1 == g + big.one()
         assert d0 == big.from_int(2)
+
+    def test_build_h_refuses_an_index_the_kind_lacks(self, ext25):
+        # the cubic kind has h_0..h_3
+        big = ext25.big
+        g = big.generator
+        D = coeffs(ConstructionParams("Q1", -big.one(), big.one(), g, g, None), ext25)
+        for index in (-1, len(D)):
+            with pytest.raises(ValueError, match=f"has no h_{index}"):
+                families.build_h(KIND_CUBIC, D, index, ext25)
 
     def test_quartic_shift_constants_match_definition(self, ext16):
         # D4 = R(delta) + delta_t and D0 = beta^4 (R(delta^q) + delta_t) for

@@ -230,9 +230,29 @@ class TestArithmetic:
         with pytest.raises(DivisionByZero):
             big.one() / big.zero()
 
+    def test_zero_has_no_negative_power_or_log(self, ext25):
+        big = ext25.big
+        with pytest.raises(DivisionByZero):
+            big.pow_enc(0, -1)
+        with pytest.raises(ZeroInput):
+            big.log_enc(0)
+
     def test_ctx_mismatch(self, ext25, ext9):
         with pytest.raises(CtxMismatch):
             ext25.big.one() + ext9.big.one()
+        for predicate in (ext25.in_subfield, ext25.on_circle):
+            with pytest.raises(CtxMismatch):
+                predicate(ext9.big.one())
+
+    def test_operand_types(self, ext25):
+        big = ext25.big
+        x = big.generator
+        with pytest.raises(TypeError):
+            x + "a"
+        with pytest.raises(TypeError):
+            x * 1.5
+        # int / element goes through __rtruediv__
+        assert 2 / x == big.from_int(2) * x.inverse()
 
     @settings(max_examples=60, deadline=None)
     @given(a=st.integers(0, 24), b=st.integers(0, 24))

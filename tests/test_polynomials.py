@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circleperm.errors import CtxMismatch
 from circleperm.polynomials import SparsePolynomial, irreducible_cubic_alphas
 from conftest import get_ext, get_field
 from symbolic import (
@@ -21,6 +22,13 @@ class TestSparsePolynomial:
             [(15, 3 * (g + 1)), (11, 3 * g), (7, g + 1), (3, big.from_int(2))],
         )
         assert f.eval(big.zero()).enc == 0
+
+    def test_elements_of_another_field_are_refused(self):
+        big, other = get_ext(5, 1).big, get_ext(3, 1).big
+        with pytest.raises(CtxMismatch):
+            SparsePolynomial(big, [(1, other.one())])
+        with pytest.raises(CtxMismatch):
+            SparsePolynomial(big, [(1, big.one())]).eval(other.generator)
 
     def test_reduce_exponents_examples(self):
         f16 = get_field(2, 4)

@@ -8,7 +8,7 @@ from array import array
 import pytest
 
 from circleperm import verify
-from circleperm.errors import CapExceeded
+from circleperm.errors import CapExceeded, InvalidParams
 from circleperm.fields import EXHAUSTIVE_CAP, _lane_total, canonical_modulus, field_create
 from circleperm.families import (
     FAMILIES,
@@ -502,6 +502,10 @@ class TestCriterion:
         built = q1_worked_build(ext25)
         rep = criterion_check(built.r, built.h, ext25)
         assert rep.is_permutation and rep.gcd_ok and rep.circle_ok
+
+    def test_zero_h_is_refused(self, ext25):
+        with pytest.raises(InvalidParams):
+            criterion_check(3, SparsePolynomial(ext25.big), ext25)
 
     def test_gcd_failure_regardless_of_h(self, ext25):
         rep = criterion_check(2, SparsePolynomial(ext25.big, {0: ext25.big.one()}), ext25)
