@@ -8,15 +8,17 @@ must always agree; a disagreement raises instead of reporting.
 Both routes evaluate on tabled fields by one engine, _sums: a term c*X^e
 at x = g^(s*k) is g^(log c + e*s*k), a run of a table built here from exp,
 read by strided slices, and the runs are summed in every characteristic.
-Both walk their points in chunks on one ladder (_ladder), sized so that a
-random map's first repeat usually falls in the first chunk, and a
-rejection sums only the chunks up to the one that decides it.
 Exhaustive evaluation reports the first collision in the order 0, g^0,
-g^1, ..., so witnesses do not depend on the chunking.  A byte per value
-marks the chunk that took it; the collision's first preimage is looked up
-only once a marked value comes round.  The criterion walks h's q + 1
-circle values (s = q - 1) in the ladder's first chunk and then the rest
-of the circle in one more.
+g^1, ..., so witnesses do not depend on how the points are walked.  A
+field of at most _ONE_PASS_MAX elements is summed in one call and tested
+by one set; the scan below runs only when that test fails.  Larger fields
+and the criterion walk their points in chunks on one ladder (_ladder),
+sized so that a random map's first repeat usually falls in the first
+chunk, and a rejection sums only the chunks up to the one that decides
+it.  A byte per value marks the chunk that took it; the collision's first
+preimage is looked up only once a marked value comes round.  The
+criterion walks h's q + 1 circle values (s = q - 1) in the ladder's first
+chunk and then the rest of the circle in one more.
 """
 
 from __future__ import annotations
@@ -51,6 +53,13 @@ class PermutationReport:
 # f(g^k) is evaluated for a chunk of k at a time: a non-permutation stops
 # within one chunk of its first collision, and a chunk's runs stay a few 16 KB
 _CHUNK_MIN, _CHUNK_MAX = 64, 4096
+# a field of at most this many elements is checked in one _sums call and one
+# set.  Its ladder spans at most four 64-point chunks, so stopping early saves
+# at most about 190 points of sums, less than the fixed cost of the extra
+# calls.  Above it the ramp pays (q = 64 rejections mostly stop in a 128-point
+# first chunk), and a set of GF(2^16)'s values would hold about 4 MB against
+# 64 KB of marks (sys.getsizeof(set(range(65536))) is 2.1 MB before the ints)
+_ONE_PASS_MAX = 256
 # run tables repeat a field's m values up to this many entries (_run_setup)
 _TILE_MAX = 1 << 16
 
@@ -166,7 +175,12 @@ def _sums(ctx: FieldCtx, terms, k0: int, n: int) -> array:
 def is_permutation_exhaustive(f: SparsePolynomial, ctx: FieldCtx) -> PermutationReport:
     """Evaluate f everywhere; witness = first collision in generator order.
 
-    f(g^k) is evaluated by _sums a chunk of k at a time, on _ladder(m).
+    A field of at most _ONE_PASS_MAX elements is summed in one _sums call
+    over all m points, and permutes iff f(0) is not among those m values
+    and they are distinct (one set).  Only when that test fails are the
+    same values scanned, as one chunk, to name the first collision.  A
+    larger field is evaluated by _sums a chunk of k at a time, on
+    _ladder(m), and scanned as it goes.
     One byte per field element marks the values taken so far: f(0) first
     with 1, then each value with 1 + (its chunk's index mod 255).  The first
     point whose value is marked is the collision.  Only then is its first
@@ -194,11 +208,19 @@ def is_permutation_exhaustive(f: SparsePolynomial, ctx: FieldCtx) -> Permutation
         return k0 + i, k0 + values.index(v, i + 1)
 
     f0 = f.coeff(0).enc
+    if ctx.order <= _ONE_PASS_MAX:
+        values = _sums(ctx, terms, 0, m)
+        distinct = set(values)
+        if len(distinct) == m and f0 not in distinct:
+            return PermutationReport(True, "exhaustive")
+        walk = [(0, m, values)]
+    else:
+        walk = ((k0, n, _sums(ctx, terms, k0, n)) for k0, n in _ladder(m))
     seen = bytearray(ctx.order)
     seen[f0] = 1
     walked = []  # (k0, its values, or None for a full chunk) of the chunks before
-    for c, (k0, n) in enumerate(_ladder(m)):
-        values, mark = _sums(ctx, terms, k0, n), 1 + c % 255
+    for c, (k0, n, values) in enumerate(walk):
+        mark = 1 + c % 255
         for v in values:
             if seen[v]:
                 prev, hit = collision(v, k0, values)

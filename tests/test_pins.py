@@ -18,6 +18,7 @@ row; `sha256=None` pins the exit code alone.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import shlex
 import subprocess
@@ -59,6 +60,10 @@ def _head(args):
 
 
 P1_GRID = "--family P1 --p 2 --m 2"
+# X over GF(2^8) off the class k = 200 (mod 51), which sends g^200 to g^41
+# (test_verify.redirect with T = 51): X + sum(g^(196 + 20j) X^(5j), 0 < j <= 51)
+REDIRECT_2_8 = json.dumps({"terms": [[1, {"pow": 0}]] + [
+    [5 * j, {"pow": (196 + 20 * j) % 255}] for j in range(1, 52)]})
 FIELD_INFO_PM = ["2 1", "3 1", "5 1", "2 3", "3 2", "5 3", "3 5", "2 9", "7 2", "13 1",
                  "2 11", "3 7"]
 
@@ -86,6 +91,17 @@ PINS = [
         + ("field-info --p 3 --m 1 --modulus '[1,0,1]'",
            "field-info --p 2 --m 2 --modulus '[1,1,1,1,1]'"),
         0, "31e2225e0b6b4527acb0444c24f4088c2c075f0ca3f519fda5257b88454654e5"),
+    # fields of at most 256 elements, checked in one pass: over GF(2^8) first
+    # collisions at g^129 (with g^3) and at g^200 (with g^41, REDIRECT_2_8),
+    # f(0) taken again at g^253, and a permutation; over GF(11^2) at g^66
+    # (with g^9), f(0) again at g^114, and a permutation
+    verify("4393abc15352ec60db072ebe7bd4a0ae56a874f68f53270d63d8cdee39d91d31", 1, """--p 2 --m 4 --poly '{"terms": [[157, {"pow": 210}], [106, {"pow": 165}], [0, {"pow": 145}]]}'"""),
+    verify("35583354b5c398b464af5616d5ec7155716da03ddf912f047c8b57b9880cd67b", 1, f"--p 2 --m 4 --poly '{REDIRECT_2_8}'"),
+    verify("ee115820f84dff10034be7b2a49ef543c90769ef5a98cc8d59fae615451428b6", 1, """--p 2 --m 4 --poly '{"terms": [[255, {"pow": 140}], [103, {"pow": 91}]]}'"""),
+    verify("1d7268735196a0ba184c2fbdc8cf74577b7e0121717a230fc1061dff5bf0f6d3", 0, """--p 2 --m 4 --poly '{"terms": [[229, {"pow": 32}], [94, {"pow": 25}]]}'"""),
+    verify("1ba3bbfa609ffc42fe4d7e24d7ad16981a277c451d39927e1f3eda635397d6f9", 1, """--p 11 --m 1 --poly '{"terms": [[17, {"pow": 15}], [47, {"pow": 22}], [67, {"pow": 69}]]}'"""),
+    verify("7fef53782ad56d1e94793095e817bde9aa343c0d943ece497fdfdae29a4cdf14", 1, """--p 11 --m 1 --poly '{"terms": [[120, {"pow": 88}], [89, {"pow": 82}]]}'"""),
+    verify("1d7268735196a0ba184c2fbdc8cf74577b7e0121717a230fc1061dff5bf0f6d3", 0, """--p 11 --m 1 --poly '{"terms": [[97, {"pow": 91}], [37, {"pow": 7}]]}'"""),
     # p = 2, q = 64 and q = 256: the four non-permutations first collide
     # after point 64 (one takes f(0) again at g^173, past the first chunk),
     # and X^256 + g X permutes

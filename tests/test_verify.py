@@ -303,6 +303,50 @@ class TestExhaustive:
             # chunk 0 is read as kept; chunk 1, full, is summed a second time
             assert sums_calls == [*chunks[:3], *chunks[1:2] * c]
 
+    def test_one_pass_agrees_with_oracle_on_small_fields(self, sums_calls):
+        # a field of at most _ONE_PASS_MAX elements is summed in one _sums
+        # call and tested by one set, and a failed test scans those values
+        # for the first collision; fields past the bound walk _ladder(m).
+        # Every acceptance-grid field, GF(3^5) (odd degree), and GF(257) and
+        # GF(17^2), the first fields past the bound.  X^d + g^3 (d prime to
+        # m) permutes with f(0) != 0, and the redirects (X off the class
+        # k = b (mod m), g^b sent to g^5) first collide past 64 and past 192.
+        rnd = random.Random(31)
+        fields = [get_ext(p, n).big for p, n in [(3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (11, 1), (2, 4)]]
+        fields += [get_field(3, 5), get_field(257, 1), get_field(17, 2)]
+        assert [ctx.order <= verify._ONE_PASS_MAX for ctx in fields] == [True] * 8 + [False] * 2
+        for ctx in fields:
+            m, one = ctx.order - 1, ctx.one()
+            d = next(d for d in range(2, m) if math.gcd(d, m) == 1)
+            polys = [
+                SparsePolynomial(ctx),
+                SparsePolynomial(ctx, {0: ctx.gen_pow(4)}),
+                SparsePolynomial(ctx, {1: one}),
+                SparsePolynomial(ctx, {d: ctx.gen_pow(2), 0: ctx.gen_pow(3)}),
+            ]
+            if ctx.p > 2:
+                polys.append(SparsePolynomial(ctx, [(1, one), (1 + m // 2, one)]))
+            for _ in range(30):
+                exps = rnd.sample(range(m + 1), rnd.randint(1, 5))
+                polys.append(SparsePolynomial(ctx, [(e, ctx.gen_pow(rnd.randrange(m)))
+                                                    for e in exps]))
+            late = [b for b in (70, 200) if b < m]
+            polys += [redirect(ctx, m, b, ctx.gen_pow(5)) for b in late]
+            reports = []
+            for f in polys:
+                sums_calls.clear()
+                rep = is_permutation_exhaustive(f, ctx)
+                assert (rep.is_permutation, rep.witness) == exhaustive_oracle(f, ctx), f
+                if ctx.order <= verify._ONE_PASS_MAX:
+                    assert sums_calls == [(0, m)], f
+                else:
+                    assert sums_calls and sums_calls == list(_ladder(m)[:len(sums_calls)]), f
+                reports.append(rep)
+            assert reports[2].is_permutation and reports[3].is_permutation
+            assert not all(rep.is_permutation for rep in reports)
+            assert [rep.witness for rep in reports[len(polys) - len(late):]] == [
+                (ctx.gen_pow(5), ctx.gen_pow(b)) for b in late]
+
     def test_one_call_keeps_about_a_byte_per_element(self):
         # the marks are a bytearray of ctx.order and values are gathered one
         # chunk at a time, so a call that checks every point of GF(2^18)
