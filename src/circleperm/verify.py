@@ -118,20 +118,25 @@ def _run_setup(ctx: FieldCtx):
     The run table holds exp's first m entries, repeated up to _TILE_MAX
     entries: as they are for p = 2, and for odd p as lane words
     (fields._lane_total: digit i of g^k in bits [w*i, w*i + w), in words of
-    _lane_typecode).  total(runs, points) sums runs of that many words into
-    encodings: by xor, or by _lane_total.
+    _lane_typecode).  Those come from the modulus root's packed walk
+    (FieldCtx._lane_walk), without its radix rounds; any other generator's
+    from exp, one word per entry.  total(runs, points) sums runs
+    of that many words into encodings: by xor, or by _lane_total.
     """
     m, p, n, exp = ctx.order - 1, ctx.p, ctx.n, ctx._exp
     copies = min(m, _CHUNK_MAX, _TILE_MAX // m)  # min(m, _CHUNK_MAX) make every run one slice
     if p == 2:
         return (exp[:m] * copies if copies > 1 else exp,
                 lambda runs, points: functools.reduce(operator.xor, runs, 0))
-    w, h = _lane_width(p), n // 2  # x = lo + split*hi: two ~sqrt(order)-entry tables
-    spread = [sum(c << w * i for i, c in enumerate(ctx.enc_to_coords(x)))
-              for x in range(p ** (n - h))]
-    lo, hi, split = spread[:p**h], [s << w * h for s in spread], p**h
-    table = array(_lane_typecode(p, n),
-                  (lo[x % split] + hi[x // split] for x in itertools.islice(exp, m)))
+    typecode = _lane_typecode(p, n)
+    if ctx.generator_is_root:
+        table = array(typecode, [0]) * ctx.order
+        ctx._lane_walk(table, typecode, False)
+        del table[m:]  # X^m = 1 again
+    else:
+        w = _lane_width(p)
+        table = array(typecode, (sum(c << w * i for i, c in enumerate(ctx.enc_to_coords(x)))
+                                 for x in itertools.islice(exp, m)))
     table *= max(copies, 1)
     return table, _lane_total(p, n, min(m, _CHUNK_MAX), 8 * table.itemsize)
 

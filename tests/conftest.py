@@ -30,12 +30,45 @@ def get_field(p, n, modulus=None):
     return field_create(p, mod)
 
 
+def schoolbook_mul(ring, a, b):
+    """a*b in Z_p[X]/(modulus), digit by digit: the schoolbook product of
+    the coordinate vectors, then X^n = -(c_{n-1} X^{n-1} + ... + c_0) from
+    the top coefficient down.  The oracle for the packed product and for
+    the tables the root walk builds."""
+    p, n = ring.p, ring.n
+    prod = [0] * (2 * n - 1)
+    for i, ai in enumerate(ring.enc_to_coords(a)):
+        for j, bj in enumerate(ring.enc_to_coords(b)):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    head = [(-c) % p for c in ring.modulus[:-1]]
+    for i in range(2 * n - 2, n - 1, -1):
+        c, prod[i] = prod[i], 0
+        for j, hj in enumerate(head):
+            prod[i - n + j] = (prod[i - n + j] + c * hj) % p
+    return ring.coords_to_enc(prod[:n])
+
+
+def schoolbook_pow(ring, a, e):
+    """a^e by square-and-multiply on schoolbook_mul."""
+    r = 1
+    while e:
+        if e & 1:
+            r = schoolbook_mul(ring, r, a)
+        a = schoolbook_mul(ring, a, a)
+        e >>= 1
+    return r
+
+
 @contextlib.contextmanager
 def tables_off(ctx):
     """Run ctx on its table-free arithmetic, as fields above EXHAUSTIVE_CAP
-    do: digit-wise add through the one digit codec, shift/xor or schoolbook
+    do: digit-wise add through the one digit codec, shift/xor or Kronecker
     mul.  Encodings do not depend on the tables, so the two paths compare.
-    ctx is changed in place (cached fields are shared) and restored."""
+    ctx is changed in place (cached fields are shared) and restored.  An
+    odd-p field's Zech table is built first (_zech_table), so the block
+    hides, and gets back, all of its tables."""
+    if ctx._log is not None and ctx.p != 2:
+        ctx._zech_table()
     tables = ctx._exp, ctx._log, ctx._zech
     ctx._exp = ctx._log = ctx._zech = None
     try:

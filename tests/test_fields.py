@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circleperm import fields as fields_mod
-from circleperm import repro
+from circleperm import qm, repro, verify
 from circleperm.errors import (
     CapExceeded,
     CtxMismatch,
@@ -28,7 +28,9 @@ from circleperm.fields import (
     prime_factors,
     quad_extension,
 )
-from conftest import MOD_2_16, MOD_5_6, get_ext, get_field, tables_off
+from circleperm.polynomials import SparsePolynomial
+from conftest import (MOD_2_16, MOD_5_6, get_ext, get_field, schoolbook_mul, schoolbook_pow,
+                      tables_off)
 
 
 class TestFieldCreate:
@@ -414,12 +416,13 @@ class TestZechArithmetic:
 
     @pytest.mark.parametrize("p,n", TABLE_FIELDS)
     def test_zech_table_is_log_of_one_plus(self, p, n):
-        # odd p builds the table with the field; p = 2 adds by xor and has none
+        # odd p builds the table on its first add (_zech_table); p = 2 adds
+        # by xor and has none
         ctx = get_field(p, n)
-        zech = ctx._zech
         if p == 2:
-            assert zech is None
+            assert ctx._zech is None
             return
+        zech = ctx._zech_table()
         m = ctx.order - 1
         assert len(zech) == m
         with tables_off(ctx):
@@ -445,16 +448,16 @@ class TestZechArithmetic:
             laws()
 
 
-def mul_generic_tables(ctx):
+def schoolbook_tables(ctx):
     """exp, log and (odd p) Zech lists from x -> x*g through the schoolbook
-    product."""
+    product of the tests (conftest.schoolbook_mul)."""
     m, g = ctx.order - 1, ctx.generator.enc
     exp, log = [], [m] * ctx.order
     x = 1
     for k in range(m):
         exp.append(x)
         log[x] = k
-        x = ctx._mul_generic(x, g)
+        x = schoolbook_mul(ctx, x, g)
     assert x == 1
     if ctx.p == 2:
         return exp + [0], log
@@ -464,17 +467,22 @@ def mul_generic_tables(ctx):
 
 
 def stepped_tables(ctx):
-    """The field's own tables as lists; p = 2 has no Zech table."""
-    return tuple(list(t) for t in (ctx._exp, ctx._log, ctx._zech) if t is not None)
+    """The field's own tables as lists, odd p's Zech table built first;
+    p = 2 has none."""
+    zech = ctx._zech_table() if ctx.p != 2 else None
+    return tuple(list(t) for t in (ctx._exp, ctx._log, zech) if t is not None)
 
 
-# every root-walk shape: p = 2 packs 2^floor(n/2) lanes (one for n = 1, and
-# half as many as steps for odd n), the last lane running onto exp[m]; odd
-# p walks one lane word in runs of p^ceil(n/2) words, one run for n = 1,
-# which needs no radix round
+# every root-walk shape: p = 2 packs 2^floor(n/2) lanes that step
+# 2^ceil(n/2) times, odd p p^ceil(n/2) lane words that step p^floor(n/2)
+# times (p words and one step for n = 1), the last lane running onto
+# exp[m]; odd p adds the top digit bit by bit (two bits for p = 3, five
+# for 31, eight for 251), and a step's words become encodings with no radix
+# round for n = 1
 ROOT_SHAPES = ([(2, n) for n in range(1, 13)] + [(3, n) for n in range(1, 9)]
                + [(5, n) for n in range(1, 5)] + [(7, n) for n in range(1, 4)]
-               + [(p, n) for p in (11, 13, 101) for n in (1, 2)])
+               + [(p, n) for p in (11, 13, 101) for n in (1, 2)]
+               + [(31, 2), (31, 3), (251, 2)])
 
 
 class TestSteppedTables:
@@ -482,14 +490,25 @@ class TestSteppedTables:
     def test_root_steps_equal_schoolbook_products(self, p, n):
         ctx = get_field(p, n)
         assert ctx.generator_is_root
-        assert stepped_tables(ctx) == mul_generic_tables(ctx)
+        assert stepped_tables(ctx) == schoolbook_tables(ctx)
 
     def test_supplied_non_root_generator(self):
         for p, n in [(3, 4), (2, 8)]:
             root = get_field(p, n).generator
             ctx = field_create(p, canonical_modulus(p, n), generator=(root ** 7).coords())
             assert not ctx.generator_is_root and ctx.generator.enc == (root ** 7).enc
-            assert stepped_tables(ctx) == mul_generic_tables(ctx)
+            assert stepped_tables(ctx) == schoolbook_tables(ctx)
+
+    @pytest.mark.parametrize("p,n", [(3, 11), (3, 12)])
+    def test_q_lane_walks_sampled_against_schoolbook_powers(self, p, n):
+        # the walks in 8-byte lane words ("Q", two exp items a word): exp
+        # and log on 300 sampled k against schoolbook square-and-multiply
+        ctx = field_create(p, canonical_modulus(p, n))
+        m, g, exp, log = ctx.order - 1, ctx.generator.enc, ctx._exp, ctx._log
+        assert ctx.generator_is_root and exp[m] == 0 and log[0] == m
+        for k in [0, 1, m // 2, m - 1] + random.Random(n).sample(range(m), 300):
+            x = schoolbook_pow(ctx, g, k)
+            assert exp[k] == x and log[x] == k, k
 
     @pytest.mark.parametrize("p,n", [(2, 20), (3, 12), (5, 8), (31, 4)])
     def test_largest_tables_sampled_against_table_free_powers(self, p, n):
@@ -497,7 +516,7 @@ class TestSteppedTables:
         # the digit-wise sum: g^zech[k] = 1 + g^k, or zech[k] = m for 0
         ctx = field_create(p, canonical_modulus(p, n))
         m, g = ctx.order - 1, ctx.generator.enc
-        exp, log, zech = ctx._exp, ctx._log, ctx._zech
+        exp, log, zech = ctx._exp, ctx._log, ctx._zech_table() if p != 2 else None
         assert ctx.generator_is_root and exp[m] == 0 and log[0] == m
         ks = [0, 1, m // 2, m - 1] + random.Random(p * n).sample(range(m), 300)
         with tables_off(ctx):
@@ -536,6 +555,90 @@ class TestSteppedTables:
             for k in random.Random(18).sample(range(ctx.order - 1), 2000):
                 x = ctx.pow_enc(g, k)
                 assert exp[k] == x and log[x] == k, k
+
+
+# every odd root-walk shape, 251^3 (above the cap, eight-bit top digits),
+# GF(3^11) and GF(3^12), and fields above the cap
+PRODUCT_SHAPES = ([s for s in ROOT_SHAPES if s[0] != 2] + [(251, 3), (3, 11), (3, 12)]
+                  + [(3, 14), (5, 10), (31, 6)])
+
+
+class TestPackedProduct:
+    @pytest.mark.parametrize("p,n", PRODUCT_SHAPES)
+    def test_products_equal_schoolbook(self, p, n):
+        # the Kronecker product on every pair of a field of at most 64
+        # elements, else on 300 sampled pairs with 0, 1 and p^n - 1 (every
+        # digit p - 1) among the operands
+        ring = _Ring(p, canonical_modulus(p, n))
+        order = ring.order
+        if order <= 64:
+            pairs = list(itertools.product(range(order), repeat=2))
+        else:
+            rnd = random.Random(p * n)
+            ends = [0, 1, order - 1]
+            pairs = list(itertools.product(ends, repeat=2)) + [
+                (rnd.randrange(order), rnd.randrange(order)) for _ in range(300)]
+        for a, b in pairs:
+            assert ring._mul_generic(a, b) == schoolbook_mul(ring, a, b), (a, b)
+
+    @pytest.mark.parametrize("p,n", [(3, 2), (7, 3), (251, 3), (3, 14), (5, 10), (31, 6)])
+    def test_powers_equal_schoolbook(self, p, n):
+        # the chain kept in Kronecker form converts once each way
+        ring = _Ring(p, canonical_modulus(p, n))
+        rnd = random.Random(n)
+        for _ in range(20):
+            a, e = rnd.randrange(ring.order), rnd.randrange(2 * ring.order)
+            assert ring._pow(a, e) == schoolbook_pow(ring, a, e), (a, e)
+        assert ring._pow(0, 0) == 1 and ring._pow(ring.order - 1, 1) == ring.order - 1
+
+
+class TestLazyZech:
+    def test_checks_leave_zech_unbuilt(self):
+        # the verify and QM paths read exp and log only: on GF(3^10) neither
+        # check, on a permutation and on a non-permutation, builds zech
+        ext = quad_extension(3, 5)
+        big, q = ext.big, ext.q
+        polys = [SparsePolynomial(big, {5: big.one()}),
+                 SparsePolynomial(big, {1: big.one(), q: big.generator}),
+                 SparsePolynomial(big, {2: big.one(), 2 + 4 * (q - 1): big.generator})]
+        verdicts = []
+        for f in polys:
+            r, h = verify.decompose(f, ext)
+            verdicts.append(verify.verify_both(r, h, f, ext).is_permutation)
+            verify.criterion_check(r, h, ext)
+            verify.is_permutation_exhaustive(f, big)
+            qm.qm_canonical_key(f, ext)
+        assert verdicts == [True, True, False]
+        assert big._zech is None
+
+    def test_first_add_builds_zech_once(self, monkeypatch):
+        ctx = field_create(3, canonical_modulus(3, 4))
+        assert ctx._zech is None
+        builds = []
+        build = fields_mod.FieldCtx._zech_table
+
+        def counted(self):
+            builds.append(self)
+            return build(self)
+        monkeypatch.setattr(fields_mod.FieldCtx, "_zech_table", counted)
+        sums = [ctx.add_enc(a, b) for a in range(ctx.order) for b in range(ctx.order)]
+        zech = ctx._zech
+        assert builds == [ctx] and ctx._zech_table() is zech  # kept, not built again
+        with tables_off(ctx):
+            assert sums == [ctx.add_enc(a, b) for a in range(ctx.order) for b in range(ctx.order)]
+
+    def test_zech_build_peaks_at_the_tables_own_size(self):
+        # the first add keeps no list of m ints: its traced peak stays within
+        # a quarter above the zech table itself
+        ctx = field_create(3, canonical_modulus(3, 10))
+        tracemalloc.start()
+        try:
+            ctx.add_enc(1, ctx.generator.enc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        zech = ctx._zech
+        assert zech is not None and peak < 1.25 * len(zech) * zech.itemsize, (peak, len(zech))
 
 
 GROUP_FIELDS = [(2, 2), (3, 2), (5, 1)]  # GF(2^4), GF(3^4) and GF(5^2) as GF(q^2)

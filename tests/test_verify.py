@@ -508,6 +508,20 @@ class TestLanes:
             m, table, base = ctx.order - 1, _run_setup(ctx)[0], run_values(ctx)
             assert table.typecode == base.typecode and table == base * (len(table) // m)
 
+    @pytest.mark.parametrize("p,n,typecode", [(5, 2, "B"), (3, 4, "H"), (31, 2, "H"),
+                                              (31, 3, "I"), (3, 10, "I"), (3, 11, "Q")])
+    def test_walked_run_tables_in_every_lane_word(self, p, n, typecode):
+        # the root walk's lane words, taken before its radix rounds, in each
+        # word size and with two to five bits of top digit: every entry
+        # (2,000 sampled on GF(3^11)) is lane_word(exp[k]), and the m entries
+        # repeat whole
+        ctx = field_create(p, canonical_modulus(p, n))
+        m, table = ctx.order - 1, _run_setup(ctx)[0]
+        assert ctx.generator_is_root and table.typecode == typecode
+        assert len(table) % m == 0 and table[:m] * (len(table) // m) == table
+        ks = range(m) if m < 1 << 16 else random.Random(n).sample(range(m), 2000)
+        assert [table[k] for k in ks] == [lane_word(ctx._exp[k], p, n) for k in ks]
+
 
 class TestDefaultCap:
     def test_verify_both_cap_keyword_cannot_move_the_limit(self, ext25):
