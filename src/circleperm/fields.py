@@ -9,24 +9,25 @@ multiplies table-free by Kronecker substitution: digit i moves to bits
 coefficients above X^(n-1) fold back in by precomputed rows.
 
 Fields of order up to EXHAUSTIVE_CAP (2^20) get compact arrays, with
-m = order - 1 standing for the log of zero: exp (k -> g^k, and exp[m] = 0),
-log (enc -> k, and log[0] = m), for odd p the Zech logarithms zech
-(k -> log(1 + g^k)), typecode "H" up to order 2^16 (every entry is <= m) and
-"i" above: only what the field's own arithmetic reads, zech only once it
-does.  Multiplication adds logs, and odd-p addition is
-g^a + g^b = g^(a + zech[b - a]) (K. Huber, "Some comments on Zech's
-logarithms", IEEE Trans. Inf. Theory 36(4), 1990), so both are O(1) table
-lookups; p = 2 adds by xor and needs no zech.  exp and log are built with
-the field, and zech by the first table-path add (_zech_table): the
-exhaustive and criterion checks and the QM keys read exp and log only.  For
-the modulus root g = X, exp is built in bulk (_root_powers): W lanes packed
-in one int start at X^(jL) and step x -> x*X together, one strided slice of
-exp per step.  For p = 2 a lane is an exp item and W = 2^floor(n/2).  For
-odd p a lane is a word of digit lanes (_lane_total's format, that of
-verify's run tables), W = p^ceil(n/2), a step adds the top digit times
-X^n bit by bit (_lane_walk), and radix rounds make each step's words
-encodings; verify builds its run table from the same walk.  exp is walked
-once, for any generator, and log and zech are each one pass over it.
+m = order - 1 standing for the log of zero: exp (k -> g^k, and exp[m] = 0)
+and log (enc -> k, and log[0] = m), typecode "H" up to order 2^16 (every
+entry is <= m) and "i" above, and for odd p the lane table lanes (k -> the
+digits of g^k in lane words, _lane_total's format, the one digit table):
+only what the field's own arithmetic reads, lanes only once it does.
+Multiplication adds logs, and odd-p addition sums the lane words of
+g^(log a) and g^(log b) and reduces each digit sum, below 2p, once, so both
+are O(1) lookups; p = 2 adds by xor and needs no lanes.  exp and log are
+built with the field, and lanes by the first table-path add or the first
+check (_lane_table): verify's run tables repeat it, and the QM keys read
+exp and log only.  For the modulus root g = X, exp is built in bulk
+(_root_powers): W lanes packed in one int start at X^(jL) and step
+x -> x*X together, one strided slice of exp per step.  For p = 2 a lane is
+an exp item and W = 2^floor(n/2).  For odd p a lane is a word of digit
+lanes, W = p^ceil(n/2), a step adds the top digit times X^n bit by bit
+(_lane_walk), and radix rounds make each step's words encodings; the lane
+table is the same walk without the rounds.  exp is walked once, for any
+generator, and log is one pass over it, as is a non-root generator's lane
+table.
 That walk closing after m steps and reaching every nonzero element proves
 the root primitive, so a tabled root is tested no other way; any other
 generator steps by the table-free product.  Larger fields use table-free
@@ -93,7 +94,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN = 3317044064679887385961981
 
 _RHO_BATCH = 128  # rho steps per gcd
-_ZECH_RUN = 1 << 8  # zech entries per list in its build: bounds its peak
 
 
 def is_prime(n: int) -> bool:
@@ -352,8 +352,8 @@ class _Ring:
 
 
 # ---------------------------------------------------------------------------
-# digit lanes: the packed odd-p format of the table build and of verify's
-# run tables
+# digit lanes: the packed odd-p format of the table build, of the lane
+# table that odd-p addition reads and of verify's run tables
 
 
 def _lane_width(p: int) -> int:
@@ -531,7 +531,7 @@ class FieldCtx(_Ring):
             raise NotMonic("modulus must be monic")
         super().__init__(p, modulus)
         # every table path keys on _log; pow_enc runs table-free until it is set
-        self._exp = self._log = self._zech = None
+        self._exp = self._log = self._lanes = self._lane_sum = None
         tabled = self.order <= EXHAUSTIVE_CAP
         if generator is None and tabled:
             # the root's walk proves it primitive, with no separate test
@@ -578,10 +578,9 @@ class FieldCtx(_Ring):
         if self._log is not None:
             if a == 0 or b == 0:
                 return a or b
-            m = self.order - 1
-            la = self._log[a]
-            z = (self._zech or self._zech_table())[(self._log[b] - la) % m]
-            return 0 if z == m else self._exp[(la + z) % m]
+            lanes = self._lanes or self._lane_table()
+            # each digit sum is below 2p, so one reduction makes the encoding
+            return self._lane_sum((lanes[self._log[a]] + lanes[self._log[b]],), 1)
         return self._add(a, b)
 
     def sub_enc(self, a: int, b: int) -> int:
@@ -664,7 +663,7 @@ class FieldCtx(_Ring):
         m steps and the inverse pass reaches every nonzero element, which
         also proves the modulus irreducible.  exp comes from _root_powers
         when g is the modulus root, else from the orbit; log is one inverse
-        pass over exp.  Odd p's zech waits for the first add (_zech_table)."""
+        pass over exp.  Odd p's lanes wait for their first read (_lane_table)."""
         m = self.order - 1
         typecode = "H" if self.order <= 1 << 16 else "i"  # every entry is <= m
         exp = array(typecode, [0]) * (m + 1)
@@ -684,19 +683,27 @@ class FieldCtx(_Ring):
         self._exp, self._log = exp, log
         return True
 
-    def _zech_table(self) -> array:
-        """zech[k] = log(1 + g^k), m for 0 (odd p, tabled), built on the
-        first read: one pass over exp, _ZECH_RUN entries at a time so that
-        no list of m ints exists."""
-        if self._zech is None:
-            exp, log, m, p = self._exp, self._log, self.order - 1, self.p
-            zech = array(exp.typecode, [0]) * m
-            for k0 in range(0, m, _ZECH_RUN):  # 1 + x only bumps digit 0 of x
-                zech[k0:k0 + _ZECH_RUN] = array(exp.typecode, [
-                    log[x + 1 - p if x % p == p - 1 else x + 1]
-                    for x in exp[k0:min(k0 + _ZECH_RUN, m)]])
-            self._zech = zech
-        return self._zech
+    def _lane_table(self) -> array:
+        """lanes[k] = the lane word of g^k for k < m (odd p, tabled), in
+        words of _lane_typecode, built on the first read together with
+        _lane_sum, the one-word _lane_total that add_enc reduces by.  The
+        modulus root's words come from its packed walk (_lane_walk) without
+        the radix rounds; any other generator's from exp, one word per entry."""
+        if self._lanes is None:
+            p, n, m = self.p, self.n, self.order - 1
+            typecode = _lane_typecode(p, n)
+            if self.generator_is_root:
+                lanes = array(typecode, [0]) * self.order
+                self._lane_walk(lanes, typecode, False)
+                del lanes[m:]  # X^m = 1 again
+            else:
+                w = _lane_width(p)
+                lanes = array(typecode, (
+                    sum(c << w * i for i, c in enumerate(self.enc_to_coords(x)))
+                    for x in itertools.islice(self._exp, m)))
+            self._lane_sum = _lane_total(p, n, 1, 8 * lanes.itemsize)
+            self._lanes = lanes
+        return self._lanes
 
     def _root_powers(self, exp):
         """exp[k] = g^k for k <= m, with g the modulus root X: a run of

@@ -5,18 +5,18 @@ gcd(r, q-1) = 1 plus injectivity of z -> z^r * h(z)^(q-1) on the unit
 circle; the exhaustive route evaluates f at every field element.  The two
 must always agree; a disagreement raises instead of reporting.
 
-Both routes evaluate on tabled fields by one engine, _sums: a term c*X^e
-at x = g^(s*k) is g^(log c + e*s*k), a run of a table built here from exp,
-read by strided slices, and the runs are summed in every characteristic.
-Exhaustive evaluation reports the first collision in the order 0, g^0,
-g^1, ..., so witnesses do not depend on how the points are walked.  A
-field of at most _ONE_PASS_MAX elements is summed in one call and tested
-by one set; the scan below runs only when that test fails.  Larger fields
-and the criterion walk their points in chunks on one ladder (_ladder),
-sized so that a random map's first repeat usually falls in the first
-chunk, and a rejection sums only the chunks up to the one that decides
-it.  A byte per value marks the chunk that took it; the collision's first
-preimage is looked up only once a marked value comes round.  The
+Both routes evaluate on tabled fields by one engine, _sums: a term c*X^e at
+x = g^(s*k) is g^(log c + e*s*k), a run of the field's digit table (exp, or
+odd p's lane table), read by strided slices, and the runs are summed in
+every characteristic.  Exhaustive evaluation reports the first collision in
+the order 0, g^0, g^1, ..., so witnesses do not depend on how the points
+are walked.  A field of at most _ONE_PASS_MAX elements is summed in one
+call and tested by one set; the scan below runs only when that test fails.
+Larger fields and the criterion walk their points in chunks on one ladder
+(_ladder), sized so that a random map's first repeat usually falls in the
+first chunk, and a rejection sums only the chunks up to the one that
+decides it.  A byte per value marks the chunk that took it; the collision's
+first preimage is looked up only once a marked value comes round.  The
 criterion walks h's q + 1 circle values (s = q - 1) in the ladder's first
 chunk and then the rest of the circle in one more.
 """
@@ -24,7 +24,6 @@ chunk and then the rest of the circle in one more.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import sys
@@ -35,8 +34,7 @@ from dataclasses import dataclass, field
 from .errors import InvalidParams, InvariantViolation
 # re-exported for bench/pin.py, its last caller
 from .families import expand_decomposition
-from .fields import (EXHAUSTIVE_CAP, FieldCtx, FieldElement, QuadExtension, _lane_total,
-                     _lane_typecode, _lane_width, check_cap)
+from .fields import EXHAUSTIVE_CAP, FieldCtx, FieldElement, QuadExtension, _lane_total, check_cap
 from .polynomials import SparsePolynomial
 
 
@@ -115,30 +113,21 @@ def _gather(table, m: int, lc: int, e: int, k0: int, n: int) -> array:
 def _run_setup(ctx: FieldCtx):
     """(run table, total) of a tabled field, kept in _RUNS while it lives.
 
-    The run table holds exp's first m entries, repeated up to _TILE_MAX
-    entries: as they are for p = 2, and for odd p as lane words
-    (fields._lane_total: digit i of g^k in bits [w*i, w*i + w), in words of
-    _lane_typecode).  Those come from the modulus root's packed walk
-    (FieldCtx._lane_walk), without its radix rounds; any other generator's
-    from exp, one word per entry.  total(runs, points) sums runs
-    of that many words into encodings: by xor, or by _lane_total.
+    The run table holds the field's digit table, exp for p = 2 and for odd
+    p its lane table (FieldCtx._lane_table: the digits of g^k in lane
+    words, fields._lane_total's format), the table add_enc reads.  A field
+    of more than _TILE_MAX // 2 nonzero elements uses that array itself;
+    a smaller one gets a new array of its first m entries, repeated up to
+    _TILE_MAX entries.  total(runs, points) sums runs of that many words
+    into encodings: by xor, or by _lane_total.
     """
-    m, p, n, exp = ctx.order - 1, ctx.p, ctx.n, ctx._exp
+    m, p = ctx.order - 1, ctx.p
     copies = min(m, _CHUNK_MAX, _TILE_MAX // m)  # min(m, _CHUNK_MAX) make every run one slice
+    base = ctx._exp if p == 2 else ctx._lane_table()
+    table = base[:m] * copies if copies > 1 else base
     if p == 2:
-        return (exp[:m] * copies if copies > 1 else exp,
-                lambda runs, points: functools.reduce(operator.xor, runs, 0))
-    typecode = _lane_typecode(p, n)
-    if ctx.generator_is_root:
-        table = array(typecode, [0]) * ctx.order
-        ctx._lane_walk(table, typecode, False)
-        del table[m:]  # X^m = 1 again
-    else:
-        w = _lane_width(p)
-        table = array(typecode, (sum(c << w * i for i, c in enumerate(ctx.enc_to_coords(x)))
-                                 for x in itertools.islice(exp, m)))
-    table *= max(copies, 1)
-    return table, _lane_total(p, n, min(m, _CHUNK_MAX), 8 * table.itemsize)
+        return table, lambda runs, points: functools.reduce(operator.xor, runs, 0)
+    return table, _lane_total(p, ctx.n, min(m, _CHUNK_MAX), 8 * table.itemsize)
 
 
 _RUNS = weakref.WeakKeyDictionary()

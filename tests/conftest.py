@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from circleperm.fields import field_create, quad_extension
+from circleperm.fields import canonical_modulus, field_create, quad_extension
 from circleperm.polynomials import reduce_exponent
 from circleperm.qm import QmResult
 
@@ -24,10 +24,22 @@ def get_ext(p, m, modulus=None):
 
 @functools.lru_cache(maxsize=None)
 def get_field(p, n, modulus=None):
-    from circleperm.fields import canonical_modulus
-
     mod = list(modulus) if modulus else canonical_modulus(p, n)
     return field_create(p, mod)
+
+
+@functools.lru_cache(maxsize=None)
+def get_non_root(p, n, d):
+    """GF(p^n) on the canonical modulus with the generator X^d, primitive
+    but not the modulus root: its tables come from the orbit and exp."""
+    root = get_field(p, n).generator
+    return field_create(p, canonical_modulus(p, n), generator=(root ** d).coords())
+
+
+def lane_word(x, p, n):
+    """Digit i of the encoding x in bits [w*i, w*i + w), w = p.bit_length() + 1."""
+    w = p.bit_length() + 1
+    return sum(x // p**i % p << w * i for i in range(n))
 
 
 def schoolbook_mul(ring, a, b):
@@ -64,17 +76,15 @@ def tables_off(ctx):
     """Run ctx on its table-free arithmetic, as fields above EXHAUSTIVE_CAP
     do: digit-wise add through the one digit codec, shift/xor or Kronecker
     mul.  Encodings do not depend on the tables, so the two paths compare.
-    ctx is changed in place (cached fields are shared) and restored.  An
-    odd-p field's Zech table is built first (_zech_table), so the block
-    hides, and gets back, all of its tables."""
-    if ctx._log is not None and ctx.p != 2:
-        ctx._zech_table()
-    tables = ctx._exp, ctx._log, ctx._zech
-    ctx._exp = ctx._log = ctx._zech = None
+    ctx is changed in place (cached fields are shared) and restored: the
+    block hides exp, log and (odd p, once built) the lane table, and builds
+    nothing."""
+    tables = ctx._exp, ctx._log, ctx._lanes
+    ctx._exp = ctx._log = ctx._lanes = None
     try:
         yield
     finally:
-        ctx._exp, ctx._log, ctx._zech = tables
+        ctx._exp, ctx._log, ctx._lanes = tables
 
 
 @pytest.fixture(scope="session")

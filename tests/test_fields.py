@@ -29,8 +29,8 @@ from circleperm.fields import (
     quad_extension,
 )
 from circleperm.polynomials import SparsePolynomial
-from conftest import (MOD_2_16, MOD_5_6, get_ext, get_field, schoolbook_mul, schoolbook_pow,
-                      tables_off)
+from conftest import (MOD_2_16, MOD_5_6, get_ext, get_field, get_non_root, lane_word,
+                      schoolbook_mul, schoolbook_pow, tables_off)
 
 
 class TestFieldCreate:
@@ -396,14 +396,21 @@ class TestCanonicalModulus:
         assert str(ext25.big.generator ** 7) == "g^7"
 
 
-TABLE_FIELDS = [(2, 4), (3, 3), (3, 4), (5, 2)]
+# (p, n, d): GF(p^n) with the generator X^d, the modulus root for d = 1;
+# GF(3^4) with X^7 makes its lane table from exp rather than by the walk
+ARITH_FIELDS = [(2, 4, 1), (3, 3, 1), (3, 4, 1), (5, 2, 1), (3, 4, 7)]
+ARITH_IDS = [f"{p}-{n}" if d == 1 else f"{p}-{n}-{d}" for p, n, d in ARITH_FIELDS]
 
 
-class TestZechArithmetic:
-    @pytest.mark.parametrize("p,n", TABLE_FIELDS)
-    def test_matches_digitwise_on_every_pair(self, p, n):
+def arith_field(p, n, d):
+    return get_field(p, n) if d == 1 else get_non_root(p, n, d)
+
+
+class TestTableArithmetic:
+    @pytest.mark.parametrize("p,n,d", ARITH_FIELDS, ids=ARITH_IDS)
+    def test_matches_digitwise_on_every_pair(self, p, n, d):
         # encodings do not depend on the tables, so the two paths compare
-        ctx = get_field(p, n)
+        ctx = arith_field(p, n, d)
         assert ctx._log is not None
 
         def ops():
@@ -414,26 +421,23 @@ class TestZechArithmetic:
         with tables_off(ctx):
             assert ops() == tabled
 
-    @pytest.mark.parametrize("p,n", TABLE_FIELDS)
-    def test_zech_table_is_log_of_one_plus(self, p, n):
-        # odd p builds the table on its first add (_zech_table); p = 2 adds
-        # by xor and has none
-        ctx = get_field(p, n)
+    @pytest.mark.parametrize("p,n,d", ARITH_FIELDS, ids=ARITH_IDS)
+    def test_lane_table_holds_lane_words(self, p, n, d):
+        # odd p: after an add, lanes[k] = lane_word(exp[k]) for each of the
+        # m values of k; p = 2 adds by xor and has no lane table
+        ctx = arith_field(p, n, d)
+        ctx.add_enc(1, ctx.generator.enc)
         if p == 2:
-            assert ctx._zech is None
+            assert ctx._lanes is None
             return
-        zech = ctx._zech_table()
-        m = ctx.order - 1
-        assert len(zech) == m
-        with tables_off(ctx):
-            for k in range(m):
-                s = ctx.add_enc(1, ctx.exp_enc(k))
-                assert zech[k] == (ctx.log_enc(s) if s else m), k
+        m, lanes = ctx.order - 1, ctx._lanes
+        assert len(lanes) == m
+        assert list(lanes) == [lane_word(ctx._exp[k], p, n) for k in range(m)]
 
     @settings(max_examples=200, deadline=None)
-    @given(field=st.sampled_from(TABLE_FIELDS), data=st.data())
+    @given(field=st.sampled_from(ARITH_FIELDS), data=st.data())
     def test_field_laws_on_both_paths(self, field, data):
-        ctx = get_field(*field)
+        ctx = arith_field(*field)
         a, b, c = (data.draw(st.integers(0, ctx.order - 1)) for _ in range(3))
         add, mul = ctx.add_enc, ctx.mul_enc
 
@@ -449,8 +453,8 @@ class TestZechArithmetic:
 
 
 def schoolbook_tables(ctx):
-    """exp, log and (odd p) Zech lists from x -> x*g through the schoolbook
-    product of the tests (conftest.schoolbook_mul)."""
+    """exp, log and (odd p) lane words (conftest.lane_word) from x -> x*g
+    through the schoolbook product of the tests (conftest.schoolbook_mul)."""
     m, g = ctx.order - 1, ctx.generator.enc
     exp, log = [], [m] * ctx.order
     x = 1
@@ -461,16 +465,14 @@ def schoolbook_tables(ctx):
     assert x == 1
     if ctx.p == 2:
         return exp + [0], log
-    with tables_off(ctx):
-        zech = [log[ctx.add_enc(1, x)] for x in exp]
-    return exp + [0], log, zech
+    return exp + [0], log, [lane_word(x, ctx.p, ctx.n) for x in exp]
 
 
 def stepped_tables(ctx):
-    """The field's own tables as lists, odd p's Zech table built first;
+    """The field's own tables as lists, odd p's lane table built first;
     p = 2 has none."""
-    zech = ctx._zech_table() if ctx.p != 2 else None
-    return tuple(list(t) for t in (ctx._exp, ctx._log, zech) if t is not None)
+    lanes = ctx._lane_table() if ctx.p != 2 else None
+    return tuple(list(t) for t in (ctx._exp, ctx._log, lanes) if t is not None)
 
 
 # every root-walk shape: p = 2 packs 2^floor(n/2) lanes that step
@@ -512,25 +514,30 @@ class TestSteppedTables:
 
     @pytest.mark.parametrize("p,n", [(2, 20), (3, 12), (5, 8), (31, 4)])
     def test_largest_tables_sampled_against_table_free_powers(self, p, n):
-        # exp, log and zech on 300 sampled k against square-and-multiply and
-        # the digit-wise sum: g^zech[k] = 1 + g^k, or zech[k] = m for 0
+        # exp, log and the lane words on 300 sampled k against
+        # square-and-multiply and conftest.lane_word, and the tabled sum
+        # g^k + g^j against the digit-wise one (x + (-x) = 0 for odd p
+        # among them: -1 = g^(m/2))
         ctx = field_create(p, canonical_modulus(p, n))
         m, g = ctx.order - 1, ctx.generator.enc
-        exp, log, zech = ctx._exp, ctx._log, ctx._zech_table() if p != 2 else None
+        exp, log, lanes = ctx._exp, ctx._log, ctx._lane_table() if p != 2 else None
         assert ctx.generator_is_root and exp[m] == 0 and log[0] == m
         ks = [0, 1, m // 2, m - 1] + random.Random(p * n).sample(range(m), 300)
+        js = [(k + m // 2) % m for k in ks[:4]] + ks[4:][::-1]
+        sums = [ctx.add_enc(exp[k], exp[j]) for k, j in zip(ks, js)]
         with tables_off(ctx):
-            for k in ks:
+            for k, j, s in zip(ks, js, sums):
                 x = ctx.pow_enc(g, k)
                 assert exp[k] == x and log[x] == k, k
-                if zech is not None:
-                    s = ctx.add_enc(1, x)
-                    assert (ctx.pow_enc(g, zech[k]) if zech[k] < m else 0) == s, k
+                assert ctx.add_enc(x, ctx.pow_enc(g, j)) == s, (k, j)
+                if lanes is not None:
+                    assert lanes[k] == lane_word(x, p, n), k
 
     @pytest.mark.parametrize("p,n", [(2, 18), (3, 10)])
     def test_build_peaks_at_the_tables_own_size(self, p, n):
         # the build keeps no list of m ints and no copy of exp: the traced
-        # peak stays within a quarter above exp, log and zech themselves
+        # peak stays within a quarter above exp and log themselves, and an
+        # odd field's lane table waits for its first read
         modulus = canonical_modulus(p, n)
         tracemalloc.start()
         try:
@@ -538,7 +545,8 @@ class TestSteppedTables:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        tables = sum(len(t) * t.itemsize for t in (ctx._exp, ctx._log, ctx._zech) if t)
+        assert ctx._lanes is None
+        tables = sum(len(t) * t.itemsize for t in (ctx._exp, ctx._log))
         assert peak < 1.25 * tables, (peak, tables)
 
     def test_typecode_h_up_to_order_2_16(self):
@@ -592,44 +600,54 @@ class TestPackedProduct:
         assert ring._pow(0, 0) == 1 and ring._pow(ring.order - 1, 1) == ring.order - 1
 
 
-class TestLazyZech:
-    def test_checks_leave_zech_unbuilt(self):
-        # the verify and QM paths read exp and log only: on GF(3^10) neither
-        # check, on a permutation and on a non-permutation, builds zech
+class TestLazyLanes:
+    def test_build_and_qm_keys_leave_lanes_unbuilt(self):
+        # the build and the QM keys read exp and log only: on GF(3^10) the
+        # lane table waits for the checks, whose run table it then is
         ext = quad_extension(3, 5)
         big, q = ext.big, ext.q
         polys = [SparsePolynomial(big, {5: big.one()}),
                  SparsePolynomial(big, {1: big.one(), q: big.generator}),
                  SparsePolynomial(big, {2: big.one(), 2 + 4 * (q - 1): big.generator})]
-        verdicts = []
         for f in polys:
-            r, h = verify.decompose(f, ext)
-            verdicts.append(verify.verify_both(r, h, f, ext).is_permutation)
-            verify.criterion_check(r, h, ext)
-            verify.is_permutation_exhaustive(f, big)
             qm.qm_canonical_key(f, ext)
+        assert big._lanes is None
+        verdicts = [verify.verify_both(*verify.decompose(f, ext), f, ext).is_permutation
+                    for f in polys]
         assert verdicts == [True, True, False]
-        assert big._zech is None
+        assert big._lanes is not None and verify._RUNS[big][0] is big._lanes
 
-    def test_first_add_builds_zech_once(self, monkeypatch):
-        ctx = field_create(3, canonical_modulus(3, 4))
-        assert ctx._zech is None
-        builds = []
-        build = fields_mod.FieldCtx._zech_table
+    def test_one_walk_for_exp_and_one_for_lanes(self, monkeypatch):
+        # building a root odd field walks once for exp (encodings); the
+        # first add walks once more for the lane table (lane words), and
+        # verify_both reads that table without a walk of its own
+        walks = []
+        walk = fields_mod.FieldCtx._lane_walk
 
-        def counted(self):
-            builds.append(self)
-            return build(self)
-        monkeypatch.setattr(fields_mod.FieldCtx, "_zech_table", counted)
-        sums = [ctx.add_enc(a, b) for a in range(ctx.order) for b in range(ctx.order)]
-        zech = ctx._zech
-        assert builds == [ctx] and ctx._zech_table() is zech  # kept, not built again
-        with tables_off(ctx):
-            assert sums == [ctx.add_enc(a, b) for a in range(ctx.order) for b in range(ctx.order)]
+        def counted(self, out, typecode, encode):
+            walks.append(encode)
+            return walk(self, out, typecode, encode)
+        monkeypatch.setattr(fields_mod.FieldCtx, "_lane_walk", counted)
+        ext = quad_extension(3, 3)
+        big = ext.big
+        assert big.generator_is_root and walks == [True]
+        x = big.add_enc(1, big.generator.enc)
+        f = SparsePolynomial(big, {1: big.one(), ext.q: big.from_enc(x)})
+        verify.verify_both(*verify.decompose(f, ext), f, ext)
+        assert walks == [True, False]
 
-    def test_zech_build_peaks_at_the_tables_own_size(self):
+    def test_run_table_is_the_lane_table(self):
+        # GF(3^10)'s run table is the lane table itself; GF(3^4)'s repeats
+        # it in a new array, and the lane table keeps its m entries
+        for n, copies in [(10, 1), (4, 80)]:
+            ctx = field_create(3, canonical_modulus(3, n))
+            m, table = ctx.order - 1, verify._run_setup(ctx)[0]
+            assert len(ctx._lanes) == m
+            assert table is ctx._lanes if copies == 1 else table == ctx._lanes * copies
+
+    def test_first_add_peaks_at_the_lane_tables_own_size(self):
         # the first add keeps no list of m ints: its traced peak stays within
-        # a quarter above the zech table itself
+        # a quarter above the lane table itself
         ctx = field_create(3, canonical_modulus(3, 10))
         tracemalloc.start()
         try:
@@ -637,8 +655,8 @@ class TestLazyZech:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        zech = ctx._zech
-        assert zech is not None and peak < 1.25 * len(zech) * zech.itemsize, (peak, len(zech))
+        lanes = ctx._lanes
+        assert lanes is not None and peak < 1.25 * len(lanes) * lanes.itemsize, (peak, len(lanes))
 
 
 GROUP_FIELDS = [(2, 2), (3, 2), (5, 1)]  # GF(2^4), GF(3^4) and GF(5^2) as GF(q^2)

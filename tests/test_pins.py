@@ -142,7 +142,7 @@ PINS = [
         ("""qm-test --p 5 --m 1 --f '{"terms": [[3, {"pow": 0}]]}' --g '{"terms": [[5, {"pow": 0}], [1, {"pow": 1}]]}'""",),
         1, "d9225835439728a97e3f33f662cfbda336eb54756b48a7bc441363848bd2f6a5"),
     # single constructions: the README example, an odd-p tuple with aux over
-    # GF(3^8) (its verdicts sum a lane table), and a --field operand
+    # GF(3^8) (it adds and checks through one lane table), and --field operands
     Pin("construct Q1 q=5",
         ("construct --p 5 --m 1 --family Q1 --beta -1 --delta g --delta-t g",),
         0, "458ce5b897a8672a6db69d22133a920ee72d746487c480acc185179f934f5324"),
@@ -153,6 +153,11 @@ PINS = [
     Pin("construct --field P1 q=4",
         ("""construct --field '{"p": 2, "modulus": [1, 1, 0, 0, 1]}' --family P1 --beta 1 --delta g^3 --delta-t g^3 --aux 1""",),
         0, "2fa79d8d7ac3dd11aff4f89db8eaf523979f0f2b0eecbdc1d9ebb81aff52d2ce"),
+    # a supplied generator that is not the modulus root (X^7 over GF(3^4)):
+    # exp from the orbit, the lane table from exp, read by add and verify
+    Pin("construct --field Q4c q=9 non-root",
+        ("""construct --field '{"p": 3, "modulus": [2,0,0,2,1], "generator": [1,1,1,2]}' --family Q4c --beta 1 --delta g --delta-t g --aux g^10""",),
+        0, "9bf9e758014ebb25fb45e26f6ae218e9cf702cc8e25391f5b5244edd48312c14"),
     # the CSV catalog format
     Pin("grid csv --family P4 --p 2 --m 2",
         ("construct --grid --family P4 --p 2 --m 2 --format csv",),

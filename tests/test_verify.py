@@ -31,7 +31,7 @@ from circleperm.verify import (
     is_permutation_exhaustive,
     verify_both,
 )
-from conftest import MOD_2_16, get_ext, get_field, h_no_circle_root, tables_off
+from conftest import MOD_2_16, get_ext, get_field, h_no_circle_root, lane_word, tables_off
 from symbolic import pmul
 
 
@@ -112,12 +112,6 @@ def odd_lane_shapes():
     ones = [p for p in primes if p < 1 << 12]
     ones += [primes[bisect.bisect_left(primes, 1 << k) - 1] for k in range(13, 21)]
     return shapes + [(p, 1) for p in ones]
-
-
-def lane_word(x, p, n):
-    """Digit i of the encoding x in bits [w*i, w*i + w), w = p.bit_length() + 1."""
-    w = p.bit_length() + 1
-    return sum(x // p**i % p << w * i for i in range(n))
 
 
 def run_values(ctx):
@@ -483,8 +477,9 @@ class TestLanes:
                                      (101, 2), (3, 11), (3, 12)])
     def test_field_lane_sums_equal_add_enc(self, p, n):
         # the field's run table, in the smallest word that holds n*w bits,
-        # summed by its total, gives add_enc; zero is no table entry, so
-        # its lane word is 0
+        # holds lane_word of each element, and summed by its total gives the
+        # digit-wise sum; so does add_enc, which sums the same words by a
+        # one-word total.  Zero is no table entry, so its lane word is 0
         ctx = get_field(p, n)
         w = p.bit_length() + 1
         table, total = _run_setup(ctx)
@@ -495,8 +490,9 @@ class TestLanes:
         ys = [rnd.randrange(ctx.order) for _ in range(k)]
         lanes = [[table[ctx._log[x]] if x else 0 for x in col] for col in (xs, ys)]
         assert [lane_word(x, p, n) for x in xs] == lanes[0]
-        assert run_total(total, lanes, table.typecode) == [
-            ctx.add_enc(x, y) for x, y in zip(xs, ys)]
+        sums = [digitwise_sum(t, p, n) for t in zip(xs, ys)]
+        assert run_total(total, lanes, table.typecode) == sums
+        assert [ctx.add_enc(x, y) for x, y in zip(xs, ys)] == sums
 
     def test_run_tables_hold_lane_words(self):
         # every entry of an odd-p run table is lane_word(exp[k]), repeated
