@@ -12,22 +12,19 @@ Fields of order up to EXHAUSTIVE_CAP (2^20) get compact arrays, with
 m = order - 1 standing for the log of zero: exp (k -> g^k, and exp[m] = 0)
 and log (enc -> k, and log[0] = m), typecode "H" up to order 2^16 (every
 entry is <= m) and "i" above, and for odd p the lane table lanes (k -> the
-digits of g^k in lane words, _lane_total's format, the one digit table):
-only what the field's own arithmetic reads, lanes only once it does.
-Multiplication adds logs, and odd-p addition sums the lane words of
-g^(log a) and g^(log b) and reduces each digit sum, below 2p, once, so both
-are O(1) lookups; p = 2 adds by xor and needs no lanes.  exp and log are
-built with the field, and lanes by the first table-path add or the first
-check (_lane_table): verify's run tables repeat it, and the QM keys read
-exp and log only.  For the modulus root g = X, exp is built in bulk
-(_root_powers): W lanes packed in one int start at X^(jL) and step
-x -> x*X together, one strided slice of exp per step.  For p = 2 a lane is
-an exp item and W = 2^floor(n/2).  For odd p a lane is a word of digit
-lanes, W = p^ceil(n/2), a step adds the top digit times X^n bit by bit
-(_lane_walk), and radix rounds make each step's words encodings; the lane
-table is the same walk without the rounds.  exp is walked once, for any
-generator, and log is one pass over it, as is a non-root generator's lane
-table.
+digits of g^k in lane words, _lane_total's format, the one digit table),
+all built with the field.  Multiplication adds logs, and odd-p addition
+sums the lane words of g^(log a) and g^(log b) and reduces each digit sum,
+below 2p, once, so both are O(1) lookups; p = 2 adds by xor and needs no
+lanes.  verify's run tables repeat exp or the lane table.  For the modulus
+root g = X, exp is built in bulk (_root_powers): W lanes packed in one int
+start at X^(jL) and step x -> x*X together, one strided slice of exp per
+step.  For p = 2 a lane is an exp item and W = 2^floor(n/2).  For odd p a
+lane is a word of digit lanes, W = p^ceil(n/2), a step adds the top digit
+times X^n bit by bit (_lane_walk), and each step's words go to the lane
+table as they are and to exp once radix rounds make them encodings.  exp
+is walked once, for any generator, and log is one pass over it, as is a
+non-root generator's lane table.
 That walk closing after m steps and reaching every nonzero element proves
 the root primitive, so a tabled root is tested no other way; any other
 generator steps by the table-free product.  Larger fields use table-free
@@ -396,7 +393,8 @@ def _lane_total(p: int, n: int, words: int, bits: int):
     bits [bits*j, bits*j + bits), and digit i of a word in the word's bits
     [w*i, w*i + w).  Two digits (< 2p) fit in a lane, and (acc + C) & H
     sets its top bit where the sum is >= p.  _radix_rounds then make
-    encodings."""
+    encodings.  C covers the runs' `points` words only, so a short run's
+    reductions cost its own width, not that of `words`."""
     rep = _ones(words, bits)
     w = _lane_width(p)
     rounds = [(gw, low * rep, high * rep, mult) for gw, low, high, mult in _radix_rounds(p, n, w)]
@@ -578,9 +576,9 @@ class FieldCtx(_Ring):
         if self._log is not None:
             if a == 0 or b == 0:
                 return a or b
-            lanes = self._lanes or self._lane_table()
-            # each digit sum is below 2p, so one reduction makes the encoding
-            return self._lane_sum((lanes[self._log[a]] + lanes[self._log[b]],), 1)
+            # the lane words of g^(log a) and g^(log b), built with exp: each
+            # digit sum is below 2p, so one reduction makes the encoding
+            return self._lane_sum((self._lanes[self._log[a]] + self._lanes[self._log[b]],), 1)
         return self._add(a, b)
 
     def sub_enc(self, a: int, b: int) -> int:
@@ -659,16 +657,19 @@ class FieldCtx(_Ring):
             x = self._mul_generic(x, g)
 
     def _build_tables(self) -> bool:
-        """exp and log, kept only if g is primitive: its orbit closes after
-        m steps and the inverse pass reaches every nonzero element, which
-        also proves the modulus irreducible.  exp comes from _root_powers
-        when g is the modulus root, else from the orbit; log is one inverse
-        pass over exp.  Odd p's lanes wait for their first read (_lane_table)."""
-        m = self.order - 1
+        """exp, log and, for odd p, the lane table, kept only if g is
+        primitive: its orbit closes after m steps and the inverse pass
+        reaches every nonzero element, which also proves the modulus
+        irreducible.  When g is the modulus root, _root_powers walks exp and
+        the lane table in the same steps; else exp comes from the orbit and
+        the lane table is one word per entry of exp.  log is one inverse
+        pass over exp.  _lane_sum, the one-word _lane_total, is what add_enc
+        reduces by."""
+        p, n, m = self.p, self.n, self.order - 1
         typecode = "H" if self.order <= 1 << 16 else "i"  # every entry is <= m
-        exp = array(typecode, [0]) * (m + 1)
+        exp, lanes = array(typecode, [0]) * (m + 1), None
         if self.generator_is_root:
-            self._root_powers(exp)
+            lanes = self._root_powers(exp)
         else:
             for k, x in zip(range(m + 1), self._orbit()):
                 exp[k] = x
@@ -680,30 +681,15 @@ class FieldCtx(_Ring):
             log[x] = k
         if log.count(m) != 1:  # it misses a nonzero element
             return False
-        self._exp, self._log = exp, log
-        return True
-
-    def _lane_table(self) -> array:
-        """lanes[k] = the lane word of g^k for k < m (odd p, tabled), in
-        words of _lane_typecode, built on the first read together with
-        _lane_sum, the one-word _lane_total that add_enc reduces by.  The
-        modulus root's words come from its packed walk (_lane_walk) without
-        the radix rounds; any other generator's from exp, one word per entry."""
-        if self._lanes is None:
-            p, n, m = self.p, self.n, self.order - 1
-            typecode = _lane_typecode(p, n)
-            if self.generator_is_root:
-                lanes = array(typecode, [0]) * self.order
-                self._lane_walk(lanes, typecode, False)
-                del lanes[m:]  # X^m = 1 again
-            else:
+        if p != 2:
+            if lanes is None:  # a non-root generator
                 w = _lane_width(p)
-                lanes = array(typecode, (
+                lanes = array(_lane_typecode(p, n), (
                     sum(c << w * i for i, c in enumerate(self.enc_to_coords(x)))
-                    for x in itertools.islice(self._exp, m)))
+                    for x in itertools.islice(exp, m)))
             self._lane_sum = _lane_total(p, n, 1, 8 * lanes.itemsize)
-            self._lanes = lanes
-        return self._lanes
+        self._exp, self._log, self._lanes = exp, log, lanes
+        return True
 
     def _root_powers(self, exp):
         """exp[k] = g^k for k <= m, with g the modulus root X: a run of
@@ -712,13 +698,13 @@ class FieldCtx(_Ring):
         exp[i::L] takes them all in one strided slice.
 
         p = 2: W = 2^floor(n/2) lanes of exp's item size, a step a shift
-        that adds the low modulus bits where the top bit was set.  Odd p:
-        _lane_walk, in lane words at least as wide as exp's items.
+        that adds the low modulus bits where the top bit was set; it returns
+        None.  Odd p: _lane_walk, which returns the lane table it fills in
+        the same steps.
         """
         p, n, order = self.p, self.n, sys.byteorder
         if p != 2:
-            self._lane_walk(exp, max(exp.typecode, _lane_typecode(p, n), key="BHiIQ".index), True)
-            return
+            return self._lane_walk(exp)
         W, L = p ** (n // 2), p ** ((n + 1) // 2)
         bits = 8 * exp.itemsize
         top = _ones(W, bits) << n - 1  # in every lane
@@ -734,15 +720,17 @@ class FieldCtx(_Ring):
             t = x & top
             x = (x ^ t) << 1 ^ (t >> n - 1) * low
 
-    def _lane_walk(self, out, typecode: str, encode: bool):
-        """out[k] = X^k for k < order (odd p): as encodings when encode,
-        else as lane words (_lane_total's format) in out, of `typecode`.
+    def _lane_walk(self, exp) -> array:
+        """exp[k] = X^k for k < order (odd p), and the lane table it returns:
+        lanes[k] = the lane word of X^k (_lane_total's format) for k < m, in
+        words of _lane_typecode.
 
-        W = p^ceil(n/2) lane words in words of `typecode`, packed in one
-        int, start at X^(jL), L = order/W, and take L steps x -> x*X
-        together; before step i word j holds X^(jL + i), and out[i::L]
-        takes them all, made encodings first by _radix_rounds (of an
-        encoding in a wider word, its low item of out's type).
+        W = p^ceil(n/2) lane words, packed in one int in words as wide as the
+        wider of the two tables' items, start at X^(jL), L = order/W, and
+        take L steps x -> x*X together; before step i word j holds
+        X^(jL + i).  lanes[i::L] takes the step's words as they are and
+        exp[i::L] the same words made encodings by _radix_rounds, each the
+        low item of a word wider than its own.
 
         A step shifts every word's digits up one, the top digit t out, and
         adds t*head: for each bit b of t, (t >> b & 1) times one word's
@@ -757,6 +745,8 @@ class FieldCtx(_Ring):
         at e = 1, on a 2-core VM) and within 8 % of e = (n - 1)/2 above.
         """
         p, n, order = self.p, self.n, sys.byteorder
+        lanes = array(_lane_typecode(p, n), [0]) * self.order
+        typecode = max(exp.typecode, lanes.typecode, key="BHiIQ".index)
         W, bits, w = p ** ((n + 1) // 2), 8 * array(typecode).itemsize, _lane_width(p)
         ones, shift, every = _ones(W, bits), w * (n - 1), _ones(n, w)  # every: each digit's 1
         c1, h1 = ((1 << w - 1) - p) * every, (1 << w - 1) * every  # total's C and H in one word
@@ -776,21 +766,24 @@ class FieldCtx(_Ring):
             starts.append(word)
         digits, top, c, h = ((1 << shift) - 1) * ones, ((1 << w) - 1) * ones, c1 * ones, h1 * ones
         rounds = [(gw, low * ones, high * ones, mult)
-                  for gw, low, high, mult in _radix_rounds(p, n, w) if encode]
-        k = bits // 8 // out.itemsize  # out's items a word, the low one first on little-endian
-        first, L = 0 if order == "little" else k - 1, self.order // W
-        x, words = int.from_bytes(starts, order), array(out.typecode)
+                  for gw, low, high, mult in _radix_rounds(p, n, w)]
+        kl, ke = (bits // 8 // t.itemsize for t in (lanes, exp))  # a table's items a word
+        fl, fe = (0 if order == "little" else k - 1 for k in (kl, ke))  # a word's low item
+        x, L, size = int.from_bytes(starts, order), self.order // W, W * bits // 8
         for i in range(L):
             y = x
             for gw, low, high, mult in rounds:
                 y = (y & low) + (y >> gw & high) * mult
-            words.frombytes(y.to_bytes(W * bits // 8, order))
-            out[i::L] = words[first::k] if k > 1 else words
-            del words[:]
+            raw = array(lanes.typecode, x.to_bytes(size, order))
+            enc = array(exp.typecode, y.to_bytes(size, order))
+            lanes[i::L] = raw[fl::kl] if kl > 1 else raw
+            exp[i::L] = enc[fe::ke] if ke > 1 else enc
             t, x = x >> shift & top, (x & digits) << w
             for b, hb in enumerate(heads):
                 x += (t >> b & ones) * hb
                 x -= ((x + c & h) >> w - 1) * p
+        del lanes[-1]  # X^m = 1 again
+        return lanes
 
     # -- the cyclic group GF(p^n)* ---------------------------------------------
 

@@ -7,11 +7,12 @@ must always agree; a disagreement raises instead of reporting.
 
 Both routes evaluate on tabled fields by one engine, _sums: a term c*X^e at
 x = g^(s*k) is g^(log c + e*s*k), a run of the field's digit table (exp, or
-odd p's lane table), read by strided slices, and the runs are summed in
-every characteristic.  Exhaustive evaluation reports the first collision in
-the order 0, g^0, g^1, ..., so witnesses do not depend on how the points
-are walked.  A field of at most _ONE_PASS_MAX elements is summed in one
-call and tested by one set; the scan below runs only when that test fails.
+odd p's lane table, both built with the field), read by strided slices,
+and the runs are summed in every characteristic.  Exhaustive evaluation
+reports the first collision in the order 0, g^0, g^1, ..., so witnesses do
+not depend on how the points are walked.  A field of at most _ONE_PASS_MAX
+elements is summed in one call and tested by one set; the scan below runs
+only when that test fails.
 Larger fields and the criterion walk their points in chunks on one ladder
 (_ladder), sized so that a random map's first repeat usually falls in the
 first chunk, and a rejection sums only the chunks up to the one that
@@ -114,16 +115,16 @@ def _run_setup(ctx: FieldCtx):
     """(run table, total) of a tabled field, kept in _RUNS while it lives.
 
     The run table holds the field's digit table, exp for p = 2 and for odd
-    p its lane table (FieldCtx._lane_table: the digits of g^k in lane
-    words, fields._lane_total's format), the table add_enc reads.  A field
-    of more than _TILE_MAX // 2 nonzero elements uses that array itself;
-    a smaller one gets a new array of its first m entries, repeated up to
-    _TILE_MAX entries.  total(runs, points) sums runs of that many words
-    into encodings: by xor, or by _lane_total.
+    p its lane table (FieldCtx._lanes, built with exp: the digits of g^k in
+    lane words, fields._lane_total's format), the table add_enc reads.  A
+    field of more than _TILE_MAX // 2 nonzero elements uses that array
+    itself; a smaller one gets a new array of its first m entries, repeated
+    up to _TILE_MAX entries.  total(runs, points) sums runs of that many
+    words into encodings: by xor, or by _lane_total.
     """
     m, p = ctx.order - 1, ctx.p
     copies = min(m, _CHUNK_MAX, _TILE_MAX // m)  # min(m, _CHUNK_MAX) make every run one slice
-    base = ctx._exp if p == 2 else ctx._lane_table()
+    base = ctx._exp if p == 2 else ctx._lanes
     table = base[:m] * copies if copies > 1 else base
     if p == 2:
         return table, lambda runs, points: functools.reduce(operator.xor, runs, 0)

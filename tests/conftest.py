@@ -77,8 +77,8 @@ def tables_off(ctx):
     do: digit-wise add through the one digit codec, shift/xor or Kronecker
     mul.  Encodings do not depend on the tables, so the two paths compare.
     ctx is changed in place (cached fields are shared) and restored: the
-    block hides exp, log and (odd p, once built) the lane table, and builds
-    nothing."""
+    block hides exp, log and (odd p) the lane table, all built with the
+    field, and builds nothing."""
     tables = ctx._exp, ctx._log, ctx._lanes
     ctx._exp = ctx._log = ctx._lanes = None
     try:

@@ -423,10 +423,10 @@ class TestTableArithmetic:
 
     @pytest.mark.parametrize("p,n,d", ARITH_FIELDS, ids=ARITH_IDS)
     def test_lane_table_holds_lane_words(self, p, n, d):
-        # odd p: after an add, lanes[k] = lane_word(exp[k]) for each of the
-        # m values of k; p = 2 adds by xor and has no lane table
-        ctx = arith_field(p, n, d)
-        ctx.add_enc(1, ctx.generator.enc)
+        # odd p: as built, with no add first, lanes[k] = lane_word(exp[k])
+        # for each of the m values of k, from the root's walk or, for X^7,
+        # from exp; p = 2 adds by xor and has no lane table
+        ctx = field_create(p, canonical_modulus(p, n)) if d == 1 else get_non_root(p, n, d)
         if p == 2:
             assert ctx._lanes is None
             return
@@ -469,10 +469,8 @@ def schoolbook_tables(ctx):
 
 
 def stepped_tables(ctx):
-    """The field's own tables as lists, odd p's lane table built first;
-    p = 2 has none."""
-    lanes = ctx._lane_table() if ctx.p != 2 else None
-    return tuple(list(t) for t in (ctx._exp, ctx._log, lanes) if t is not None)
+    """The field's own tables as lists: exp, log and odd p's lane table."""
+    return tuple(list(t) for t in (ctx._exp, ctx._log, ctx._lanes) if t is not None)
 
 
 # every root-walk shape: p = 2 packs 2^floor(n/2) lanes that step
@@ -520,7 +518,7 @@ class TestSteppedTables:
         # among them: -1 = g^(m/2))
         ctx = field_create(p, canonical_modulus(p, n))
         m, g = ctx.order - 1, ctx.generator.enc
-        exp, log, lanes = ctx._exp, ctx._log, ctx._lane_table() if p != 2 else None
+        exp, log, lanes = ctx._exp, ctx._log, ctx._lanes
         assert ctx.generator_is_root and exp[m] == 0 and log[0] == m
         ks = [0, 1, m // 2, m - 1] + random.Random(p * n).sample(range(m), 300)
         js = [(k + m // 2) % m for k in ks[:4]] + ks[4:][::-1]
@@ -535,9 +533,9 @@ class TestSteppedTables:
 
     @pytest.mark.parametrize("p,n", [(2, 18), (3, 10)])
     def test_build_peaks_at_the_tables_own_size(self, p, n):
-        # the build keeps no list of m ints and no copy of exp: the traced
-        # peak stays within a quarter above exp and log themselves, and an
-        # odd field's lane table waits for its first read
+        # the build keeps no list of m ints and no copy of a table: the
+        # traced peak stays within a quarter above exp, log and (odd p) the
+        # lane table themselves, which the build has made
         modulus = canonical_modulus(p, n)
         tracemalloc.start()
         try:
@@ -545,8 +543,8 @@ class TestSteppedTables:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert ctx._lanes is None
-        tables = sum(len(t) * t.itemsize for t in (ctx._exp, ctx._log))
+        assert (ctx._lanes is None) == (p == 2)
+        tables = sum(len(t) * t.itemsize for t in (ctx._exp, ctx._log, ctx._lanes) if t is not None)
         assert peak < 1.25 * tables, (peak, tables)
 
     def test_typecode_h_up_to_order_2_16(self):
@@ -600,10 +598,10 @@ class TestPackedProduct:
         assert ring._pow(0, 0) == 1 and ring._pow(ring.order - 1, 1) == ring.order - 1
 
 
-class TestLazyLanes:
-    def test_build_and_qm_keys_leave_lanes_unbuilt(self):
-        # the build and the QM keys read exp and log only: on GF(3^10) the
-        # lane table waits for the checks, whose run table it then is
+class TestOneWalk:
+    def test_checks_read_the_lane_table(self):
+        # on GF(3^10) the QM keys and the checks read the tables the build
+        # made, and the checks' run table is the lane table itself
         ext = quad_extension(3, 5)
         big, q = ext.big, ext.q
         polys = [SparsePolynomial(big, {5: big.one()}),
@@ -611,30 +609,28 @@ class TestLazyLanes:
                  SparsePolynomial(big, {2: big.one(), 2 + 4 * (q - 1): big.generator})]
         for f in polys:
             qm.qm_canonical_key(f, ext)
-        assert big._lanes is None
         verdicts = [verify.verify_both(*verify.decompose(f, ext), f, ext).is_permutation
                     for f in polys]
         assert verdicts == [True, True, False]
-        assert big._lanes is not None and verify._RUNS[big][0] is big._lanes
+        assert verify._RUNS[big][0] is big._lanes
 
-    def test_one_walk_for_exp_and_one_for_lanes(self, monkeypatch):
-        # building a root odd field walks once for exp (encodings); the
-        # first add walks once more for the lane table (lane words), and
-        # verify_both reads that table without a walk of its own
+    def test_one_walk_builds_exp_and_lanes(self, monkeypatch):
+        # building a root odd field walks once, for exp and the lane table
+        # together; the first add and verify_both read them without a walk
         walks = []
         walk = fields_mod.FieldCtx._lane_walk
 
-        def counted(self, out, typecode, encode):
-            walks.append(encode)
-            return walk(self, out, typecode, encode)
+        def counted(self, exp):
+            walks.append(self)
+            return walk(self, exp)
         monkeypatch.setattr(fields_mod.FieldCtx, "_lane_walk", counted)
         ext = quad_extension(3, 3)
         big = ext.big
-        assert big.generator_is_root and walks == [True]
+        assert big.generator_is_root and walks == [big]
         x = big.add_enc(1, big.generator.enc)
         f = SparsePolynomial(big, {1: big.one(), ext.q: big.from_enc(x)})
         verify.verify_both(*verify.decompose(f, ext), f, ext)
-        assert walks == [True, False]
+        assert walks == [big]
 
     def test_run_table_is_the_lane_table(self):
         # GF(3^10)'s run table is the lane table itself; GF(3^4)'s repeats
@@ -644,19 +640,6 @@ class TestLazyLanes:
             m, table = ctx.order - 1, verify._run_setup(ctx)[0]
             assert len(ctx._lanes) == m
             assert table is ctx._lanes if copies == 1 else table == ctx._lanes * copies
-
-    def test_first_add_peaks_at_the_lane_tables_own_size(self):
-        # the first add keeps no list of m ints: its traced peak stays within
-        # a quarter above the lane table itself
-        ctx = field_create(3, canonical_modulus(3, 10))
-        tracemalloc.start()
-        try:
-            ctx.add_enc(1, ctx.generator.enc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        lanes = ctx._lanes
-        assert lanes is not None and peak < 1.25 * len(lanes) * lanes.itemsize, (peak, len(lanes))
 
 
 GROUP_FIELDS = [(2, 2), (3, 2), (5, 1)]  # GF(2^4), GF(3^4) and GF(5^2) as GF(q^2)

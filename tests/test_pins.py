@@ -137,6 +137,12 @@ PINS = [
     Pin("qm-test monomial q=256",
         ("""qm-test --p 2 --m 8 --f '{"terms": [[7, {"pow": 3}]]}' --g '{"terms": [[14, {"pow": 5}]]}'""",),
         0, "1ed7515ece8ba2cd8b4084b10d3fafb55ba26caf785cb68a28130378302775fd"),
+    # GF(3^10), an odd field whose command reads exp and log only: the build
+    # makes the lane table in the same walk as exp, and the QM keys never
+    # read it.  X + g^7 X^245 and g^4 X + g^255 X^245 are equivalent
+    Pin("qm-test odd q=243",
+        ("""qm-test --p 3 --m 5 --f '{"terms": [[1, {"pow": 0}], [245, {"pow": 7}]]}' --g '{"terms": [[1, {"pow": 4}], [245, {"pow": 255}]]}'""",),
+        0, "ab8f3fab876c6f083f8ba58ef72aa86c8f1e5796af65e133e85f18ee56125386"),
     # qm_equivalent's False branch: X^3 and X^5 + gX are not equivalent
     Pin("qm-test not equivalent q=5",
         ("""qm-test --p 5 --m 1 --f '{"terms": [[3, {"pow": 0}]]}' --g '{"terms": [[5, {"pow": 0}], [1, {"pow": 1}]]}'""",),
